@@ -11,7 +11,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from .errors import CapExceededError, FormatError
+from .errors import CapExceededError, FormatError, InternalCheckError
 from .graphs import (
     DEFAULT_SUBSET_CAP,
     Graph,
@@ -406,7 +406,8 @@ def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Gr
     # FC members must be factor critical in the predicate sense too; the
     # nu-table filter above is equivalent, which the tests pin down.
     if spec.kind == "FC" and len(spec.vertices) > 1:
-        assert all(is_factor_critical(g, spec.vertices) for g in out)
+        if not all(is_factor_critical(g, spec.vertices) for g in out):
+            raise InternalCheckError("nu-table FC member is not factor critical")
     return out
 
 

@@ -6,9 +6,15 @@ empty face.  Betti numbers come from boundary ranks,
 
     beta_d = nullity(bd_d) - rank(bd_{d+1}),
 
-computed by Gaussian elimination: packed bitset elimination over GF(2),
-dense integer elimination modulo p for small matrices, and sparse
-elimination with Markowitz-style pivot selection above the dense cutoff.
+computed by one column reduction for every field: each column is reduced by
+the stored pivot column of its lowest nonzero row until it is zero or has a
+new lowest row.  A small field adapter supplies the column arithmetic:
+packed-int columns reduced by XOR over GF(2), dicts of Python ints mod p
+over GF(p), and dicts of ``Fraction``s over Q.  Dimensions are reduced from
+the top down with clearing (Chen & Kerber, "Persistent homology computation
+with a twist", 2011): a d-face that is the lowest row of a reduced column of
+bd_{d+1} is the lowest entry of a d-cycle, so its column of bd_d lies in the
+span of the columns before it and is skipped.
 """
 
 from __future__ import annotations
@@ -19,13 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
-from .complexes import SimplicialComplex, induced_subcomplex, link, mask_bits
+from .complexes import SimplicialComplex, induced_subcomplex, link
 from .errors import CapExceededError, InternalCheckError
 
 DEFAULT_FACE_CAP = 1 << 20
-DENSE_ENTRY_CUTOFF = 4_000_000  # rows*cols above this go to the sparse path
 LARGE_PRIME = 65521
 
 
@@ -102,12 +106,124 @@ class BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# Boundary matrices
+# Boundary columns and the rank engine
 # ---------------------------------------------------------------------------
 
 
-def boundary_matrix(cx: SimplicialComplex, d: int, field: FieldSpec | None = None) -> sp.csc_matrix:
-    """The boundary map from d-faces to (d-1)-faces as a sparse +-1 matrix.
+def _faces_by_size(cx: SimplicialComplex) -> list[list[int]]:
+    """The face masks sorted once and split by size: entry d+1 lists the d-faces."""
+    by_size: list[list[int]] = [[] for _ in range(cx.dim() + 2)]
+    for m in sorted(cx.faces):
+        by_size[m.bit_count()].append(m)
+    return by_size
+
+
+def _boundary_columns(faces: list[int], rows: list[int], cleared=()):
+    """Columns of the boundary map from ``faces`` to the sorted ``rows``.
+
+    Yields ``(j, positions)`` for each face index j not in ``cleared``, where
+    ``positions`` lists the rows of the facets in the order of the dropped
+    element; dropping the i-th smallest element has sign (-1)^i.
+    """
+    row_index = {m: i for i, m in enumerate(rows)}
+    for j, m in enumerate(faces):
+        if j in cleared:
+            continue
+        positions = []
+        rest = m
+        while rest:
+            low = rest & -rest
+            positions.append(row_index[m ^ low])
+            rest ^= low
+        yield j, positions
+
+
+class _PackedGF2:
+    """GF(2): a column is an int with one bit per row, reduced by XOR."""
+
+    @staticmethod
+    def column(positions):
+        col = 0
+        for r in positions:
+            col |= 1 << r
+        return col
+
+    @staticmethod
+    def low(col):
+        return col.bit_length() - 1
+
+    @staticmethod
+    def pivot(col, low):
+        return col
+
+    @staticmethod
+    def eliminate(col, piv, low):
+        return col ^ piv
+
+
+class _SparseField:
+    """GF(p) or Q: a column is a dict from row to a nonzero coefficient.
+
+    GF(p) keeps Python ints reduced mod p, which cannot overflow for any
+    prime; Q (``p`` = 0) keeps exact ``Fraction``s.  Pivot columns are stored
+    scaled so that their lowest entry is 1.
+    """
+
+    def __init__(self, p: int = 0):
+        self.p = p
+        self.signs = (1, p - 1) if p else (1, -1)
+
+    def column(self, positions):
+        signs = self.signs
+        return {r: signs[i & 1] for i, r in enumerate(positions)}
+
+    low = staticmethod(max)
+
+    def pivot(self, col, low):
+        p = self.p
+        if p:
+            inv = pow(col[low], -1, p)
+            return {r: v * inv % p for r, v in col.items()}
+        inv = 1 / Fraction(col[low])
+        return {r: v * inv for r, v in col.items()}
+
+    def eliminate(self, col, piv, low):
+        c, p = col[low], self.p
+        for r, v in piv.items():
+            nv = col.get(r, 0) - c * v
+            if p:
+                nv %= p
+            if nv:
+                col[r] = nv
+            else:
+                del col[r]
+        return col
+
+
+def _field_ops(field: FieldSpec):
+    if field.kind == "GF2":
+        return _PackedGF2
+    return _SparseField(field.p if field.kind == "GFP" else 0)
+
+
+def _reduce(ops, columns) -> dict:
+    """Lowest-row column reduction; returns the pivot columns keyed by pivot row."""
+    pivots: dict = {}
+    column, low, pivot, eliminate = ops.column, ops.low, ops.pivot, ops.eliminate
+    for _, positions in columns:
+        col = column(positions)
+        while col:
+            r = low(col)
+            piv = pivots.get(r)
+            if piv is None:
+                pivots[r] = pivot(col, r)
+                break
+            col = eliminate(col, piv, r)
+    return pivots
+
+
+def boundary_matrix(cx: SimplicialComplex, d: int, field: FieldSpec | None = None) -> np.ndarray:
+    """The boundary map from d-faces to (d-1)-faces as a dense +-1 int8 array.
 
     Rows are indexed by the sorted (d-1)-face masks and columns by the sorted
     d-face masks; the sign of dropping the j-th smallest element is (-1)^j.
@@ -117,187 +233,13 @@ def boundary_matrix(cx: SimplicialComplex, d: int, field: FieldSpec | None = Non
     lo, hi = -1, cx.dim() + 1
     if not (lo <= d <= hi):
         raise ValueError(f"dimension {d} out of range [{lo}, {hi}]")
-    rows = cx.faces_of_dim(d - 1)
-    cols = cx.faces_of_dim(d)
-    row_index = {m: i for i, m in enumerate(rows)}
-    data, ri, ci = [], [], []
-    for j, m in enumerate(cols):
-        sign = 1
-        for b in mask_bits(m):
-            face = m ^ (1 << b)
-            data.append(sign)
-            ri.append(row_index[face])
-            ci.append(j)
-            sign = -sign
-    return sp.csc_matrix((data, (ri, ci)), shape=(len(rows), len(cols)), dtype=np.int8)
-
-
-def _boundary_columns(cx: SimplicialComplex, d: int, rows: list[int]):
-    """Columns of bd_d as (row_indices, signs) pairs, without scipy overhead."""
-    row_index = {m: i for i, m in enumerate(rows)}
-    cols = []
-    for m in cx.faces_of_dim(d):
-        idxs, signs = [], []
-        sign = 1
-        for b in mask_bits(m):
-            idxs.append(row_index[m ^ (1 << b)])
-            signs.append(sign)
-            sign = -sign
-        cols.append((idxs, signs))
-    return cols
-
-
-# ---------------------------------------------------------------------------
-# Rank engines
-# ---------------------------------------------------------------------------
-
-
-def _rank_gf2(columns) -> int:
-    """Rank over GF(2); columns given as bitmask ints over row positions."""
-    pivots: dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            low = col.bit_length() - 1
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-                rank += 1
-                break
-            col ^= piv
-    return rank
-
-
-def _rank_dense_mod_p(cols, nrows: int, p: int) -> int:
-    mat = np.zeros((nrows, len(cols)), dtype=np.int64)
-    for j, (idxs, signs) in enumerate(cols):
-        mat[idxs, j] = np.asarray(signs) % p
-    rank = 0
-    row = 0
-    for col in range(mat.shape[1]):
-        piv = None
-        for r in range(row, nrows):
-            if mat[r, col] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        if piv != row:
-            mat[[row, piv]] = mat[[piv, row]]
-        inv = pow(int(mat[row, col]), p - 2, p)
-        mat[row] = (mat[row] * inv) % p
-        below = mat[row + 1:, col] % p
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            mat[row + 1 + nz] = (mat[row + 1 + nz] - np.outer(below[nz], mat[row])) % p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _rank_sparse(cols, ops) -> int:
-    """Sparse elimination; pivots chosen to keep rows and columns short."""
-    rows: dict[int, dict[int, object]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for j, (idxs, signs) in enumerate(cols):
-        for i, s in zip(idxs, signs):
-            rows.setdefault(i, {})[j] = ops.coerce(s)
-            col_rows.setdefault(j, set()).add(i)
-    rank = 0
-    active = set(col_rows)
-    while active:
-        c = min(active, key=lambda j: (len(col_rows[j]), j))
-        rs = col_rows[c]
-        if not rs:
-            active.discard(c)
-            continue
-        r = min(rs, key=lambda i: (len(rows[i]), i))
-        rank += 1
-        pivrow = rows.pop(r)
-        for j in pivrow:
-            col_rows[j].discard(r)
-        inv = ops.inv(pivrow[c])
-        for i in list(col_rows[c]):
-            rowi = rows[i]
-            factor = ops.mul(rowi[c], inv)
-            for j, v in pivrow.items():
-                cur = rowi.get(j, ops.zero)
-                nv = ops.sub(cur, ops.mul(factor, v))
-                if ops.is_zero(nv):
-                    if j in rowi:
-                        del rowi[j]
-                        col_rows[j].discard(i)
-                else:
-                    if j not in rowi:
-                        col_rows[j].add(i)
-                    rowi[j] = nv
-            if not rowi:
-                del rows[i]
-        active.discard(c)
-    return rank
-
-
-class _ModPOps:
-    def __init__(self, p):
-        self.p = p
-        self.zero = 0
-
-    def coerce(self, v):
-        return v % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def inv(self, a):
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, v):
-        return v == 0
-
-
-class _RationalOps:
-    zero = Fraction(0)
-
-    def coerce(self, v):
-        return Fraction(v)
-
-    def mul(self, a, b):
-        return a * b
-
-    def sub(self, a, b):
-        return a - b
-
-    def inv(self, a):
-        return 1 / a
-
-    def is_zero(self, v):
-        return v == 0
-
-
-def _boundary_rank(cx: SimplicialComplex, d: int, field: FieldSpec) -> int:
-    rows = cx.faces_of_dim(d - 1)
-    ncols = len(cx.faces_of_dim(d))
-    if ncols == 0 or len(rows) == 0:
-        return 0
-    if field.kind == "GF2":
-        row_index = {m: i for i, m in enumerate(rows)}
-        columns = []
-        for m in cx.faces_of_dim(d):
-            col = 0
-            for b in mask_bits(m):
-                col |= 1 << row_index[m ^ (1 << b)]
-            columns.append(col)
-        return _rank_gf2(columns)
-    cols = _boundary_columns(cx, d, rows)
-    if field.kind == "GFP" and len(rows) * ncols <= DENSE_ENTRY_CUTOFF:
-        return _rank_dense_mod_p(cols, len(rows), field.p)
-    ops = _ModPOps(field.p) if field.kind == "GFP" else _RationalOps()
-    return _rank_sparse(cols, ops)
+    by_size = _faces_by_size(cx)
+    rows = by_size[d] if d >= 0 else []
+    cols = by_size[d + 1] if d + 1 < len(by_size) else []
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int8)
+    for j, positions in _boundary_columns(cols, rows):
+        mat[positions, j] = [(-1) ** i for i in range(len(positions))]
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +258,8 @@ def reduced_betti(
     Dimensions run from -1 (which reports 1 exactly for the one-face complex
     {empty}) up to the complex dimension.  ``min_dim`` restricts the output
     to dimensions >= min_dim and skips the ranks below, which the sweeps use.
+    Boundary maps are reduced from the top dimension down, and a d-face that
+    is a pivot row of bd_{d+1} is skipped as a column of bd_d (clearing).
     The alternating sum is checked against the reduced Euler characteristic.
     """
     if cx.face_count > cap:
@@ -323,13 +267,19 @@ def reduced_betti(
     if cx.is_void():
         return BettiTable(field, {})
     dim = cx.dim()
-    counts = cx.face_counts()
+    by_size = _faces_by_size(cx)
+    counts = {size - 1: len(faces) for size, faces in enumerate(by_size) if faces}
     lo = -1 if min_dim is None else min_dim
-    ranks = {d: _boundary_rank(cx, d, field) for d in range(lo, dim + 2)}
+    ops = _field_ops(field)
+    ranks: dict[int, int] = {}
+    cleared: set[int] = set()
+    for d in range(dim, max(lo, 0) - 1, -1):
+        cleared = set(_reduce(ops, _boundary_columns(by_size[d + 1], by_size[d], cleared)))
+        ranks[d] = len(cleared)
     betti = {}
     for d in range(lo, dim + 1):
         f_d = counts.get(d, 0)
-        betti[d] = f_d - ranks[d] - ranks.get(d + 1, 0)
+        betti[d] = f_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if betti[d] < 0:  # pragma: no cover - rank bug guard
             raise InternalCheckError(f"negative betti at dim {d}")
     if min_dim is None:

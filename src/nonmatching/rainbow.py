@@ -17,7 +17,7 @@ import random as _random
 from dataclasses import dataclass
 
 from .complexes import GroundSet, SimplicialComplex
-from .errors import CapExceededError, FormatError, HypothesisError
+from .errors import CapExceededError, FormatError, HypothesisError, InternalCheckError
 from .graphs import (
     DEFAULT_SUBSET_CAP,
     Graph,
@@ -127,7 +127,8 @@ def find_rainbow_matching(inst: RainbowInstance) -> RainbowCertificate | None:
     if res is None:
         return None
     cert = RainbowCertificate(tuple(res))
-    assert certificate_is_valid(inst, cert)
+    if not certificate_is_valid(inst, cert):
+        raise InternalCheckError("search returned an invalid rainbow certificate")
     return cert
 
 

@@ -19,7 +19,8 @@ from nonmatching.complexes import (
     link,
     order_complex,
 )
-from nonmatching.errors import CapExceededError
+import nonmatching.complexes as complexes_module
+from nonmatching.errors import CapExceededError, InternalCheckError
 from nonmatching.graphs import (
     Graph,
     is_factor_critical,
@@ -186,6 +187,11 @@ class TestFamilies:
     def test_fc_singleton(self):
         fam = enumerate_family(FamilySpec("FC", vertices=(0,)))
         assert len(fam) == 1 and fam[0].edge_count == 0
+
+    def test_fc_predicate_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(complexes_module, "is_factor_critical", lambda g, vs: False)
+        with pytest.raises(InternalCheckError):
+            enumerate_family(FamilySpec("FC", vertices=(0, 1, 2)))
 
     def test_fc_definitional(self):
         fam = enumerate_family(FamilySpec("FC", vertices=(0, 1, 2, 3, 4)))

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nonmatching.complexes import build_nm_complex
-from nonmatching.errors import FormatError, HypothesisError
+import nonmatching.rainbow as rainbow_module
+from nonmatching.errors import FormatError, HypothesisError, InternalCheckError
 from nonmatching.graphs import Graph
 from nonmatching.rainbow import (
     RainbowCertificate,
@@ -43,6 +44,11 @@ class TestFindRainbow:
         inst = RainbowInstance.make(c4_host(), [[(0, 2)]], 1)
         cert = find_rainbow_matching(inst)
         assert cert is not None and len(cert) == 1
+
+    def test_invalid_certificate_raises(self, monkeypatch):
+        monkeypatch.setattr(rainbow_module, "certificate_is_valid", lambda inst, cert: False)
+        with pytest.raises(InternalCheckError):
+            find_rainbow_matching(RainbowInstance.make(c4_host(), [[(0, 2)]], 1))
 
     def test_c4_pair_none(self):
         assert find_rainbow_matching(c4_pm_pair()) is None
