@@ -7,6 +7,7 @@ a complex: it is the orientation convention every boundary matrix uses.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -61,6 +62,110 @@ def mask_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def submasks(mask: int) -> list[int]:
+    """Every submask of a bitmask, the empty one included, in ascending order."""
+    out = [0]
+    s = 0
+    while s != mask:
+        s = (s - mask) & mask
+        out.append(s)
+    return out
+
+
+class EdgeHost:
+    """One host graph over an edge ground: its nu table and bit bookkeeping.
+
+    Position i of a mask is the edge ``ground.elements[i]``.  Hosts are shared
+    through :func:`edge_host`, so the nu table is read-only.
+    """
+
+    def __init__(self, ground: GroundSet):
+        self.ground = ground
+        self.index = ground.index()
+        self.edges = ground.elements
+        self.nu = subset_matching_numbers(list(self.edges))
+        self.nu.flags.writeable = False
+        self.bits_at: dict[int, int] = {}
+        for i, (u, v) in enumerate(self.edges):
+            self.bits_at[u] = self.bits_at.get(u, 0) | (1 << i)
+            self.bits_at[v] = self.bits_at.get(v, 0) | (1 << i)
+
+    def mask_of(self, edges) -> int:
+        m = 0
+        for e in edges:
+            m |= 1 << self.index[normalize_edge(*e)]
+        return m
+
+    def nu_of(self, mask: int) -> int:
+        return int(self.nu[mask])
+
+    def bits_within(self, vs) -> int:
+        s = frozenset(vs)
+        m = 0
+        for i, (u, v) in enumerate(self.edges):
+            if u in s and v in s:
+                m |= 1 << i
+        return m
+
+    def bits_between(self, a, b) -> int:
+        sa, sb = frozenset(a), frozenset(b)
+        m = 0
+        for i, (u, v) in enumerate(self.edges):
+            if (u in sa and v in sb) or (u in sb and v in sa):
+                m |= 1 << i
+        return m
+
+    def neighbors_in(self, mask: int, v: int) -> frozenset[int]:
+        out = set()
+        for b in mask_bits(mask & self.bits_at.get(v, 0)):
+            (x, y) = self.edges[b]
+            out.add(x if y == v else y)
+        return frozenset(out)
+
+    def decompose(self, mask: int, vs):
+        """Gallai-Edmonds data (nu, D, A, C, components) of the graph ``mask``
+        on the vertex set ``vs``.
+
+        D holds the vertices whose deletion keeps the matching number, A the
+        vertices outside D adjacent to it, C the rest; the components of D
+        are ordered by their least vertex.
+        """
+        nu_table, bits_at, edges = self.nu, self.bits_at, self.edges
+        nu = int(nu_table[mask])
+        d = frozenset(u for u in vs if int(nu_table[mask & ~bits_at.get(u, 0)]) == nu)
+        a = set()
+        for b in mask_bits(mask):
+            (u, v) = edges[b]
+            if (u in d) != (v in d):
+                a.add(v if u in d else u)
+        a = frozenset(a)
+        c = frozenset(vs) - d - a
+        comps = []
+        rest = set(d)
+        while rest:
+            start = min(rest)
+            comp = {start}
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for b in mask_bits(mask & bits_at.get(u, 0)):
+                    (x, y) = edges[b]
+                    w = x if y == u else y
+                    if w in rest and w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            comps.append(frozenset(comp))
+            rest -= comp
+        comps.sort(key=min)
+        return nu, d, a, c, tuple(comps)
+
+
+@functools.lru_cache(maxsize=64)
+def edge_host(ground: GroundSet) -> EdgeHost:
+    """The shared :class:`EdgeHost` of a ground, built once per distinct ground."""
+    return EdgeHost(ground)
 
 
 @dataclass(frozen=True)
@@ -288,25 +393,10 @@ class FamilySpec:
         return bipartite_edge_list(self.x_side, self.y_side)
 
 
-def _supersets_of(h_mask: int, host_bits: int):
-    """All masks m with h_mask <= m <= host_bits, iterating free bits."""
-    free = host_bits & ~h_mask
-    free_positions = list(mask_bits(free))
-    for r in range(1 << len(free_positions)):
-        m = h_mask
-        rr = r
-        i = 0
-        while rr:
-            if rr & 1:
-                m |= 1 << free_positions[i]
-            rr >>= 1
-            i += 1
-        yield m
-
-
 def family_masks(spec: FamilySpec, ground: GroundSet, cap: int = DEFAULT_SUBSET_CAP) -> list[int]:
     """Member graphs of the family, as masks over ``ground`` (must contain the
-    host edges).  Sorted ascending for determinism."""
+    host edges; the nu table spans the whole ground).  Sorted ascending for
+    determinism."""
     idx = ground.index()
     host_edges = spec.host_edges()
     if (1 << len(host_edges)) > cap:
@@ -317,72 +407,34 @@ def family_masks(spec: FamilySpec, ground: GroundSet, cap: int = DEFAULT_SUBSET_
     h_mask = 0
     for e in spec.subgraph_h:
         h_mask |= 1 << idx[normalize_edge(*e)]
+    vs = sorted(spec.vertices)
+    xs, ys, zs = sorted(spec.x_side), sorted(spec.y_side), sorted(spec.z_subset)
 
-    if spec.kind == "PM":
-        vs = sorted(spec.vertices)
-        if not vs:
-            return [0]
-        if len(vs) % 2:
-            return []
-        nu = subset_matching_numbers(host_edges, cap)
-        local = GroundSet(tuple(host_edges))
-        out = []
-        for m in _supersets_of(_remap(h_mask, ground, local), (1 << len(host_edges)) - 1):
-            if 2 * int(nu[m]) == len(vs):
-                out.append(_remap_back(m, local, ground))
-        return sorted(out)
-
-    if spec.kind == "FC":
-        vs = sorted(spec.vertices)
-        if len(vs) <= 1:
-            return [0] if h_mask == 0 else []
-        if len(vs) % 2 == 0:
-            return []
-        local = GroundSet(tuple(host_edges))
-        nu = subset_matching_numbers(host_edges, cap)
-        bits_at = {v: 0 for v in vs}
-        for i, (u, w) in enumerate(host_edges):
-            bits_at[u] |= 1 << i
-            bits_at[w] |= 1 << i
-        target = (len(vs) - 1) // 2
-        out = []
-        for m in _supersets_of(_remap(h_mask, ground, local), (1 << len(host_edges)) - 1):
-            if all(int(nu[m & ~bits_at[v]]) == target for v in vs):
-                out.append(_remap_back(m, local, ground))
-        return sorted(out)
+    # conventions first: PM over no vertex, FC over one vertex and BFC with
+    # an empty side each yield the empty graph alone
+    if spec.kind == "PM" and not vs:
+        return [0]
+    if (spec.kind == "FC" and len(vs) <= 1) or (spec.kind == "BFC" and not (xs and ys)):
+        return [0] if h_mask == 0 else []
+    if (spec.kind == "PM" and len(vs) % 2) or (spec.kind == "FC" and len(vs) % 2 == 0):
+        return []
+    members = [h_mask | s for s in submasks(host_bits & ~h_mask)]
 
     if spec.kind == "BFC":
-        xs, ys, zs = sorted(spec.x_side), sorted(spec.y_side), sorted(spec.z_subset)
-        if not xs or not ys:
-            return [0] if h_mask == 0 else []
         n = max(xs + ys) + 1
-        out = []
-        for m in _supersets_of(h_mask, host_bits):
-            g = Graph.from_edges(n, ground.decode(m))
-            if is_yz_factor_critical(g, xs, ys, zs):
-                out.append(m)
-        return sorted(out)
-
-    # NMLINK families
-    nu = subset_matching_numbers(host_edges, cap)
-    local = GroundSet(tuple(host_edges))
-    out = []
-    for m in _supersets_of(_remap(h_mask, ground, local), (1 << len(host_edges)) - 1):
-        if int(nu[m]) < spec.k:
-            out.append(_remap_back(m, local, ground))
-    return sorted(out)
-
-
-def _remap(mask: int, src: GroundSet, dst: GroundSet) -> int:
-    idx = dst.index()
-    out = 0
-    for b in mask_bits(mask):
-        out |= 1 << idx[src.elements[b]]
-    return out
-
-
-def _remap_back(mask: int, src: GroundSet, dst: GroundSet) -> int:
-    return _remap(mask, src, dst)
+        return [m for m in members
+                if is_yz_factor_critical(Graph.from_edges(n, ground.decode(m)), xs, ys, zs)]
+    nu = subset_matching_numbers(list(ground.elements), cap)
+    if spec.kind == "PM":
+        return [m for m in members if 2 * int(nu[m]) == len(vs)]
+    if spec.kind == "FC":
+        bits_at = {v: 0 for v in vs}
+        for (u, w) in host_edges:
+            bits_at[u] |= 1 << idx[(u, w)]
+            bits_at[w] |= 1 << idx[(u, w)]
+        target = (len(vs) - 1) // 2
+        return [m for m in members if all(int(nu[m & ~bits_at[v]]) == target for v in vs)]
+    return [m for m in members if int(nu[m]) < spec.k]  # NMLINK families
 
 
 def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Graph]:
@@ -394,15 +446,9 @@ def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Gr
     """
     host_edges = spec.host_edges()
     ground = GroundSet(tuple(host_edges))
-    if spec.kind in ("PM", "FC", "NMLINK_COMPLETE"):
-        n = max(spec.vertices) + 1 if spec.vertices else 0
-        bip = None
-    else:
-        all_vs = tuple(spec.x_side) + tuple(spec.y_side)
-        n = max(all_vs) + 1 if all_vs else 0
-        bip = None  # labels need not partition 0..n-1, so no Graph-level classes
-    masks = family_masks(spec, ground, cap)
-    out = [Graph.from_edges(n, ground.decode(m), bip) for m in masks]
+    all_vs = tuple(spec.vertices) + tuple(spec.x_side) + tuple(spec.y_side)
+    n = max(all_vs) + 1 if all_vs else 0
+    out = [Graph.from_edges(n, ground.decode(m)) for m in family_masks(spec, ground, cap)]
     # FC members must be factor critical in the predicate sense too; the
     # nu-table filter above is equivalent, which the tests pin down.
     if spec.kind == "FC" and len(spec.vertices) > 1:
@@ -432,9 +478,6 @@ def order_complex(members: list[int]) -> SimplicialComplex:
             if (top < 0 or leq[top][j]) and not chain_mask >> j & 1:
                 extend(chain_mask | (1 << j), j)
 
-    # chains built in increasing order, so the extension only looks upward
-    for i in range(len(ms)):
-        pass
     extend(0, -1)
     return SimplicialComplex(ground, frozenset(chains))
 

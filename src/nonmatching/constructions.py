@@ -22,7 +22,9 @@ caller to assert:
 
 Faces are bitmasks over the host ground (the complete or complete bipartite
 edge list); recursive calls share the top-level host so that sub-results
-compose by plain union.
+compose by plain union.  Hosts, with their nu tables, come from the memoised
+:func:`nonmatching.complexes.edge_host`, so a ground is tabulated once per
+process; that holds for the small index hosts of the projection bridges too.
 """
 
 from __future__ import annotations
@@ -30,19 +32,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import GroundSet, mask_bits
+from .complexes import EdgeHost, GroundSet, edge_host, mask_bits, submasks
 from .errors import EmptyFamilyError, InternalCheckError
 from .graphs import (
     Graph,
     bipartite_edge_list,
     complete_edge_list,
     normalize_edge,
-    subset_matching_numbers,
 )
 from .morse import (
     ElementMatching,
     JoinPart,
-    _subsets_of,
     boolean_matching,
     cluster_union,
     join_matching,
@@ -54,87 +54,8 @@ def _complete_ground(vs) -> GroundSet:
     return GroundSet(tuple(sorted(normalize_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))))
 
 
-class _Host:
-    """One host graph: its ground, nu table, and bit bookkeeping."""
-
-    def __init__(self, ground: GroundSet):
-        self.ground = ground
-        self.index = ground.index()
-        self.edges = ground.elements
-        self.nu = subset_matching_numbers(list(ground.elements))
-        self.bits_at: dict[int, int] = {}
-        for i, (u, v) in enumerate(self.edges):
-            self.bits_at[u] = self.bits_at.get(u, 0) | (1 << i)
-            self.bits_at[v] = self.bits_at.get(v, 0) | (1 << i)
-
-    def mask_of(self, edges) -> int:
-        m = 0
-        for e in edges:
-            m |= 1 << self.index[normalize_edge(*e)]
-        return m
-
-    def bits_within(self, vs) -> int:
-        s = frozenset(vs)
-        m = 0
-        for i, (u, v) in enumerate(self.edges):
-            if u in s and v in s:
-                m |= 1 << i
-        return m
-
-    def bits_between(self, a, b) -> int:
-        sa, sb = frozenset(a), frozenset(b)
-        m = 0
-        for i, (u, v) in enumerate(self.edges):
-            if (u in sa and v in sb) or (u in sb and v in sa):
-                m |= 1 << i
-        return m
-
-    def endpoints(self, bit: int) -> tuple[int, int]:
-        return self.edges[bit]
-
-    def nu_of(self, mask: int) -> int:
-        return int(self.nu[mask])
-
-    def neighbors_in(self, mask: int, v: int) -> frozenset[int]:
-        out = set()
-        for b in mask_bits(mask & self.bits_at.get(v, 0)):
-            (x, y) = self.edges[b]
-            out.add(x if y == v else y)
-        return frozenset(out)
-
-    def ge_of_mask(self, mask: int, vs):
-        """Gallai-Edmonds data of a member graph on the vertex set vs."""
-        nu = self.nu_of(mask)
-        d = frozenset(
-            u for u in vs if self.nu_of(mask & ~self.bits_at.get(u, 0)) == nu
-        )
-        a = set()
-        for b in mask_bits(mask):
-            (u, v) = self.edges[b]
-            if (u in d) != (v in d):
-                a.add(v if u in d else u)
-        a = frozenset(a)
-        c = frozenset(vs) - d - a
-        comps = []
-        rest = set(d)
-        while rest:
-            start = min(rest)
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self.neighbors_in(mask, u):
-                    if w in rest and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-            rest -= comp
-        comps.sort(key=min)
-        return nu, d, a, c, tuple(comps)
-
-
-def _ge_key(host: _Host, mask: int, vs):
-    _, d, a, _, comps = host.ge_of_mask(mask, vs)
+def _ge_key(host: EdgeHost, mask: int, vs):
+    _, d, a, _, comps = host.decompose(mask, vs)
     return (d, d | a, comps)
 
 
@@ -150,12 +71,6 @@ def _ge_leq(k1, k2) -> bool:
     d1, da1, _ = k1
     d2, da2, _ = k2
     return d1 <= d2 and da1 <= da2 and (d1, da1) != (d2, da2)
-
-
-def _supersets_within(h_mask: int, within: int):
-    free = within & ~h_mask
-    for s in _subsets_of(free):
-        yield h_mask | s
 
 
 def _hall_surplus(neigh: dict, side: list, strict: bool) -> bool:
@@ -184,7 +99,7 @@ class ConstructionError(InternalCheckError):
 # ---------------------------------------------------------------------------
 
 
-def _pm_masks(host: _Host, vs, h_mask: int) -> list[int]:
+def _pm_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
     vs = tuple(sorted(vs))
     if not vs:
         return [0] if h_mask == 0 else []
@@ -192,10 +107,11 @@ def _pm_masks(host: _Host, vs, h_mask: int) -> list[int]:
         return []
     kv = host.bits_within(vs)
     target = len(vs) // 2
-    return sorted(m for m in _supersets_within(h_mask, kv) if host.nu_of(m) == target)
+    members = (h_mask | s for s in submasks(kv & ~h_mask))
+    return [m for m in members if host.nu_of(m) == target]
 
 
-def _fc_masks(host: _Host, vs, h_mask: int) -> list[int]:
+def _fc_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
     vs = tuple(sorted(vs))
     if len(vs) <= 1:
         return [0] if h_mask == 0 else []
@@ -203,14 +119,12 @@ def _fc_masks(host: _Host, vs, h_mask: int) -> list[int]:
         return []
     kv = host.bits_within(vs)
     target = (len(vs) - 1) // 2
-    out = []
-    for m in _supersets_within(h_mask, kv):
-        if all(host.nu_of(m & ~host.bits_at.get(v, 0)) == target for v in vs):
-            out.append(m)
-    return sorted(out)
+    members = (h_mask | s for s in submasks(kv & ~h_mask))
+    return [m for m in members
+            if all(host.nu_of(m & ~host.bits_at.get(v, 0)) == target for v in vs)]
 
 
-def _is_side_fc(host: _Host, mask: int, cover_side, other_side) -> bool:
+def _is_side_fc(host: EdgeHost, mask: int, cover_side, other_side) -> bool:
     """Is the bipartite graph (mask) ``cover_side``-factor critical?
 
     Hall surplus form: every non-empty subset of cover_side has strictly more
@@ -224,23 +138,25 @@ def _is_side_fc(host: _Host, mask: int, cover_side, other_side) -> bool:
     return _hall_surplus(neigh, cs, strict=True)
 
 
-def _bfc_masks(host: _Host, xs, ys, zs, h_mask: int) -> list[int]:
+def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
     xs, ys, zs = tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
     if not xs or not ys:
         return [0] if h_mask == 0 else []
     kxy = host.bits_between(xs, ys)
     out = []
-    for m in _supersets_within(h_mask, kxy):
+    for s in submasks(kxy & ~h_mask):
+        m = h_mask | s
         if not _is_side_fc(host, m, ys, xs):
             continue
         if zs and not _is_side_fc(host, m & host.bits_between(zs, ys), zs, ys):
             continue
         out.append(m)
-    return sorted(out)
+    return out
 
 
-def _nmlink_masks(host: _Host, within: int, h_mask: int, k: int) -> list[int]:
-    return sorted(m for m in _supersets_within(h_mask, within) if host.nu_of(m) < k)
+def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
+    members = (h_mask | s for s in submasks(within & ~h_mask))
+    return [m for m in members if host.nu_of(m) < k]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +219,7 @@ def _lift_pairs_checked(host, f_members, f_pairs, face_mask, expected) -> list:
     return list(lifted.pairs)
 
 
-def _lift_with_face(host: _Host, family, pairs, face_mask: int):
+def _lift_with_face(host: EdgeHost, family, pairs, face_mask: int):
     """Join a family matching with the one-face family {face_mask}."""
     fam_ground = 0
     for m in family:
@@ -320,7 +236,7 @@ def _lift_with_face(host: _Host, family, pairs, face_mask: int):
 # ---------------------------------------------------------------------------
 
 
-def _pick_e0_complete(host: _Host, vs, h_mask: int) -> tuple[int, int, int]:
+def _pick_e0_complete(host: EdgeHost, vs, h_mask: int) -> tuple[int, int, int]:
     """Least non-subgraph edge, preferring an endpoint of positive h-degree.
 
     Returns (bit, v, w) where w is an endpoint of positive h-degree when the
@@ -329,7 +245,7 @@ def _pick_e0_complete(host: _Host, vs, h_mask: int) -> tuple[int, int, int]:
     deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in vs}
     kv = host.bits_within(vs)
     for b in mask_bits(kv & ~h_mask):
-        (u, v) = host.endpoints(b)
+        (u, v) = host.edges[b]
         if h_mask == 0:
             return b, u, v
         if deg[u] or deg[v]:
@@ -344,7 +260,7 @@ def _pick_e0_complete(host: _Host, vs, h_mask: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: _Host | None = None) -> ConstructionResult:
+def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on the two-level bipartite factor critical family.
 
     Members are the subgraphs of the complete bipartite graph between
@@ -358,7 +274,7 @@ def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: _Host | None = N
     if not set(zs) <= set(xs):
         raise ValueError("z_subset must be contained in x_side")
     if host is None:
-        host = _Host(GroundSet(tuple(bipartite_edge_list(xs, ys)))) if xs and ys else _Host(GroundSet(()))
+        host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
     h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
     bound = 2 * len(ys) + len(zs) + h_mask.bit_count()
     strict = h_mask.bit_count() >= 1
@@ -465,7 +381,8 @@ def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
     h_yc = h_mask & ground
     c_y_minus = tuple(v for v in c_y if v != v0)
     members = []
-    for m in _supersets_within(h_yc, ground):
+    for s in submasks(ground & ~h_yc):
+        m = h_yc | s
         mc = m & host.bits_between(c_x, c_y)
         if not _is_perfectly_matchable_bipartite(host, mc, c_x, c_y):
             continue
@@ -474,7 +391,6 @@ def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
         if not _is_side_fc(host, m & host.bits_between(c_x, c_y_minus), c_y_minus, c_x):
             continue
         members.append(m)
-    members.sort()
 
     def type_key(m):
         s = host.neighbors_in(m, v0) & frozenset(z_c)
@@ -523,7 +439,7 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
     free_q = host.bits_between([q for q in q_set if q not in n_prime], (v0,))
     if forced:
         if free_q:
-            subs = _subsets_of(free_q)
+            subs = submasks(free_q)
             p, _, rest = boolean_matching(subs, min(mask_bits(free_q)))
             if rest:
                 raise ConstructionError("free toggle block must be complete")
@@ -532,7 +448,7 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
         else:
             pv_family, pv_pairs = (forced,), ()
     else:
-        fam = [s for s in _subsets_of(free_q) if s]
+        fam = [s for s in submasks(free_q) if s]
         if not fam:
             raise ConstructionError("neighbourless block in a non-empty type")
         pv_pairs, _, _ = boolean_matching(fam, min(mask_bits(free_q)))
@@ -544,14 +460,14 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
     h2 = h_mask & pa_ground
     n2 = frozenset(v for v in z_c if h2 & host.bits_at.get(v, 0))
     pa_members = []
-    for m in _supersets_within(h2, pa_ground):
+    for s in submasks(pa_ground & ~h2):
+        m = h2 | s
         hit = frozenset(v for v in z_c if m & host.bits_at.get(v, 0))
         if not (set(t_set) <= hit <= (set(s_set) | set(t_set))):
             continue
         if not q_set and not hit:
             continue
         pa_members.append(m)
-    pa_members.sort()
     if not pa_members:
         raise ConstructionError("empty attachment block in a non-empty type")
     if not a_set:
@@ -584,7 +500,7 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
     pq_ground = host.bits_between(q_set, a_set)
     hq = h_mask & pq_ground
     if pq_ground & ~hq:
-        pq_family = tuple(sorted(_supersets_within(hq, pq_ground)))
+        pq_family = tuple(hq | s for s in submasks(pq_ground & ~hq))
         pq_pairs, _, rest = boolean_matching(pq_family, min(mask_bits(pq_ground & ~hq)))
         if rest:
             raise ConstructionError("interval toggle block must be complete")
@@ -611,7 +527,7 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
 # ---------------------------------------------------------------------------
 
 
-def _lifted_bfc_projection(host: _Host, d_groups, a_list, z_group_count: int, tau: int):
+def _lifted_bfc_projection(host: EdgeHost, d_groups, a_list, z_group_count: int, tau: int):
     """Matching on bipartite graphs between the missable part and ``a_list``
     whose group-contraction is factor critical on the a side.
 
@@ -630,7 +546,7 @@ def _lifted_bfc_projection(host: _Host, d_groups, a_list, z_group_count: int, ta
     local_x = tuple(range(g_count))
     local_y = tuple(range(g_count, g_count + len(a_sorted)))
     local_edges = bipartite_edge_list(local_x, local_y)
-    local = _Host(GroundSet(tuple(local_edges))) if local_edges else _Host(GroundSet(()))
+    local = edge_host(GroundSet(tuple(local_edges)))
     # parts order must agree with the local ground order
     order_check = [
         (min(gi, g_count + ai), max(gi, g_count + ai))
@@ -647,7 +563,7 @@ def _lifted_bfc_projection(host: _Host, d_groups, a_list, z_group_count: int, ta
     return projection_matching(parts, tau, q.family, q.pairs)
 
 
-def _lifted_fc_projection(host: _Host, a_set, c_list, tau: int, build_fc):
+def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int, build_fc):
     """Matching on graphs over (A x C) union (C x C) whose contraction of the
     whole set A to one point is factor critical; lifted from an FC family on
     a fresh host with |C|+1 vertices (contracted point labelled 0)."""
@@ -660,7 +576,7 @@ def _lifted_fc_projection(host: _Host, a_set, c_list, tau: int, build_fc):
             parts.append(host.bits_between(a_set, (c_sorted[j - 1],)))
         else:
             parts.append(1 << host.index[normalize_edge(c_sorted[i - 1], c_sorted[j - 1])])
-    local = _Host(GroundSet(tuple(local_edges)))
+    local = edge_host(GroundSet(tuple(local_edges)))
     q_h = 0
     for pos, pm in enumerate(parts):
         if tau & pm:
@@ -674,7 +590,7 @@ def _lifted_fc_projection(host: _Host, a_set, c_list, tau: int, build_fc):
 # ---------------------------------------------------------------------------
 
 
-def build_pm_matching(vertices, h=(), *, host: _Host | None = None) -> ConstructionResult:
+def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on perfectly matchable supergraphs of ``h``.
 
     Members are the subgraphs of the complete graph on ``vertices``
@@ -685,7 +601,7 @@ def build_pm_matching(vertices, h=(), *, host: _Host | None = None) -> Construct
     """
     vs = tuple(sorted(vertices))
     if host is None:
-        host = _Host(_complete_ground(vs)) if vs else _Host(GroundSet(()))
+        host = edge_host(_complete_ground(vs))
     h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
     bound = 3 * len(vs) // 2 + h_mask.bit_count()
     strict = len(vs) > 0
@@ -766,7 +682,7 @@ def _pm_subfamily_pairs(host, vs, h_mask, v0, w0, key, members):
 # ---------------------------------------------------------------------------
 
 
-def build_fc_matching(vertices, h=(), *, host: _Host | None = None) -> ConstructionResult:
+def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on factor critical supergraphs of ``h``.
 
     Members are subgraphs of the complete graph on ``vertices`` containing
@@ -778,7 +694,7 @@ def build_fc_matching(vertices, h=(), *, host: _Host | None = None) -> Construct
     if len(vs) % 2 == 0:
         raise ValueError("factor critical families need an odd vertex count")
     if host is None:
-        host = _Host(_complete_ground(vs))
+        host = edge_host(_complete_ground(vs))
     h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
     bound = 3 * (len(vs) - 1) // 2 + h_mask.bit_count()
     strict = h_mask.bit_count() >= 1
@@ -850,14 +766,14 @@ def _fc_subfamily_pairs(host, vs, h_mask, v0, w0, key, members):
 # ---------------------------------------------------------------------------
 
 
-def build_link_matching_complete(vertices, h, k: int, *, host: _Host | None = None) -> ConstructionResult:
+def build_link_matching_complete(vertices, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on {G within the complete host : nu(G) < k, h in G}.
 
     Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 3k-4+|H|.
     """
     vs = tuple(sorted(vertices))
     if host is None:
-        host = _Host(_complete_ground(vs))
+        host = edge_host(_complete_ground(vs))
     h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
     kv = host.bits_within(vs)
     if h_mask & ~kv:
@@ -993,14 +909,14 @@ def _link_subfamily_pairs(host, h_mask, universe, key, members):
     return res.pairs
 
 
-def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: _Host | None = None) -> ConstructionResult:
+def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on {G within the bipartite host : nu(G) < k, h in G}.
 
     Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 2k-3+|H|.
     """
     xs, ys = tuple(sorted(x_side)), tuple(sorted(y_side))
     if host is None:
-        host = _Host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
+        host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
     h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
     kxy = host.bits_between(xs, ys)
     if h_mask & ~kxy:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import GroundSet, SimplicialComplex, mask_bits
+from .complexes import GroundSet, SimplicialComplex, mask_bits, submasks
 from .errors import EmptyFamilyError, InternalCheckError, MonotonicityError
 from .homology import FieldSpec, GF2, reduced_betti
 
@@ -234,13 +234,6 @@ def boolean_matching(family, e0_bit: int) -> tuple[list[Pair], list[int], list[i
     return pairs, sorted(f0), f1
 
 
-def union_matchings(*pair_lists) -> list[Pair]:
-    out = []
-    for pl in pair_lists:
-        out.extend(pl)
-    return out
-
-
 def _verify_monotone(family, key_of, leq):
     ms = sorted(family)
     if not ms:
@@ -309,7 +302,7 @@ def cluster_union(family, key_fn, leq, part_pairs, *, verify: bool = True) -> li
     if verify:
         _verify_monotone(fam_sorted, key_of, leq)
     order = sorted(fibers, key=lambda k: fibers[k][0])
-    pairs = union_matchings(*(part_pairs.get(k, ()) for k in order))
+    pairs = [p for k in order for p in part_pairs.get(k, ())]
     if verify:
         ok, _ = is_acyclic(fam_sorted, pairs)
         if not ok:
@@ -416,30 +409,13 @@ class ProjectionResult:
     criticals: tuple[int, ...]
 
 
-def _subsets_of(mask: int) -> list[int]:
-    """All submasks of a bitmask, the empty one included."""
-    bits = list(mask_bits(mask))
-    out = []
-    for r in range(1 << len(bits)):
-        s = 0
-        rr = r
-        i = 0
-        while rr:
-            if rr & 1:
-                s |= 1 << bits[i]
-            rr >>= 1
-            i += 1
-        out.append(s)
-    return out
-
-
 def _part_choices(part_mask: int, tau: int) -> list[int]:
     """Possible intersections of a member with one part, given it meets it."""
     base = part_mask & tau
     free = part_mask & ~tau
     if base == 0:
-        return [s for s in _subsets_of(free) if s]
-    return [base | s for s in _subsets_of(free)]
+        return [s for s in submasks(free) if s]
+    return [base | s for s in submasks(free)]
 
 
 def projection_matching(part_masks, tau: int, q_family, q_pairs, *, verify: bool = True) -> ProjectionResult:
@@ -493,7 +469,7 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs, *, verify: bool
         i = next(mask_bits(g2 & ~g1))
         bit = parts[i] & -parts[i]
         base = members_with_projection(g1)
-        subs = _subsets_of(parts[i])
+        subs = submasks(parts[i])
         block = [a | s for a in base for s in subs]
         for mface in block:
             if mface in seen:
@@ -512,13 +488,13 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs, *, verify: bool
             free = parts[i] & ~tau
             if base == 0:
                 # non-empty subsets of the part: toggle leaves one singleton
-                choices = [s for s in _subsets_of(free) if s]
+                choices = [s for s in submasks(free) if s]
                 e = min(mask_bits(parts[i]))
                 p, _, f1 = boolean_matching(choices, e)
                 join_parts.append(JoinPart.make(parts[i], choices, p))
             elif free:
                 # all subsets of the free bits: the toggle matching is complete
-                choices = _subsets_of(free)
+                choices = submasks(free)
                 e = min(mask_bits(free))
                 p, _, f1 = boolean_matching(choices, e)
                 if f1:

@@ -8,31 +8,37 @@ tests call the same runners directly.
 
 from __future__ import annotations
 
+import functools
 import random as _random
 from dataclasses import dataclass
 
 from . import constructions as cons
 from . import rainbow as rb
 from .complexes import (
-    FamilySpec,
+    EdgeHost,
+    GroundSet,
     SimplicialComplex,
     build_nm_complex,
-    enumerate_family,
+    edge_host,
     mask_bits,
+    submasks,
 )
 from .graphs import (
     Graph,
+    bipartite_edge_list,
     bipartite_subgraph_classes,
     complete_edge_list,
+    gallai_edmonds,
     graph_isomorphism_classes,
     graph_to_mask,
+    is_yz_factor_critical,
     mask_to_graph,
     matching_number,
     subdivided_complete_graph,
     subset_matching_numbers,
 )
 from .homology import GF2, GFP, LARGE_PRIME, check_near_leray, parse_field, reduced_betti, vanishing_from
-from .morse import JoinPart, boolean_matching, check_matching, join_matching, morse_inequality_details, projection_matching, _subsets_of
+from .morse import JoinPart, boolean_matching, check_matching, join_matching, morse_inequality_details, projection_matching
 
 
 @dataclass(frozen=True)
@@ -177,16 +183,17 @@ def run_morse_family(params: dict) -> dict:
         try:
             res = cons.build_bfc_matching(params["x_side"], params["y_side"], params["z_subset"], h)
         except cons.EmptyFamilyError:
-            # legitimate only when the top-level family itself is empty;
-            # an inner recursion running dry would be a construction bug
-            spec = FamilySpec(
-                "BFC",
-                x_side=tuple(params["x_side"]),
-                y_side=tuple(params["y_side"]),
-                z_subset=tuple(params["z_subset"]),
-                subgraph_h=frozenset(tuple(e) for e in h),
-            )
-            if enumerate_family(spec):
+            # legitimate only when the top-level family itself is empty; an
+            # inner recursion running dry would be a construction bug.  The
+            # property is upward closed (Hall surplus only grows with edges),
+            # so the family is empty exactly when the complete bipartite host,
+            # which contains h, is not a member; an empty side gives the
+            # one-member family {empty graph}.
+            xs, ys = params["x_side"], params["y_side"]
+            if not (xs and ys) or is_yz_factor_critical(
+                Graph.from_edges(max(xs + ys) + 1, bipartite_edge_list(xs, ys)),
+                xs, ys, params["z_subset"],
+            ):
                 raise
             return {"passed": True, "empty_family": True}
     elif kind == "NMLINK_COMPLETE":
@@ -217,80 +224,19 @@ def run_morse_family(params: dict) -> dict:
     return details
 
 
-class _GeContext:
-    """Shared tables for decomposition sweeps over one complete host."""
+@functools.lru_cache(maxsize=None)
+def _all_matchings(n: int) -> tuple[int, ...]:
+    """Every matching of the complete graph on n vertices, as edge masks.
 
-    def __init__(self, n: int):
-        self.n = n
-        self.edges = complete_edge_list(n)
-        self.nu = subset_matching_numbers(self.edges)
-        self.bits_at = {v: 0 for v in range(n)}
-        for i, (u, v) in enumerate(self.edges):
-            self.bits_at[u] |= 1 << i
-            self.bits_at[v] |= 1 << i
-        # all matchings of the host as masks: the naive oracle side
-        self.matchings = [
-            m for m in range(1 << len(self.edges)) if self._is_matching_mask(m)
-        ]
+    The naive side of the decomposition checks, kept apart from the nu table.
+    """
+    edges = complete_edge_list(n)
 
-    def _is_matching_mask(self, m: int) -> bool:
-        used = set()
-        for b in mask_bits(m):
-            (u, v) = self.edges[b]
-            if u in used or v in used:
-                return False
-            used.add(u)
-            used.add(v)
-        return True
+    def is_matching(m: int) -> bool:
+        ends = [v for b in mask_bits(m) for v in edges[b]]
+        return len(ends) == len(set(ends))
 
-    def decompose(self, mask: int):
-        nu = int(self.nu[mask])
-        d = frozenset(
-            v for v in range(self.n)
-            if int(self.nu[mask & ~self.bits_at[v]]) == nu
-        )
-        a = set()
-        for b in mask_bits(mask):
-            (u, v) = self.edges[b]
-            if (u in d) != (v in d):
-                a.add(v if u in d else u)
-        a = frozenset(a)
-        c = frozenset(range(self.n)) - d - a
-        comps = []
-        rest = set(d)
-        while rest:
-            start = min(rest)
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for b in mask_bits(mask & self.bits_at[u]):
-                    (x, y) = self.edges[b]
-                    w = x if y == u else y
-                    if w in rest and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-            rest -= comp
-        comps.sort(key=min)
-        return nu, d, a, c, tuple(comps)
-
-    def bits_within(self, vs) -> int:
-        s = frozenset(vs)
-        out = 0
-        for i, (u, v) in enumerate(self.edges):
-            if u in s and v in s:
-                out |= 1 << i
-        return out
-
-
-_GE_CONTEXTS: dict[int, _GeContext] = {}
-
-
-def _ge_context(n: int) -> _GeContext:
-    if n not in _GE_CONTEXTS:
-        _GE_CONTEXTS[n] = _GeContext(n)
-    return _GE_CONTEXTS[n]
+    return tuple(m for m in range(1 << len(edges)) if is_matching(m))
 
 
 def run_ge_chunk(params: dict) -> dict:
@@ -301,30 +247,31 @@ def run_ge_chunk(params: dict) -> dict:
     perturbations that stay inside the matched-or-attachment part, and (on a
     deterministic subsample) agreement of the fast tabulated route with the
     definitional operation and of the matching number with the
-    all-matchings oracle.
+    all-matchings oracle.  The decomposer under test is
+    :meth:`nonmatching.complexes.EdgeHost.decompose`, the one the Morse
+    builders use, on the shared host of the complete graph.
     """
-    ctx = _ge_context(params["n"])
+    n = params["n"]
+    host = edge_host(GroundSet(tuple(complete_edge_list(n))))
     bad = []
     for mask in range(params["lo"], params["hi"]):
-        if not _ge_mask_ok(ctx, mask):
+        if not _ge_mask_ok(host, n, mask):
             bad.append(mask)
     return {"passed": not bad, "checked": params["hi"] - params["lo"], "violations": bad[:16]}
 
 
-def _ge_mask_ok(ctx: _GeContext, mask: int) -> bool:
-    n = ctx.n
-    nu, d, a, c, comps = ctx.decompose(mask)
+def _ge_mask_ok(host: EdgeHost, n: int, mask: int) -> bool:
+    vs = range(n)
+    nu, d, a, c, comps = host.decompose(mask, vs)
 
     # nu against the all-matchings oracle, and the definitional operation,
     # on a subsample (both are per-graph recomputations)
     if mask % 61 == 0:
         naive = max(
-            (m.bit_count() for m in ctx.matchings if m & ~mask == 0), default=0
+            (m.bit_count() for m in _all_matchings(n) if m & ~mask == 0), default=0
         )
         if naive != nu:
             return False
-        from .graphs import gallai_edmonds
-
         ge = gallai_edmonds(mask_to_graph(n, mask))
         if (ge.components, ge.a_set, ge.c_set) != (comps, a, c):
             return False
@@ -334,12 +281,12 @@ def _ge_mask_ok(ctx: _GeContext, mask: int) -> bool:
         return False
     # (1) components factor critical, via subgraph matching numbers
     for comp in comps:
-        inner = mask & ctx.bits_within(comp)
+        inner = mask & host.bits_within(comp)
         for v in comp:
-            if int(ctx.nu[inner & ~ctx.bits_at[v]]) != (len(comp) - 1) // 2:
+            if int(host.nu[inner & ~host.bits_at.get(v, 0)]) != (len(comp) - 1) // 2:
                 return False
     # (2) the matched part has a perfect matching
-    if 2 * int(ctx.nu[mask & ctx.bits_within(c)]) != len(c):
+    if 2 * int(host.nu[mask & host.bits_within(c)]) != len(c):
         return False
     # (3) the attachment set matches into distinct components avoiding any one
     comp_nbrs = []
@@ -347,8 +294,8 @@ def _ge_mask_ok(ctx: _GeContext, mask: int) -> bool:
     for comp in comps:
         nb = 0
         for v in comp:
-            for b in mask_bits(mask & ctx.bits_at[v]):
-                (x, y) = ctx.edges[b]
+            for b in mask_bits(mask & host.bits_at.get(v, 0)):
+                (x, y) = host.edges[b]
                 w = x if y == v else y
                 if w in a:
                     nb |= 1 << a_list.index(w)
@@ -369,8 +316,8 @@ def _ge_mask_ok(ctx: _GeContext, mask: int) -> bool:
     for i, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = i
-    c_bits = ctx.bits_within(c)
-    for m in ctx.matchings:
+    c_bits = host.bits_within(c)
+    for m in _all_matchings(n):
         if m & ~mask or m.bit_count() != nu:
             continue
         covered_c = 0
@@ -379,7 +326,7 @@ def _ge_mask_ok(ctx: _GeContext, mask: int) -> bool:
         per_comp = [0] * len(comps)
         ok = True
         for b in mask_bits(m):
-            (u, v) = ctx.edges[b]
+            (u, v) = host.edges[b]
             ua, va = u in a, v in a
             ud, vd = u in d, v in d
             if (1 << b) & c_bits:
@@ -405,12 +352,12 @@ def _ge_mask_ok(ctx: _GeContext, mask: int) -> bool:
             return False
 
     # single-edge perturbations inside the matched-or-attachment part
-    for i, (u, v) in enumerate(ctx.edges):
+    for i, (u, v) in enumerate(host.edges):
         both_a = u in a and v in a
         crosses = (u in a and v in c) or (v in a and u in c)
         if both_a or crosses:
             for m2 in (mask | (1 << i), mask & ~(1 << i)):
-                if m2 != mask and ctx.decompose(m2)[1:] != (d, a, c, comps):
+                if m2 != mask and host.decompose(m2, vs)[1:] != (d, a, c, comps):
                     return False
     return True
 
@@ -527,7 +474,7 @@ def run_tightness(params: dict) -> dict:
 
 def _random_acyclic_part(rng, ground_bits: list[int]):
     """A random non-empty family over the given bits with a toggle matching."""
-    space = _subsets_of(sum(1 << b for b in ground_bits))
+    space = submasks(sum(1 << b for b in ground_bits))
     fam = sorted(rng.sample(space, rng.randint(1, len(space))))
     if rng.random() < 0.3 or not ground_bits:
         return fam, []
@@ -585,14 +532,14 @@ def run_projection_law(params: dict) -> dict:
         tau = 0
         for pm in parts:
             if rng.random() < 0.4:
-                sub = rng.choice(_subsets_of(pm))
+                sub = rng.choice(submasks(pm))
                 tau |= sub
         pi_tau = 0
         for i, pm in enumerate(parts):
             if tau & pm:
                 pi_tau |= 1 << i
         fullq = (1 << nparts) - 1
-        sup = [q for q in _subsets_of(fullq) if q & pi_tau == pi_tau]
+        sup = [q for q in submasks(fullq) if q & pi_tau == pi_tau]
         q_family = sorted(rng.sample(sup, rng.randint(1, len(sup))))
         q_pairs = []
         if rng.random() < 0.7 and nparts:

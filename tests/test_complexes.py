@@ -13,6 +13,7 @@ from nonmatching.complexes import (
     complex_from_text,
     complex_to_text,
     delete_vertex,
+    edge_host,
     enumerate_family,
     induced_subcomplex,
     join_complexes,
@@ -23,6 +24,8 @@ import nonmatching.complexes as complexes_module
 from nonmatching.errors import CapExceededError, InternalCheckError
 from nonmatching.graphs import (
     Graph,
+    bipartite_edge_list,
+    gallai_edmonds,
     is_factor_critical,
     is_yz_factor_critical,
     has_perfect_matching,
@@ -229,6 +232,10 @@ class TestFamilies:
                         if is_yz_factor_critical(g, xs, ys, zs):
                             expect.append(frozenset(g.edges))
                     assert sorted(frozenset(g.edges) for g in fam) == sorted(expect)
+                    # upward closed: non-empty exactly when the complete
+                    # bipartite host is a member (the empty-family oracle)
+                    full = Graph.from_edges(a + b, pairs)
+                    assert bool(fam) == is_yz_factor_critical(full, xs, ys, zs)
 
     def test_nmlink_families(self):
         fam = enumerate_family(
@@ -241,6 +248,29 @@ class TestFamilies:
         fam = enumerate_family(FamilySpec("PM", vertices=(0, 1, 2, 3)))
         for g in fam:
             assert has_perfect_matching(g, range(4))
+
+
+class TestEdgeHost:
+    def test_decompose_matches_definition_on_k33(self):
+        # every subgraph of K3,3: the builders' decomposer against the
+        # definitional one on a bipartite ground
+        xs, ys = (0, 1, 2), (3, 4, 5)
+        host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
+        assert len(host.edges) == 9
+        for mask in range(1 << 9):
+            _, _, a, c, comps = host.decompose(mask, xs + ys)
+            ge = gallai_edmonds(Graph.from_edges(6, host.ground.decode(mask)))
+            assert (comps, a, c) == (ge.components, ge.a_set, ge.c_set), mask
+
+    def test_memo_shares_one_host_per_ground(self):
+        edges = tuple(bipartite_edge_list((0, 1), (2, 3)))
+        assert edge_host(GroundSet(edges)) is edge_host(GroundSet(edges))
+        assert edge_host(GroundSet(edges)) is not edge_host(GroundSet(edges[::-1]))
+
+    def test_nu_table_read_only(self):
+        host = edge_host(GroundSet(tuple(bipartite_edge_list((0, 1), (2, 3)))))
+        with pytest.raises(ValueError):
+            host.nu[0] = 1
 
 
 class TestSerialization:

@@ -10,8 +10,10 @@ from nonmatching.constructions import (
     build_link_matching_complete,
     build_pm_matching,
 )
+import nonmatching.constructions as cons
 from nonmatching.errors import EmptyFamilyError
 from nonmatching.morse import check_matching
+from nonmatching.sweeps import run_morse_family
 
 
 def assert_good(res):
@@ -107,6 +109,19 @@ class TestBFC:
     def test_empty_family_raises(self):
         with pytest.raises(EmptyFamilyError):
             build_bfc_matching([0], [1], [], [])
+
+    def test_empty_family_guard_fires(self, monkeypatch):
+        # a builder that wrongly reports an empty family is caught by the
+        # sweep runner's oracle; a genuinely empty family still passes
+        def empty(*args, **kwargs):
+            raise EmptyFamilyError("forced")
+
+        params = {"kind": "BFC", "x_side": [0, 1], "y_side": [2], "z_subset": [], "h": []}
+        monkeypatch.setattr(cons, "build_bfc_matching", empty)
+        with pytest.raises(EmptyFamilyError):
+            run_morse_family(params)
+        assert run_morse_family({**params, "x_side": [0], "y_side": [1]}) == {
+            "passed": True, "empty_family": True}
 
     def test_family_is_definitional(self):
         res = build_bfc_matching([0, 1, 2], [3, 4], [0], [])
