@@ -17,6 +17,7 @@ import concurrent.futures
 import json
 import random
 import sys
+from pathlib import Path
 
 from . import sweeps
 from .cache import CAPS_VERSION, ResultCache, RunManifest, canonical_json, digest_of, now
@@ -124,7 +125,7 @@ def cmd_morse_verify(args) -> int:
 def cmd_rainbow(args) -> int:
     cache = ResultCache(args.cache_dir)
     if args.action == "verify":
-        inst = parse_instance(open(args.instance, encoding="utf-8").read(), args.k)
+        inst = parse_instance(Path(args.instance).read_text(encoding="utf-8"), args.k)
         verdict = verify_theorem(inst)
         print(verdict.to_json())
         if verdict.status != "SATISFIED":

@@ -88,9 +88,12 @@ class EdgeHost:
         self.nu = subset_matching_numbers(list(self.edges))
         self.nu.flags.writeable = False
         self.bits_at: dict[int, int] = {}
+        # per vertex: (edge bit, neighbour's vertex bit) for each incident edge
+        self.star: dict[int, tuple[tuple[int, int], ...]] = {}
         for i, (u, v) in enumerate(self.edges):
-            self.bits_at[u] = self.bits_at.get(u, 0) | (1 << i)
-            self.bits_at[v] = self.bits_at.get(v, 0) | (1 << i)
+            for a, b in ((u, v), (v, u)):
+                self.bits_at[a] = self.bits_at.get(a, 0) | (1 << i)
+                self.star[a] = self.star.get(a, ()) + ((1 << i, 1 << b),)
 
     def mask_of(self, edges) -> int:
         m = 0
@@ -117,12 +120,33 @@ class EdgeHost:
                 m |= 1 << i
         return m
 
-    def neighbors_in(self, mask: int, v: int) -> frozenset[int]:
-        out = set()
-        for b in mask_bits(mask & self.bits_at.get(v, 0)):
-            (x, y) = self.edges[b]
-            out.add(x if y == v else y)
-        return frozenset(out)
+    def neighbor_bits(self, mask: int, v: int) -> int:
+        """Neighbours of ``v`` in the graph ``mask``, as a vertex bitmask."""
+        out = 0
+        for edge, other in self.star.get(v, ()):
+            if mask & edge:
+                out |= other
+        return out
+
+    def hall(self, mask: int, cover, other_bits: int, surplus: int) -> bool:
+        """Hall's condition in the graph ``mask`` from ``cover`` into the
+        vertex bitmask ``other_bits``: every non-empty S within ``cover`` has
+        at least |S| + surplus neighbours there.
+
+        surplus=1 is ``cover``-factor criticality of a bipartite graph;
+        surplus=0 with |cover| = |other| is a perfect matching.  The union
+        for S is the union for S minus its last vertex, plus that vertex's
+        neighbours, so each subset costs one OR.
+        """
+        unions = [0]  # unions[s]: the neighbours of the subset s of the vertices seen
+        for v in cover:
+            nb = self.neighbor_bits(mask, v) & other_bits
+            for s in range(len(unions)):
+                u = unions[s] | nb
+                if u.bit_count() < s.bit_count() + 1 + surplus:
+                    return False
+                unions.append(u)
+        return True
 
     def decompose(self, mask: int, vs):
         """Gallai-Edmonds data (nu, D, A, C, components) of the graph ``mask``

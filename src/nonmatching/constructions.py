@@ -5,14 +5,22 @@ critical graphs (FC), bipartite two-level factor critical graphs (BFC), and
 the two "link" families of bounded-matching-number supergraphs of a fixed
 subgraph, over a complete or complete bipartite host.
 
-Each builder materialises its family explicitly, decomposes it along the
-Gallai-Edmonds structure of the members, builds matchings for the pieces out
-of the combinators in :mod:`nonmatching.morse`, and re-verifies the claimed
-decompositions along the way (join structures are checked for exact equality
-with the definitional member lists; cluster maps are checked monotone; lifts
-are checked for critical-set injectivity).  The guaranteed critical-size
-bounds, with their strictness clauses, are recorded on the result for the
-caller to assert:
+Each builder materialises its family explicitly and runs one shared
+recursion, :func:`_peel_cluster_lift`: a first-stage matching peels most of
+the family (a toggle on one edge for PM, FC and BFC; toggles on the addable
+edges of a free star for the link families), the unmatched members lose the
+peeled face, are grouped by their Gallai-Edmonds key (computed once per
+member), each group is matched by a builder-specific join of smaller
+families, the groups are united by :func:`nonmatching.morse.cluster_union`,
+and the result is lifted back by the peeled face.  The PM and complete-link
+groups share one join, :func:`_matched_join_pairs`.  Claimed decompositions
+are re-verified along the way (join structures are checked for exact
+equality with the definitional member lists; cluster maps are checked
+monotone; lifts must reproduce the unmatched members).  The bipartite
+factor-criticality and perfect-matching filters are one Hall check,
+:meth:`nonmatching.complexes.EdgeHost.hall`, over vertex-bitmask
+neighbourhoods.  The guaranteed critical-size bounds, with their strictness
+clauses, are recorded on the result for the caller to assert:
 
     PM:   |sigma| <= (3/2)|V| + |H|        (strict when V is non-empty)
     FC:   |sigma| <= (3/2)(|V|-1) + |H|    (strict when H has an edge)
@@ -54,6 +62,24 @@ def _complete_ground(vs) -> GroundSet:
     return GroundSet(tuple(sorted(normalize_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))))
 
 
+def _h_mask(host: EdgeHost, h) -> int:
+    """The subgraph ``h`` (a mask, a Graph or an edge list) as a host mask."""
+    if isinstance(h, int):
+        return h
+    return host.mask_of(h.edges if isinstance(h, Graph) else h)
+
+
+def _vertex_bits(vs) -> int:
+    out = 0
+    for v in vs:
+        out |= 1 << v
+    return out
+
+
+def _vertex_set(bits: int) -> frozenset[int]:
+    return frozenset(mask_bits(bits))
+
+
 def _ge_key(host: EdgeHost, mask: int, vs):
     _, d, a, _, comps = host.decompose(mask, vs)
     return (d, d | a, comps)
@@ -73,23 +99,6 @@ def _ge_leq(k1, k2) -> bool:
     return d1 <= d2 and da1 <= da2 and (d1, da1) != (d2, da2)
 
 
-def _hall_surplus(neigh: dict, side: list, strict: bool) -> bool:
-    """Hall condition over all non-empty subsets of ``side``.
-
-    strict=True demands |N(S)| > |S| (factor-critical surplus), else >=.
-    """
-    for r in range(1, len(side) + 1):
-        for sub in itertools.combinations(side, r):
-            n = set()
-            for v in sub:
-                n |= neigh[v]
-            if strict and len(n) <= r:
-                return False
-            if not strict and len(n) < r:
-                return False
-    return True
-
-
 class ConstructionError(InternalCheckError):
     pass
 
@@ -100,58 +109,24 @@ class ConstructionError(InternalCheckError):
 
 
 def _pm_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
-    vs = tuple(sorted(vs))
-    if not vs:
-        return [0] if h_mask == 0 else []
     if len(vs) % 2:
         return []
-    kv = host.bits_within(vs)
     target = len(vs) // 2
-    members = (h_mask | s for s in submasks(kv & ~h_mask))
+    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
     return [m for m in members if host.nu_of(m) == target]
 
 
 def _fc_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
-    vs = tuple(sorted(vs))
-    if len(vs) <= 1:
-        return [0] if h_mask == 0 else []
-    if len(vs) % 2 == 0:
-        return []
-    kv = host.bits_within(vs)
     target = (len(vs) - 1) // 2
-    members = (h_mask | s for s in submasks(kv & ~h_mask))
+    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
     return [m for m in members
             if all(host.nu_of(m & ~host.bits_at.get(v, 0)) == target for v in vs)]
 
 
-def _is_side_fc(host: EdgeHost, mask: int, cover_side, other_side) -> bool:
-    """Is the bipartite graph (mask) ``cover_side``-factor critical?
-
-    Hall surplus form: every non-empty subset of cover_side has strictly more
-    neighbours (within other_side) than its size.
-    """
-    cs = sorted(cover_side)
-    if not cs:
-        return True
-    other = frozenset(other_side)
-    neigh = {v: host.neighbors_in(mask, v) & other for v in cs}
-    return _hall_surplus(neigh, cs, strict=True)
-
-
 def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
-    xs, ys, zs = tuple(sorted(xs)), tuple(sorted(ys)), tuple(sorted(zs))
-    if not xs or not ys:
-        return [0] if h_mask == 0 else []
-    kxy = host.bits_between(xs, ys)
-    out = []
-    for s in submasks(kxy & ~h_mask):
-        m = h_mask | s
-        if not _is_side_fc(host, m, ys, xs):
-            continue
-        if zs and not _is_side_fc(host, m & host.bits_between(zs, ys), zs, ys):
-            continue
-        out.append(m)
-    return out
+    x_bits, y_bits = _vertex_bits(xs), _vertex_bits(ys)
+    members = (h_mask | s for s in submasks(host.bits_between(xs, ys) & ~h_mask))
+    return [m for m in members if host.hall(m, ys, x_bits, 1) and host.hall(m, zs, y_bits, 1)]
 
 
 def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
@@ -160,7 +135,7 @@ def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]
 
 
 # ---------------------------------------------------------------------------
-# Results
+# Results and the shared recursion
 # ---------------------------------------------------------------------------
 
 
@@ -191,44 +166,77 @@ class ConstructionResult:
 
 
 def _result(kind, host, family, pairs, bound, strict) -> ConstructionResult:
-    matched = set()
-    for (s, t) in pairs:
-        matched.add(s)
-        matched.add(t)
-    crit = tuple(sorted(set(family) - matched))
+    matching = ElementMatching(host.ground, tuple(pairs))
     return ConstructionResult(
         kind=kind,
         ground=host.ground,
         family=tuple(sorted(family)),
-        matching=ElementMatching(host.ground, tuple(pairs)),
-        criticals=crit,
+        matching=matching,
+        criticals=tuple(matching.critical(family)),
         bound=bound,
         strict=strict,
     )
 
 
-def _lift_pairs_checked(host, f_members, f_pairs, face_mask, expected) -> list:
-    """Lift a matching by a forced face and check it reproduces ``expected``."""
-    if not f_members:
-        if expected:
-            raise ConstructionError("toggle lift does not reproduce the unmatched part")
-        return []
-    lifted = _lift_with_face(host, f_members, f_pairs, face_mask)
-    if set(lifted.family) != set(expected):
-        raise ConstructionError("toggle lift does not reproduce the unmatched part")
-    return list(lifted.pairs)
+def _complete_toggle(family, free: int, what: str):
+    """Toggle on the least bit of ``free``; it must match the whole family."""
+    pairs, _, rest = boolean_matching(family, (free & -free).bit_length() - 1)
+    if rest:
+        raise ConstructionError(f"{what} was not complete")
+    return pairs
 
 
-def _lift_with_face(host: EdgeHost, family, pairs, face_mask: int):
-    """Join a family matching with the one-face family {face_mask}."""
-    fam_ground = 0
-    for m in family:
-        fam_ground |= m
-    fam_ground &= ~face_mask
-    res = join_matching(
-        [JoinPart.make(fam_ground, family, pairs), JoinPart.single(face_mask)]
-    )
+def _checked_join(parts, members, what: str):
+    """Join the parts; the joined family must be exactly ``members``."""
+    res = join_matching(parts)
+    if set(res.family) != set(members):
+        raise ConstructionError(f"{what} does not reproduce its members")
     return res
+
+
+def _clustered_pairs(members, key_fn, leq, fiber_pairs):
+    """Match each fiber of a monotone key and unite the fibers.
+
+    Keys are computed once per member; ``fiber_pairs(key, fiber)`` matches
+    one fiber, and :func:`cluster_union` checks monotonicity and acyclicity.
+    """
+    key_of = {m: key_fn(m) for m in members}
+    fibers: dict = {}
+    for m in members:
+        fibers.setdefault(key_of[m], []).append(m)
+    per_key = {key: fiber_pairs(key, fiber) for key, fiber in fibers.items()}
+    return cluster_union(members, key_of.__getitem__, leq, per_key)
+
+
+def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs, fiber_pairs) -> list:
+    """The recursion every builder shares, after its first-stage matching.
+
+    ``peel`` is (pairs, unmatched members); every unmatched member carries
+    ``face``.  The members without ``face`` are clustered by their
+    Gallai-Edmonds key on ``vs``, each fiber matched by
+    ``fiber_pairs(key, fiber)``, and the union is lifted back by ``face``,
+    which must reproduce the unmatched members exactly.
+    """
+    pairs0, unmatched = peel
+    f_members = sorted(m & ~face for m in unmatched)
+    f_pairs = _clustered_pairs(f_members, lambda m: _ge_key(host, m, vs), _ge_leq, fiber_pairs)
+    if not f_members:
+        return list(pairs0)
+    ground = 0
+    for m in f_members:
+        ground |= m
+    lifted = join_matching([JoinPart.make(ground, f_members, f_pairs), JoinPart.single(face)])
+    if set(lifted.family) != set(unmatched):
+        raise ConstructionError("toggle lift does not reproduce the unmatched part")
+    return list(pairs0) + list(lifted.pairs)
+
+
+def _toggle_peel(family, e0_bit: int):
+    """Toggle on one edge; every member it leaves unmatched must contain it."""
+    pairs0, _, unmatched = boolean_matching(family, e0_bit)
+    if any(not m >> e0_bit & 1 for m in unmatched):
+        raise ConstructionError("unmatched member without the toggle edge")
+    return pairs0, unmatched
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +283,7 @@ def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None 
         raise ValueError("z_subset must be contained in x_side")
     if host is None:
         host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
-    h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
+    h_mask = _h_mask(host, h)
     bound = 2 * len(ys) + len(zs) + h_mask.bit_count()
     strict = h_mask.bit_count() >= 1
 
@@ -298,13 +306,8 @@ def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None 
     if kxz_y & ~h_mask == 0:
         # everything between X minus Z and Y is forced, so members are exactly
         # the z-factor critical graphs between Y and Z joined with that block
-        inner = build_bfc_matching(ys, zs, (), h_mask & host.bits_between(zs, ys), host=host)
-        res = join_matching(
-            [JoinPart.make(host.bits_between(zs, ys), inner.family, inner.pairs),
-             JoinPart.single(kxz_y)]
-        )
-        if set(res.family) != set(family):
-            raise ConstructionError("forced-block join does not reproduce the family")
+        res = _checked_join([_bfc_join_part(host, ys, zs, h_mask), JoinPart.single(kxz_y)],
+                            family, "forced-block join")
         return _result("BFC", host, family, res.pairs, bound, strict)
 
     # toggle edge: v on the y side, w on the x side outside z, not in h;
@@ -319,23 +322,11 @@ def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None 
     cands.sort()
     _, v0, w0, e0_bit = cands[0]
 
-    pairs0, f0, f1 = boolean_matching(family, e0_bit)
-    e0m = 1 << e0_bit
-    if any(not m & e0m for m in f1):
-        raise ConstructionError("unmatched member without the toggle edge")
-    f_members = sorted(m ^ e0m for m in f1)
-
-    vertex_set = tuple(sorted(set(xs) | set(ys)))
-    per_key: dict = {}
-    groups: dict = {}
-    for m in f_members:
-        key = _ge_key(host, m, vertex_set)
-        groups.setdefault(key, []).append(m)
-    for key, members in groups.items():
-        per_key[key] = _bfc_subfamily_pairs(host, xs, ys, zs, h_mask, v0, w0, key, members)
-    f_pairs = cluster_union(f_members, lambda m: _ge_key(host, m, vertex_set), _ge_leq, per_key)
-    lifted_pairs = _lift_pairs_checked(host, f_members, f_pairs, e0m, f1)
-    return _result("BFC", host, family, list(pairs0) + lifted_pairs, bound, strict)
+    pairs = _peel_cluster_lift(
+        host, _toggle_peel(family, e0_bit), 1 << e0_bit, tuple(sorted(set(xs) | set(ys))),
+        lambda key, members: _bfc_subfamily_pairs(host, xs, ys, zs, h_mask, v0, w0, key, members),
+    )
+    return _result("BFC", host, family, pairs, bound, strict)
 
 
 def _bfc_subfamily_pairs(host, xs, ys, zs, h_mask, v0, w0, key, members):
@@ -354,18 +345,12 @@ def _bfc_subfamily_pairs(host, xs, ys, zs, h_mask, v0, w0, key, members):
     c_x = tuple(sorted(set(xs) & c_set))
     c_y = tuple(sorted(set(ys) & c_set))
 
-    part1 = build_bfc_matching(sorted(d_set), sorted(a_set), z_d,
-                               h_mask & host.bits_between(d_set, a_set), host=host)
-
+    part1 = _bfc_join_part(host, d_set, a_set, h_mask, z_d)
     fyc_members, fyc_pairs = _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c)
-
-    res = join_matching(
-        [JoinPart.make(host.bits_between(d_set, a_set), part1.family, part1.pairs),
-         JoinPart.make(host.bits_between(c_x, ys), fyc_members, fyc_pairs)]
-    )
-    if set(res.family) != set(members):
-        raise ConstructionError("missable/matched join does not reproduce the subfamily")
-    return res.pairs
+    return _checked_join(
+        [part1, JoinPart.make(host.bits_between(c_x, ys), fyc_members, fyc_pairs)],
+        members, "missable/matched join",
+    ).pairs
 
 
 def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
@@ -380,48 +365,31 @@ def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
     ground = host.bits_between(c_x, ys)
     h_yc = h_mask & ground
     c_y_minus = tuple(v for v in c_y if v != v0)
+    cx_bits, cy_bits, y_bits, z_bits = (_vertex_bits(vs) for vs in (c_x, c_y, ys, z_c))
     members = []
-    for s in submasks(ground & ~h_yc):
-        m = h_yc | s
-        mc = m & host.bits_between(c_x, c_y)
-        if not _is_perfectly_matchable_bipartite(host, mc, c_x, c_y):
-            continue
-        if z_c and not _is_side_fc(host, m & host.bits_between(z_c, ys), z_c, ys):
-            continue
-        if not _is_side_fc(host, m & host.bits_between(c_x, c_y_minus), c_y_minus, c_x):
-            continue
-        members.append(m)
+    if len(c_x) == len(c_y):
+        for s in submasks(ground & ~h_yc):
+            m = h_yc | s
+            if (host.hall(m, c_x, cy_bits, 0) and host.hall(m, z_c, y_bits, 1)
+                    and host.hall(m, c_y_minus, cx_bits, 1)):
+                members.append(m)
 
     def type_key(m):
-        s = host.neighbors_in(m, v0) & frozenset(z_c)
-        st = set(s)
+        s = host.neighbor_bits(m, v0) & z_bits
+        st = s
         for a in a_set:
-            st |= host.neighbors_in(m, a) & frozenset(z_c)
-        return (frozenset(s), frozenset(st))
+            st |= host.neighbor_bits(m, a) & z_bits
+        return (s, st)
 
     def type_leq(k1, k2):
-        return k1[0] <= k2[0] and k1[1] <= k2[1]
+        return k1[0] & ~k2[0] == 0 and k1[1] & ~k2[1] == 0
 
-    groups: dict = {}
-    for m in members:
-        groups.setdefault(type_key(m), []).append(m)
-    per_key = {}
-    for (s_set, st_set), group in groups.items():
-        t_set = st_set - s_set
-        per_key[(s_set, st_set)] = _fyc_type_pairs(
-            host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, group
-        )
-    return tuple(members), tuple(cluster_union(members, type_key, type_leq, per_key))
+    def type_pairs(key, group):
+        s_set, st_set = key
+        return _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c,
+                               _vertex_set(s_set), _vertex_set(st_set & ~s_set), group)
 
-
-def _is_perfectly_matchable_bipartite(host, mask, side_a, side_b) -> bool:
-    if len(side_a) != len(side_b):
-        return False
-    if not side_a:
-        return True
-    other = frozenset(side_b)
-    neigh = {v: host.neighbors_in(mask, v) & other for v in side_a}
-    return _hall_surplus(neigh, sorted(side_a), strict=False)
+    return tuple(members), tuple(_clustered_pairs(members, type_key, type_leq, type_pairs))
 
 
 def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, members):
@@ -432,7 +400,7 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
     # block at v0: forced edges to h-neighbours and the s-part, free ones to
     # the rest of the unconstrained x part
     h_v = h_mask & host.bits_at.get(v0, 0) & host.bits_between(c_x, (v0,))
-    n_prime = host.neighbors_in(h_v, v0)
+    n_prime = _vertex_set(host.neighbor_bits(h_v, v0))
     if n_prime & (set(t_set) | set(r_set)):
         raise ConstructionError("forced neighbours contradict the type")
     forced = host.bits_between(sorted(n_prime | s_set), (v0,))
@@ -440,9 +408,7 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
     if forced:
         if free_q:
             subs = submasks(free_q)
-            p, _, rest = boolean_matching(subs, min(mask_bits(free_q)))
-            if rest:
-                raise ConstructionError("free toggle block must be complete")
+            p = _complete_toggle(subs, free_q, "free toggle block")
             pv = join_matching([JoinPart.single(forced), JoinPart.make(free_q, subs, p)])
             pv_family, pv_pairs = pv.family, pv.pairs
         else:
@@ -481,45 +447,40 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
                 raise ConstructionError("attachment toggle left unexpected criticals")
             pa_family = tuple(pa_members)
         else:
+            blocks = [JoinPart.single(h2)]
             t_minus = tuple(v for v in t_set if v not in n2)
-            if not t_minus:
-                blocks = [JoinPart.single(h2) if h2 else JoinPart.make(0, (0,), ())]
-                res = join_matching(blocks)
-            else:
+            if t_minus:
                 parts = [host.bits_between((z,), a_set) for z in sorted(t_minus)]
                 full = (1 << len(parts)) - 1
                 lift = projection_matching(parts, 0, [full], [])
-                blocks = [JoinPart.single(h2) if h2 else JoinPart.make(0, (0,), ()),
-                          JoinPart.make(host.bits_between(t_minus, a_set), lift.family, lift.pairs)]
-                res = join_matching(blocks)
-            if set(res.family) != set(pa_members):
-                raise ConstructionError("attachment block join does not reproduce its members")
+                blocks.append(JoinPart.make(host.bits_between(t_minus, a_set), lift.family, lift.pairs))
+            res = _checked_join(blocks, pa_members, "attachment block join")
             pa_family, pa_pairs = res.family, res.pairs
 
     # block between the unconstrained x part and the attachment set
     pq_ground = host.bits_between(q_set, a_set)
     hq = h_mask & pq_ground
-    if pq_ground & ~hq:
-        pq_family = tuple(hq | s for s in submasks(pq_ground & ~hq))
-        pq_pairs, _, rest = boolean_matching(pq_family, min(mask_bits(pq_ground & ~hq)))
-        if rest:
-            raise ConstructionError("interval toggle block must be complete")
-    else:
-        pq_family, pq_pairs = (hq,), ()
+    pq_family = tuple(hq | s for s in submasks(pq_ground & ~hq))
+    pq_pairs = _interval_pairs(pq_family, pq_ground, hq)
 
-    inner = build_bfc_matching(
-        c_x, c_y_minus, r_set, h_mask & host.bits_between(c_x, c_y_minus), host=host
-    )
-
-    res = join_matching(
+    return _checked_join(
         [JoinPart.make(pv_ground, pv_family, pv_pairs),
          JoinPart.make(pa_ground, pa_family, pa_pairs),
          JoinPart.make(pq_ground, pq_family, pq_pairs),
-         JoinPart.make(host.bits_between(c_x, c_y_minus), inner.family, inner.pairs)]
-    )
-    if set(res.family) != set(members):
-        raise ConstructionError("type join does not reproduce the type members")
-    return res.pairs
+         _bfc_join_part(host, c_x, c_y_minus, h_mask, r_set)],
+        members, "type join",
+    ).pairs
+
+
+def _bfc_join_part(host, side_x, side_y, h_mask, z_subset=()) -> JoinPart:
+    sub = build_bfc_matching(sorted(side_x), sorted(side_y), z_subset,
+                             h_mask & host.bits_between(side_x, side_y), host=host)
+    return JoinPart.make(host.bits_between(side_x, side_y), sub.family, sub.pairs)
+
+
+def _fc_join_part(host, comp, h_mask) -> JoinPart:
+    sub = build_fc_matching(sorted(comp), h_mask & host.bits_within(comp), host=host)
+    return JoinPart.make(host.bits_within(comp), sub.family, sub.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +524,7 @@ def _lifted_bfc_projection(host: EdgeHost, d_groups, a_list, z_group_count: int,
     return projection_matching(parts, tau, q.family, q.pairs)
 
 
-def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int, build_fc):
+def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int):
     """Matching on graphs over (A x C) union (C x C) whose contraction of the
     whole set A to one point is factor critical; lifted from an FC family on
     a fresh host with |C|+1 vertices (contracted point labelled 0)."""
@@ -581,7 +542,7 @@ def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int, build_fc):
     for pos, pm in enumerate(parts):
         if tau & pm:
             q_h |= 1 << pos
-    q = build_fc(tuple(range(local_n)), q_h, host=local)
+    q = build_fc_matching(tuple(range(local_n)), q_h, host=local)
     return projection_matching(parts, tau, q.family, q.pairs)
 
 
@@ -602,37 +563,25 @@ def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
     vs = tuple(sorted(vertices))
     if host is None:
         host = edge_host(_complete_ground(vs))
-    h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
+    h_mask = _h_mask(host, h)
     bound = 3 * len(vs) // 2 + h_mask.bit_count()
     strict = len(vs) > 0
     kv = host.bits_within(vs)
     if h_mask & ~kv:
         raise ValueError("subgraph leaves the host vertex set")
     family = _pm_masks(host, vs, h_mask)
-    if not vs:
-        return _result("PM", host, family, [], bound, strict)
-    if not family:
-        return _result("PM", host, family, [], bound, strict)
-    if h_mask == kv:
+    if not vs or not family or h_mask == kv:
         return _result("PM", host, family, [], bound, strict)
 
     e0_bit, v0, w0 = _pick_e0_complete(host, vs, h_mask)
-    pairs0, f0, f1 = boolean_matching(family, e0_bit)
-    e0m = 1 << e0_bit
-    if any(not m & e0m for m in f1):
-        raise ConstructionError("unmatched member without the toggle edge")
-    f_members = sorted(m ^ e0m for m in f1)
 
-    per_key: dict = {}
-    groups: dict = {}
-    for m in f_members:
-        key = _ge_key(host, m, vs)
-        groups.setdefault(key, []).append(m)
-    for key, members in groups.items():
-        per_key[key] = _pm_subfamily_pairs(host, vs, h_mask, v0, w0, key, members)
-    f_pairs = cluster_union(f_members, lambda m: _ge_key(host, m, vs), _ge_leq, per_key)
-    lifted_pairs = _lift_pairs_checked(host, f_members, f_pairs, e0m, f1)
-    return _result("PM", host, family, list(pairs0) + lifted_pairs, bound, strict)
+    def fiber_pairs(key, members):
+        ordered = _components_ordered_for(key[2], v0, w0)
+        d_groups = [[c] for c in ordered[:-2]] + [ordered[-2:]]
+        return _matched_join_pairs(host, h_mask, vs, key, members, d_groups)
+
+    pairs = _peel_cluster_lift(host, _toggle_peel(family, e0_bit), 1 << e0_bit, vs, fiber_pairs)
+    return _result("PM", host, family, pairs, bound, strict)
 
 
 def _components_ordered_for(comps, v0, w0):
@@ -645,36 +594,35 @@ def _components_ordered_for(comps, v0, w0):
     return others + [comp_v, comp_w]
 
 
-def _pm_subfamily_pairs(host, vs, h_mask, v0, w0, key, members):
-    d_set, da_set, comps = key
+def _matched_join_pairs(host, h_mask, universe, key, members, d_groups):
+    """Matching on one Gallai-Edmonds fiber of the PM or complete-link family.
+
+    Unless a free edge at A gives a complete toggle, members are the join of
+    FC families on the components of D, a projection family between D and
+    A, a PM family on C, and the forced edges at A.  ``d_groups`` lists the
+    components of D in join order, grouped: each group is contracted to one
+    index vertex of the projection (PM merges the components of the toggle
+    edge's endpoints; the link family keeps every component apart).
+    """
+    d_set, da_set, _ = key
     a_set = da_set - d_set
-    c_set = frozenset(vs) - da_set
+    c_set = frozenset(universe) - da_set
 
     free = (host.bits_within(a_set) | host.bits_between(a_set, c_set)) & ~h_mask
     if free:
-        e = min(mask_bits(free))
-        pairs, _, rest = boolean_matching(members, e)
-        if rest:
-            raise ConstructionError("decomposition-preserving toggle was not complete")
-        return pairs
+        return _complete_toggle(members, free, "decomposition-preserving toggle")
 
-    ordered = _components_ordered_for(comps, v0, w0)
-    parts = []
-    for comp in ordered:
-        sub = build_fc_matching(sorted(comp), h_mask & host.bits_within(comp), host=host)
-        parts.append(JoinPart.make(host.bits_within(comp), sub.family, sub.pairs))
-    d_groups = [frozenset(c) for c in ordered[:-2]] + [frozenset(ordered[-2] | ordered[-1])]
-    proj = _lifted_bfc_projection(host, d_groups, sorted(a_set), 0,
-                                  h_mask & host.bits_between(d_set, a_set))
-    parts.append(JoinPart.make(host.bits_between(d_set, a_set), proj.family, proj.pairs))
+    parts = [_fc_join_part(host, comp, h_mask) for group in d_groups for comp in group]
+    proj = _lifted_bfc_projection(host, [frozenset().union(*group) for group in d_groups],
+                                  sorted(a_set), 0, h_mask & host.bits_between(d_set, a_set))
     subpm = build_pm_matching(sorted(c_set), h_mask & host.bits_within(c_set), host=host)
-    parts.append(JoinPart.make(host.bits_within(c_set), subpm.family, subpm.pairs))
-    parts.append(JoinPart.single(host.bits_within(a_set)))
-    parts.append(JoinPart.single(host.bits_between(a_set, c_set)))
-    res = join_matching(parts)
-    if set(res.family) != set(members):
-        raise ConstructionError("perfect-matching join does not reproduce the subfamily")
-    return res.pairs
+    parts += [
+        JoinPart.make(host.bits_between(d_set, a_set), proj.family, proj.pairs),
+        JoinPart.make(host.bits_within(c_set), subpm.family, subpm.pairs),
+        JoinPart.single(host.bits_within(a_set)),
+        JoinPart.single(host.bits_between(a_set, c_set)),
+    ]
+    return _checked_join(parts, members, "matched join").pairs
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +643,7 @@ def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
         raise ValueError("factor critical families need an odd vertex count")
     if host is None:
         host = edge_host(_complete_ground(vs))
-    h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
+    h_mask = _h_mask(host, h)
     bound = 3 * (len(vs) - 1) // 2 + h_mask.bit_count()
     strict = h_mask.bit_count() >= 1
     kv = host.bits_within(vs)
@@ -706,22 +654,11 @@ def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
         return _result("FC", host, family, [], bound, strict)
 
     e0_bit, v0, w0 = _pick_e0_complete(host, vs, h_mask)
-    pairs0, f0, f1 = boolean_matching(family, e0_bit)
-    e0m = 1 << e0_bit
-    if any(not m & e0m for m in f1):
-        raise ConstructionError("unmatched member without the toggle edge")
-    f_members = sorted(m ^ e0m for m in f1)
-
-    per_key: dict = {}
-    groups: dict = {}
-    for m in f_members:
-        key = _ge_key(host, m, vs)
-        groups.setdefault(key, []).append(m)
-    for key, members in groups.items():
-        per_key[key] = _fc_subfamily_pairs(host, vs, h_mask, v0, w0, key, members)
-    f_pairs = cluster_union(f_members, lambda m: _ge_key(host, m, vs), _ge_leq, per_key)
-    lifted_pairs = _lift_pairs_checked(host, f_members, f_pairs, e0m, f1)
-    return _result("FC", host, family, list(pairs0) + lifted_pairs, bound, strict)
+    pairs = _peel_cluster_lift(
+        host, _toggle_peel(family, e0_bit), 1 << e0_bit, vs,
+        lambda key, members: _fc_subfamily_pairs(host, vs, h_mask, v0, w0, key, members),
+    )
+    return _result("FC", host, family, pairs, bound, strict)
 
 
 def _fc_subfamily_pairs(host, vs, h_mask, v0, w0, key, members):
@@ -733,32 +670,20 @@ def _fc_subfamily_pairs(host, vs, h_mask, v0, w0, key, members):
 
     free = host.bits_within(a_set) & ~h_mask
     if free:
-        e = min(mask_bits(free))
-        pairs, _, rest = boolean_matching(members, e)
-        if rest:
-            raise ConstructionError("decomposition-preserving toggle was not complete")
-        return pairs
+        return _complete_toggle(members, free, "decomposition-preserving toggle")
 
     ordered = _components_ordered_for(comps, v0, w0)
-    parts = []
-    for comp in ordered:
-        sub = build_fc_matching(sorted(comp), h_mask & host.bits_within(comp), host=host)
-        parts.append(JoinPart.make(host.bits_within(comp), sub.family, sub.pairs))
-    d_groups = [frozenset(c) for c in ordered]
-    proj = _lifted_bfc_projection(host, d_groups, sorted(a_set), len(ordered) - 2,
+    parts = [_fc_join_part(host, comp, h_mask) for comp in ordered]
+    proj = _lifted_bfc_projection(host, ordered, sorted(a_set), len(ordered) - 2,
                                   h_mask & host.bits_between(d_set, a_set))
-    parts.append(JoinPart.make(host.bits_between(d_set, a_set), proj.family, proj.pairs))
-    tau_ac = h_mask & (host.bits_between(a_set, c_set) | host.bits_within(c_set))
-    proj2 = _lifted_fc_projection(host, sorted(a_set), sorted(c_set), tau_ac, build_fc_matching)
-    parts.append(
-        JoinPart.make(host.bits_between(a_set, c_set) | host.bits_within(c_set),
-                      proj2.family, proj2.pairs)
-    )
-    parts.append(JoinPart.single(host.bits_within(a_set)))
-    res = join_matching(parts)
-    if set(res.family) != set(members):
-        raise ConstructionError("factor-critical join does not reproduce the subfamily")
-    return res.pairs
+    ac_ground = host.bits_between(a_set, c_set) | host.bits_within(c_set)
+    proj2 = _lifted_fc_projection(host, sorted(a_set), sorted(c_set), h_mask & ac_ground)
+    parts += [
+        JoinPart.make(host.bits_between(d_set, a_set), proj.family, proj.pairs),
+        JoinPart.make(ac_ground, proj2.family, proj2.pairs),
+        JoinPart.single(host.bits_within(a_set)),
+    ]
+    return _checked_join(parts, members, "factor-critical join").pairs
 
 
 # ---------------------------------------------------------------------------
@@ -766,81 +691,23 @@ def _fc_subfamily_pairs(host, vs, h_mask, v0, w0, key, members):
 # ---------------------------------------------------------------------------
 
 
-def build_link_matching_complete(vertices, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
-    """Acyclic matching on {G within the complete host : nu(G) < k, h in G}.
-
-    Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 3k-4+|H|.
-    """
-    vs = tuple(sorted(vertices))
-    if host is None:
-        host = edge_host(_complete_ground(vs))
-    h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
-    kv = host.bits_within(vs)
-    if h_mask & ~kv:
-        raise ValueError("subgraph leaves the host vertex set")
-    nu_h = host.nu_of(h_mask)
-    if not (1 <= nu_h < k):
-        raise ValueError(f"need 1 <= nu(h) < k, got nu(h)={nu_h}, k={k}")
-    bound = 3 * k - 4 + h_mask.bit_count()
-    family = _nmlink_masks(host, kv, h_mask, k)
-
-    if len(vs) < 2 * k:
-        return _result("NMLINK_COMPLETE", host, family,
-                       _interval_pairs(family, kv, h_mask), bound, False)
-
-    deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in vs}
-    v = min(vs, key=lambda u: (deg[u], u))
-    n_h_v = host.neighbors_in(h_mask, v)
-    w_set = tuple(u for u in vs if u != v and u not in n_h_v)
-    s_bits = host.bits_between(w_set, (v,))
-    if not s_bits:
-        raise ConstructionError("minimum-degree vertex has a full star")
-
-    pairs0, f1 = _addable_star_pairs(host, family, s_bits, k)
-    vstar = h_mask & host.bits_at.get(v, 0)
-    if any(m & host.bits_at.get(v, 0) != vstar for m in f1):
-        raise ConstructionError("starless members carry stray star edges")
-    f_members = sorted(m & ~vstar for m in f1)
-
-    v_rest = tuple(u for u in vs if u != v)
-    for m in f_members:
-        if host.nu_of(m) != k - 1:
-            raise ConstructionError("starless member has the wrong matching number")
-    per_key: dict = {}
-    groups: dict = {}
-    for m in f_members:
-        key = _ge_key(host, m, v_rest)
-        groups.setdefault(key, []).append(m)
-    h_rest = h_mask & ~vstar
-    for key, members in groups.items():
-        if key[0] != frozenset(w_set):
-            raise ConstructionError("missable set of a starless member is not the free star")
-        per_key[key] = _link_subfamily_pairs(host, h_rest, v_rest, key, members)
-    f_pairs = cluster_union(f_members, lambda m: _ge_key(host, m, v_rest), _ge_leq, per_key)
-    lifted_pairs = _lift_pairs_checked(host, f_members, f_pairs, vstar, f1)
-    return _result("NMLINK_COMPLETE", host, family, list(pairs0) + lifted_pairs, bound, False)
-
-
 def _interval_pairs(family, within: int, h_mask: int):
     """Matching on an inclusion interval: complete unless it is one face."""
     free = within & ~h_mask
-    if not free:
-        return []
-    e = min(mask_bits(free))
-    pairs, _, rest = boolean_matching(family, e)
-    if rest:
-        raise ConstructionError("interval toggle was not complete")
-    return pairs
+    return _complete_toggle(family, free, "interval toggle") if free else []
 
 
-def _addable_star_pairs(host, family, s_bits: int, k: int):
-    """Complete matching on members with an addable free star edge.
+def _star_peel(host, family, h_mask, v, w_set, k: int):
+    """Complete matching on the members with an addable free star edge at v.
 
-    Members cluster by their star-free part; each cluster is a toggle cube
-    over its addable star edges.  Returns (pairs, members with no addable
-    star edge).
+    The free star is the edges from ``v`` to ``w_set``.  Members cluster by
+    their star-free part; each cluster is a toggle cube over its addable
+    star edges.  Returns ((pairs, the other members), the h-edges at v);
+    every member left over meets v in exactly those h-edges.
     """
-    fam_set = set(family)
+    s_bits = host.bits_between(w_set, (v,))
+    if not s_bits:
+        raise ConstructionError("minimum-degree vertex has a full star")
     f0, f1 = [], []
     addable_of_base: dict[int, int] = {}
     for m in family:
@@ -858,55 +725,59 @@ def _addable_star_pairs(host, family, s_bits: int, k: int):
         else:
             f1.append(m)
 
-    def fiber_key(m):
-        return m & ~s_bits
-
-    groups: dict[int, list[int]] = {}
-    for m in f0:
-        groups.setdefault(fiber_key(m), []).append(m)
-    per_key = {}
-    for base, fiber in groups.items():
-        sg = addable_of_base[base]
-        if not sg:
+    def fiber_pairs(base, fiber):
+        if not addable_of_base[base]:
             raise ConstructionError("cluster fiber with no addable star edge")
-        e = min(mask_bits(sg))
-        p, _, rest = boolean_matching(fiber, e)
-        if rest:
-            raise ConstructionError("star fiber toggle was not complete")
-        per_key[base] = p
-    pairs = cluster_union(sorted(f0), fiber_key, lambda a, b: a & ~b == 0, per_key)
-    return pairs, sorted(f1)
+        return _complete_toggle(fiber, addable_of_base[base], "star fiber toggle")
+
+    pairs = _clustered_pairs(f0, lambda m: m & ~s_bits, lambda a, b: a & ~b == 0, fiber_pairs)
+    vstar = h_mask & host.bits_at.get(v, 0)
+    if any(m & host.bits_at.get(v, 0) != vstar for m in f1):
+        raise ConstructionError("starless members carry stray star edges")
+    return (pairs, f1), vstar
 
 
-def _link_subfamily_pairs(host, h_mask, universe, key, members):
-    d_set, da_set, comps = key
-    a_set = da_set - d_set
-    c_set = frozenset(universe) - da_set
+def build_link_matching_complete(vertices, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
+    """Acyclic matching on {G within the complete host : nu(G) < k, h in G}.
 
-    free = (host.bits_within(a_set) | host.bits_between(a_set, c_set)) & ~h_mask
-    if free:
-        e = min(mask_bits(free))
-        pairs, _, rest = boolean_matching(members, e)
-        if rest:
-            raise ConstructionError("decomposition-preserving toggle was not complete")
-        return pairs
+    Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 3k-4+|H|.
+    """
+    vs = tuple(sorted(vertices))
+    if host is None:
+        host = edge_host(_complete_ground(vs))
+    h_mask = _h_mask(host, h)
+    kv = host.bits_within(vs)
+    if h_mask & ~kv:
+        raise ValueError("subgraph leaves the host vertex set")
+    nu_h = host.nu_of(h_mask)
+    if not (1 <= nu_h < k):
+        raise ValueError(f"need 1 <= nu(h) < k, got nu(h)={nu_h}, k={k}")
+    bound = 3 * k - 4 + h_mask.bit_count()
+    family = _nmlink_masks(host, kv, h_mask, k)
 
-    parts = []
-    for comp in comps:
-        sub = build_fc_matching(sorted(comp), h_mask & host.bits_within(comp), host=host)
-        parts.append(JoinPart.make(host.bits_within(comp), sub.family, sub.pairs))
-    d_groups = [frozenset(c) for c in comps]
-    proj = _lifted_bfc_projection(host, d_groups, sorted(a_set), 0,
-                                  h_mask & host.bits_between(d_set, a_set))
-    parts.append(JoinPart.make(host.bits_between(d_set, a_set), proj.family, proj.pairs))
-    subpm = build_pm_matching(sorted(c_set), h_mask & host.bits_within(c_set), host=host)
-    parts.append(JoinPart.make(host.bits_within(c_set), subpm.family, subpm.pairs))
-    parts.append(JoinPart.single(host.bits_within(a_set)))
-    parts.append(JoinPart.single(host.bits_between(a_set, c_set)))
-    res = join_matching(parts)
-    if set(res.family) != set(members):
-        raise ConstructionError("link join does not reproduce the subfamily")
-    return res.pairs
+    if len(vs) < 2 * k:
+        return _result("NMLINK_COMPLETE", host, family,
+                       _interval_pairs(family, kv, h_mask), bound, False)
+
+    deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in vs}
+    v = min(vs, key=lambda u: (deg[u], u))
+    n_h_v = _vertex_set(host.neighbor_bits(h_mask, v))
+    w_set = tuple(u for u in vs if u != v and u not in n_h_v)
+    peel, vstar = _star_peel(host, family, h_mask, v, w_set, k)
+
+    v_rest = tuple(u for u in vs if u != v)
+    for m in peel[1]:
+        if host.nu_of(m & ~vstar) != k - 1:
+            raise ConstructionError("starless member has the wrong matching number")
+
+    def fiber_pairs(key, members):
+        if key[0] != frozenset(w_set):
+            raise ConstructionError("missable set of a starless member is not the free star")
+        return _matched_join_pairs(host, h_mask & ~vstar, v_rest, key, members,
+                                   [[c] for c in key[2]])
+
+    pairs = _peel_cluster_lift(host, peel, vstar, v_rest, fiber_pairs)
+    return _result("NMLINK_COMPLETE", host, family, pairs, bound, False)
 
 
 def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
@@ -917,7 +788,7 @@ def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: EdgeHost |
     xs, ys = tuple(sorted(x_side)), tuple(sorted(y_side))
     if host is None:
         host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
-    h_mask = h if isinstance(h, int) else host.mask_of(h.edges if isinstance(h, Graph) else h)
+    h_mask = _h_mask(host, h)
     kxy = host.bits_between(xs, ys)
     if h_mask & ~kxy:
         raise ValueError("subgraph leaves the bipartite host")
@@ -934,33 +805,17 @@ def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: EdgeHost |
     deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in xs + ys}
     v0 = min(xs + ys, key=lambda u: (deg[u], u))
     own, other = (ys, xs) if v0 in ys else (xs, ys)
-    n_h_v = host.neighbors_in(h_mask, v0)
+    n_h_v = _vertex_set(host.neighbor_bits(h_mask, v0))
     w_set = tuple(u for u in other if u not in n_h_v)
-    s_bits = host.bits_between(w_set, (v0,))
-    if not s_bits:
-        raise ConstructionError("minimum-degree vertex has a full star")
+    peel, vstar = _star_peel(host, family, h_mask, v0, w_set, k)
 
-    pairs0, f1 = _addable_star_pairs(host, family, s_bits, k)
-    vstar = h_mask & host.bits_at.get(v0, 0)
-    if any(m & host.bits_at.get(v0, 0) != vstar for m in f1):
-        raise ConstructionError("starless members carry stray star edges")
-    f_members = sorted(m & ~vstar for m in f1)
-
-    rest_vs = tuple(u for u in xs + ys if u != v0)
-    per_key: dict = {}
-    groups: dict = {}
-    for m in f_members:
-        key = _ge_key(host, m, rest_vs)
-        groups.setdefault(key, []).append(m)
-    h_rest = h_mask & ~vstar
     own_rest = tuple(u for u in own if u != v0)
-    for key, members in groups.items():
-        per_key[key] = _link_bipartite_subfamily_pairs(
-            host, h_rest, other, own_rest, w_set, n_h_v, key, members
-        )
-    f_pairs = cluster_union(f_members, lambda m: _ge_key(host, m, rest_vs), _ge_leq, per_key)
-    lifted_pairs = _lift_pairs_checked(host, f_members, f_pairs, vstar, f1)
-    return _result("NMLINK_BIPARTITE", host, family, list(pairs0) + lifted_pairs, bound, False)
+    pairs = _peel_cluster_lift(
+        host, peel, vstar, tuple(u for u in xs + ys if u != v0),
+        lambda key, members: _link_bipartite_subfamily_pairs(
+            host, h_mask & ~vstar, other, own_rest, w_set, n_h_v, key, members),
+    )
+    return _result("NMLINK_BIPARTITE", host, family, pairs, bound, False)
 
 
 def _link_bipartite_subfamily_pairs(host, h_mask, other, own_rest, w_set, n_h_v, key, members):
@@ -991,24 +846,11 @@ def _link_bipartite_subfamily_pairs(host, h_mask, other, own_rest, w_set, n_h_v,
         raise ConstructionError("minimum-degree choice violated by a matched-side vertex")
     free = host.bits_between(a_x | c_x, a_y) & ~h_mask
     if free:
-        e = min(mask_bits(free))
-        pairs, _, rest = boolean_matching(members, e)
-        if rest:
-            raise ConstructionError("decomposition-preserving toggle was not complete")
-        return pairs
+        return _complete_toggle(members, free, "decomposition-preserving toggle")
 
     parts = [
         _bfc_join_part(host, d_x, a_y, h_mask),
         _bfc_join_part(host, d_y, a_x, h_mask),
         JoinPart.single(host.bits_between(a_x | c_x, a_y | c_y)),
     ]
-    res = join_matching(parts)
-    if set(res.family) != set(members):
-        raise ConstructionError("bipartite link join does not reproduce the subfamily")
-    return res.pairs
-
-
-def _bfc_join_part(host, side_x, side_y, h_mask) -> JoinPart:
-    sub = build_bfc_matching(sorted(side_x), sorted(side_y), (),
-                             h_mask & host.bits_between(side_x, side_y), host=host)
-    return JoinPart.make(host.bits_between(side_x, side_y), sub.family, sub.pairs)
+    return _checked_join(parts, members, "bipartite link join").pairs

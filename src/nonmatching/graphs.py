@@ -621,17 +621,6 @@ def mask_to_graph(n: int, mask: int, bipartition=None) -> Graph:
     return Graph.from_edges(n, edges, bipartition)
 
 
-def _relabel_mask(n: int, mask: int, perm: list[int], slots, index) -> int:
-    out = 0
-    m = mask
-    while m:
-        i = (m & -m).bit_length() - 1
-        m &= m - 1
-        (u, v) = slots[i]
-        out |= 1 << index[normalize_edge(perm[u], perm[v])]
-    return out
-
-
 def canonical_form(g: Graph, vertex_cap: int = DEFAULT_CANONICAL_VERTEX_CAP):
     """Minimum edge-bitmask over all vertex relabelings.
 
@@ -643,34 +632,31 @@ def canonical_form(g: Graph, vertex_cap: int = DEFAULT_CANONICAL_VERTEX_CAP):
     n = g.vertex_count
     if n > vertex_cap:
         raise CapExceededError(f"{n} vertices exceeds the canonical-form cap {vertex_cap}")
-    slots = complete_edge_list(n)
-    index = edge_slot_table(n)
-    mask = graph_to_mask(g)
     if g.bipartition is None:
-        best = min(
-            _relabel_mask(n, mask, list(p), slots, index)
-            for p in itertools.permutations(range(n))
-        )
-        return (n, None, best)
-
-    x, y = g.bipartition
-    xs, ys = sorted(x), sorted(y)
-    sides = [(xs, ys)]
-    if len(xs) == len(ys):
-        sides.append((ys, xs))
-    best = None
-    for (a_side, b_side) in sides:
-        for pa in itertools.permutations(range(len(a_side))):
-            for pb in itertools.permutations(range(len(b_side))):
-                perm = [0] * n
-                for i, v in enumerate(a_side):
-                    perm[v] = pa[i]
-                for i, v in enumerate(b_side):
-                    perm[v] = len(a_side) + pb[i]
-                cand = _relabel_mask(n, mask, perm, slots, index)
-                if best is None or cand < best:
-                    best = cand
-    return (n, (len(xs), len(ys)), best)
+        perms = itertools.permutations(range(n))
+        sizes = None
+    else:
+        x, y = g.bipartition
+        xs, ys = sorted(x), sorted(y)
+        sides = [(xs, ys)]
+        if len(xs) == len(ys):
+            sides.append((ys, xs))
+        perms = []
+        for (a_side, b_side) in sides:
+            for pa in itertools.permutations(range(len(a_side))):
+                for pb in itertools.permutations(range(len(b_side))):
+                    perm = [0] * n
+                    for i, v in enumerate(a_side):
+                        perm[v] = pa[i]
+                    for i, v in enumerate(b_side):
+                        perm[v] = len(a_side) + pb[i]
+                    perms.append(perm)
+        sizes = (len(xs), len(ys))
+    # slot maps of the graph's own edges: edge i goes to slot pmap[i]
+    edges = g.sorted_edges()
+    maps = _slot_permutations(edges, edge_slot_table(n), perms)
+    every_edge = (1 << len(edges)) - 1
+    return (n, sizes, min(_apply_slot_map(every_edge, pmap) for pmap in maps))
 
 
 def all_graph_masks(n: int):

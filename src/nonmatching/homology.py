@@ -33,6 +33,33 @@ DEFAULT_FACE_CAP = 1 << 20
 LARGE_PRIME = 65521
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_LIMIT."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Coefficient field: GF(2), GF(p) for an odd prime p, or the rationals."""
@@ -44,7 +71,11 @@ class FieldSpec:
         if self.kind not in ("GF2", "GFP", "RATIONAL"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "GFP":
-            if self.p < 3 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
+            if self.p >= _MR_LIMIT:
+                raise ValueError(
+                    f"{self.p} is too large: primality is certified only below {_MR_LIMIT}"
+                )
+            if self.p < 3 or not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not an odd prime")
 
     def label(self) -> str:

@@ -22,6 +22,7 @@ from .graphs import (
     DEFAULT_SUBSET_CAP,
     Graph,
     Matching,
+    format_graph,
     matching_number,
     normalize_edge,
     parse_graph,
@@ -284,11 +285,9 @@ def _even_cycle_host(k: int) -> tuple[Graph, frozenset, frozenset]:
 def canonical_instance(inst: RainbowInstance):
     """Isomorphism key: vertex relabelings of the host combined with
     reordering of the edge sets.  Equal keys mean isomorphic instances."""
-    import itertools as _it
-
     n = inst.host.vertex_count
     best = None
-    for perm in _it.permutations(range(n)):
+    for perm in itertools.permutations(range(n)):
         host_edges = tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in inst.host.edges))
         sets = tuple(sorted(
             tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in es))
@@ -567,8 +566,6 @@ def parse_instance(text: str, k: int | None = None) -> RainbowInstance:
 
 
 def format_instance(inst: RainbowInstance) -> str:
-    from .graphs import format_graph
-
     out = [format_graph(inst.host).rstrip("\n"), f"k = {inst.k}"]
     for i, es in enumerate(inst.edge_sets):
         body = ", ".join(f"{u} {v}" for (u, v) in sorted(es))

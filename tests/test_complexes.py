@@ -27,6 +27,7 @@ from nonmatching.graphs import (
     bipartite_edge_list,
     gallai_edmonds,
     is_factor_critical,
+    is_y_factor_critical,
     is_yz_factor_critical,
     has_perfect_matching,
     matching_number,
@@ -261,6 +262,21 @@ class TestEdgeHost:
             _, _, a, c, comps = host.decompose(mask, xs + ys)
             ge = gallai_edmonds(Graph.from_edges(6, host.ground.decode(mask)))
             assert (comps, a, c) == (ge.components, ge.a_set, ge.c_set), mask
+
+    def test_hall_matches_oracles_on_k33(self):
+        # every subgraph of K3,3 with either side as the cover side: the
+        # strict form against the definitional cover-side factor criticality,
+        # the perfect-matching form against the matching number
+        xs, ys = (0, 1, 2), (3, 4, 5)
+        host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
+        side_bits = {xs: 0b000111, ys: 0b111000}
+        for mask in range(1 << 9):
+            g = Graph.from_edges(6, host.ground.decode(mask))
+            perfect = 2 * matching_number(g) == len(xs + ys)
+            for cover, other in ((ys, xs), (xs, ys)):
+                fc = is_y_factor_critical(g, other, cover)
+                assert host.hall(mask, cover, side_bits[other], 1) == fc, (mask, cover)
+                assert host.hall(mask, cover, side_bits[other], 0) == perfect, (mask, cover)
 
     def test_memo_shares_one_host_per_ground(self):
         edges = tuple(bipartite_edge_list((0, 1), (2, 3)))

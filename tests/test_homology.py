@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +73,23 @@ class TestFieldSpec:
     def test_unknown(self):
         with pytest.raises(ValueError):
             FieldSpec("GF3")
+
+    def test_large_prime_accepted_quickly(self):
+        # trial division up to sqrt(p) would take minutes here
+        start = time.perf_counter()
+        assert parse_field(f"gf{2**61 - 1}") == GFP(2**61 - 1)
+        assert time.perf_counter() - start < 0.5
+
+    def test_composites_rejected(self):
+        # 561 is a Carmichael number (a Fermat liar to every coprime base);
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        for n in (561, 3215031751, 2**61 + 1, 65520, 1, 2):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                GFP(n)
+
+    def test_primality_beyond_certified_range_rejected(self):
+        with pytest.raises(ValueError, match="too large"):
+            GFP(2**127 - 1)
 
 
 class TestBoundaryMatrix:
