@@ -87,21 +87,29 @@ class ResultCache:
         except (OSError, ValueError):
             return None
 
-    def put(self, key: str, payload: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._path(key).write_text(canonical_json(payload))
-
-    def write_manifest(self, manifest: RunManifest) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
-        p = self.root / f"manifest-{manifest.input_digest()}.json"
-        p.write_text(manifest.to_json())
-        return p
-
-    def write_artifact(self, name: str, text: str) -> Path:
+    def _write(self, name: str, text: str) -> Path:
+        """Write a file in the cache directory atomically: a temp file in the
+        same directory, then ``os.replace``, so a reader sees the old file or
+        the whole new one and an interrupted write leaves no partial file."""
         self.root.mkdir(parents=True, exist_ok=True)
         p = self.root / name
-        p.write_text(text)
+        tmp = self.root / f".{name}.{os.getpid()}.tmp"
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, p)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         return p
+
+    def put(self, key: str, payload: dict) -> None:
+        self._write(self._path(key).name, canonical_json(payload))
+
+    def write_manifest(self, manifest: RunManifest) -> Path:
+        return self._write(f"manifest-{manifest.input_digest()}.json", manifest.to_json())
+
+    def write_artifact(self, name: str, text: str) -> Path:
+        return self._write(name, text)
 
 
 def now() -> float:

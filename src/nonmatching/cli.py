@@ -17,6 +17,7 @@ import concurrent.futures
 import json
 import random
 import sys
+import traceback
 from pathlib import Path
 
 from . import sweeps
@@ -173,7 +174,15 @@ def _case_key(suite: str, seed: int, spec: sweeps.CaseSpec) -> str:
 
 
 def _run_spec(spec: sweeps.CaseSpec) -> dict:
-    result = sweeps.run_case(spec)
+    """One case as a result payload; a case that raises is a failed case
+    whose details name the exception (its traceback goes to stderr), so the
+    rest of the sweep still runs."""
+    try:
+        result = sweeps.run_case(spec)
+    except Exception as exc:
+        traceback.print_exc()
+        return {"case_id": spec.case_id, "passed": False,
+                "details": {"error": f"{type(exc).__name__}: {exc}"}}
     return {"case_id": result.case_id, "passed": result.passed, "details": result.details}
 
 
@@ -206,7 +215,8 @@ def cmd_sweep(args) -> int:
             for spec in todo:
                 results[spec.case_id] = _run_spec(spec)
         for spec in todo:
-            cache.put(_case_key(args.suite, args.seed, spec), results[spec.case_id])
+            if "error" not in results[spec.case_id]["details"]:  # a crash is not a result
+                cache.put(_case_key(args.suite, args.seed, spec), results[spec.case_id])
 
     # audit a seeded 5% sample of cache hits against fresh recomputation
     audited = 0

@@ -3,6 +3,8 @@
 Faces are stored explicitly, each as an integer bitmask over the positions of
 an ordered :class:`GroundSet`.  Ground-set order is fixed for the lifetime of
 a complex: it is the orientation convention every boundary matrix uses.
+Links and induced subcomplexes are enumerated from their base face upward
+through the faces above it, not by a scan of the whole face set.
 """
 
 from __future__ import annotations
@@ -265,51 +267,64 @@ class SimplicialComplex:
     def facets(self) -> list[int]:
         """Maximal faces, as masks."""
         out = []
+        ambient = (1 << len(self.ground)) - 1
         for m in self.faces:
-            ambient = (1 << len(self.ground)) - 1
             if not any((m | (1 << b)) in self.faces for b in mask_bits(ambient & ~m)):
                 out.append(m)
         return sorted(out)
+
+
+def _faces_between(cx: SimplicialComplex, base: int, allowed: int) -> SimplicialComplex:
+    """The faces f with base <= f <= base | allowed, each as f minus base
+    re-indexed onto the ground elements at the bits of ``allowed``.
+
+    The walk starts at ``base`` and adds bits of ``allowed`` in ascending
+    order.  Heredity makes it exact: each chain of additions up to a face
+    passes through faces only, so a face need only be extended by the later
+    bits that still give a face, and those are among the bits that extended
+    the face it came from.  Each face is produced once.
+    """
+    keep = list(mask_bits(allowed))
+    new_ground = GroundSet(tuple(cx.ground.elements[i] for i in keep))
+    faces = cx.faces
+    if base not in faces:
+        return SimplicialComplex.void(new_ground)
+    new_bit = {1 << old: 1 << new for new, old in enumerate(keep)}
+    out = [0]
+    emit = out.append
+    # (face, its re-indexed mask, the later bits that each extend it to a face)
+    stack = [(base, 0, [b for b in new_bit if base | b in faces])]
+    while stack:
+        face, new, cands = stack.pop()
+        for i, b in enumerate(cands, 1):
+            above, new_above = face | b, new | new_bit[b]
+            emit(new_above)
+            rest = [c for c in cands[i:] if above | c in faces]
+            if rest:
+                stack.append((above, new_above, rest))
+    return SimplicialComplex(new_ground, frozenset(out))
 
 
 def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
     """The link of a face: sets disjoint from sigma whose union with it is a face.
 
     The link of the empty face is the complex itself (on the same ground).
+    The link is enumerated from sigma upward, never by a scan of the whole
+    complex, so it relies on heredity (every subset of a face is a face):
+    on a face set that is not hereditary it can miss faces.
     """
     smask = sigma if isinstance(sigma, int) else cx.ground.mask_of(sigma)
     if smask not in cx.faces:
         raise ValueError("sigma is not a face of the complex")
     if smask == 0:
         return cx
-    keep = [i for i in range(len(cx.ground)) if not smask >> i & 1]
-    new_ground = GroundSet(tuple(cx.ground.elements[i] for i in keep))
-    pos = {old: new for new, old in enumerate(keep)}
-    out = set()
-    for m in cx.faces:
-        if m & smask == smask:
-            rest = m & ~smask
-            nm = 0
-            for b in mask_bits(rest):
-                nm |= 1 << pos[b]
-            out.add(nm)
-    return SimplicialComplex(new_ground, frozenset(out))
+    return _faces_between(cx, smask, ((1 << len(cx.ground)) - 1) & ~smask)
 
 
 def induced_subcomplex(cx: SimplicialComplex, subset) -> SimplicialComplex:
     """Faces of the complex contained in the given subset of the ground."""
     smask = subset if isinstance(subset, int) else cx.ground.mask_of(subset)
-    keep = [i for i in range(len(cx.ground)) if smask >> i & 1]
-    new_ground = GroundSet(tuple(cx.ground.elements[i] for i in keep))
-    pos = {old: new for new, old in enumerate(keep)}
-    out = set()
-    for m in cx.faces:
-        if m & ~smask == 0:
-            nm = 0
-            for b in mask_bits(m):
-                nm |= 1 << pos[b]
-            out.add(nm)
-    return SimplicialComplex(new_ground, frozenset(out))
+    return _faces_between(cx, 0, smask & ((1 << len(cx.ground)) - 1))
 
 
 def join_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:

@@ -142,10 +142,16 @@ class BettiTable:
 
 
 def _faces_by_size(cx: SimplicialComplex) -> list[list[int]]:
-    """The face masks sorted once and split by size: entry d+1 lists the d-faces."""
-    by_size: list[list[int]] = [[] for _ in range(cx.dim() + 2)]
+    """The face masks sorted once and split by size: entry d+1 lists the d-faces.
+
+    The list has dim + 2 entries, so it is empty for the void complex.
+    """
+    by_size: list[list[int]] = []
     for m in sorted(cx.faces):
-        by_size[m.bit_count()].append(m)
+        size = m.bit_count()
+        if size >= len(by_size):
+            by_size.extend([] for _ in range(size + 1 - len(by_size)))
+        by_size[size].append(m)
     return by_size
 
 
@@ -297,8 +303,8 @@ def reduced_betti(
         raise CapExceededError(f"{cx.face_count} faces exceeds the linear-algebra cap {cap}")
     if cx.is_void():
         return BettiTable(field, {})
-    dim = cx.dim()
     by_size = _faces_by_size(cx)
+    dim = len(by_size) - 2
     counts = {size - 1: len(faces) for size, faces in enumerate(by_size) if faces}
     lo = -1 if min_dim is None else min_dim
     ops = _field_ops(field)

@@ -176,6 +176,51 @@ class TestSweepCommand:
         assert payload["command"] == "sweep concentration"
         assert payload["result_digest"]
 
+    def test_crashing_case_is_a_failed_case(self, capsys, cache_dir, monkeypatch):
+        import nonmatching.sweeps as sweeps_mod
+
+        real = sweeps_mod.run_case
+
+        def crash_on_k5(spec):
+            if spec.case_id == "conc-K5":
+                raise RuntimeError("injected crash")
+            return real(spec)
+
+        monkeypatch.setattr(sweeps_mod, "run_case", crash_on_k5)
+        code, out, err = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert code == 1 and "Traceback" in err
+        assert "3 passed, 1 failed" in out
+        assert "FAIL conc-K5:" in out and "RuntimeError: injected crash" in out
+        assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+            l for l in out.splitlines() if l.startswith("FAIL conc-K5:")]
+        assert list(cache_dir.glob("manifest-*.json"))
+        # the crash was not cached: a rerun without it recomputes that case and passes
+        monkeypatch.setattr(sweeps_mod, "run_case", real)
+        code, out, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert code == 0 and "4 passed" in out and "3 cached" in out
+
+
+class TestResultCache:
+    def test_failed_replace_leaves_no_entry(self, tmp_path, monkeypatch):
+        import nonmatching.cache as cache_mod
+
+        cache = cache_mod.ResultCache(tmp_path / "c")
+        cache.put("kept", {"a": 1})
+
+        def fail(src, dst):
+            raise OSError("injected failure")
+
+        monkeypatch.setattr(cache_mod.os, "replace", fail)
+        with pytest.raises(OSError):
+            cache.put("key", {"b": 2})
+        with pytest.raises(OSError):
+            cache.put("kept", {"a": 2})
+        monkeypatch.undo()
+        assert cache.get("key") is None
+        assert not (tmp_path / "c" / "key.json").exists()
+        assert cache.get("kept") == {"a": 1}
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["kept.json"]
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

@@ -1,6 +1,7 @@
 """Simplicial complexes over edge grounds and the special families."""
 
 import itertools
+import random
 
 import pytest
 
@@ -174,6 +175,79 @@ class TestInducedAndJoin:
         sub = delete_vertex(cx, e)
         assert e not in sub.ground.elements
         assert all(e not in sub.ground.decode(m) for m in sub.faces)
+
+
+def from_facets(n: int, facets) -> SimplicialComplex:
+    """The complex on vertices 0..n-1 generated by the given facets."""
+    masks = {sum(1 << v for v in sub)
+             for f in facets for r in range(len(f) + 1) for sub in itertools.combinations(f, r)}
+    return SimplicialComplex.from_masks(GroundSet(tuple(range(n))), masks)
+
+
+def oracle_complexes() -> list[SimplicialComplex]:
+    """Non-matching complexes of three small hosts, then 12 seeded random
+    complexes, the last three on grounds of more than 64 elements."""
+    out = [build_nm_complex(g, 2) for g in
+           (Graph.complete(5), Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3))]
+    rng = random.Random(2024)
+    for n in (5, 6, 7, 8, 9, 10, 12, 16, 30, 65, 70, 100):
+        top = rng.sample(range(n), 6) if n > 64 else range(n)  # reach past bit 63
+        facets = [rng.sample(top, rng.randint(1, 5)) for _ in range(rng.randint(2, 7))]
+        if n > 64:
+            facets.append([0, n - 1, n // 2])
+        out.append(from_facets(n, facets))
+    return out
+
+
+def scan_faces(cx: SimplicialComplex) -> list[set]:
+    """Every face of the complex as a set of ground elements, by a full scan."""
+    return [set(cx.ground.decode(m)) for m in cx.faces]
+
+
+def element_faces(cx: SimplicialComplex) -> set[frozenset]:
+    return {frozenset(cx.ground.decode(m)) for m in cx.faces}
+
+
+class TestLinkAndInducedAgainstScan:
+    """``link`` and ``induced_subcomplex`` walk up from a face; the oracle
+    here is the definition applied to every face of the complex."""
+
+    def test_oracle_inputs(self):
+        cxs = oracle_complexes()
+        assert len(cxs) == 15 and all(cx.is_hereditary() for cx in cxs)
+        assert max(len(cx.ground) for cx in cxs) > 64
+        assert any(m >> 64 for cx in cxs for m in cx.faces)
+
+    def test_link_of_every_face(self):
+        for cx in oracle_complexes():
+            everything = scan_faces(cx)
+            for m in cx.faces:
+                sigma = set(cx.ground.decode(m))
+                lk = link(cx, m)
+                if m == 0:
+                    assert lk is cx
+                    continue
+                assert lk.ground.elements == tuple(e for e in cx.ground.elements if e not in sigma)
+                expect = {frozenset(f - sigma) for f in everything if sigma <= f}
+                assert element_faces(lk) == expect, (sorted(cx.faces), m)
+                assert lk.face_count == len(expect)
+
+    def test_induced_on_every_face_and_its_complement(self):
+        for cx in oracle_complexes():
+            everything = scan_faces(cx)
+            ground = cx.ground.elements
+            for m in cx.faces:
+                face = set(cx.ground.decode(m))
+                for subset in (face, set(ground) - face):
+                    sub = induced_subcomplex(cx, [e for e in ground if e in subset])
+                    assert sub.ground.elements == tuple(e for e in ground if e in subset)
+                    expect = {frozenset(f) for f in everything if f <= subset}
+                    assert element_faces(sub) == expect, (sorted(cx.faces), sorted(subset))
+
+    def test_induced_of_void(self):
+        void = SimplicialComplex.void(GroundSet(tuple(range(3))))
+        sub = induced_subcomplex(void, [0, 2])
+        assert sub.is_void() and sub.ground.elements == (0, 2)
 
 
 class TestFamilies:
