@@ -9,6 +9,13 @@ graph fixes a lexicographically ordered list of edge slots and a subgraph is
 the integer whose set bits select slots.  :func:`subset_matching_numbers`
 tabulates the matching number of every subgraph of a host in one pass, which
 is what makes decompositions of tens of thousands of subgraphs cheap.
+
+The matching number of a single graph comes from one search over *vertex*
+bitmasks, :func:`nu_within`: per-vertex neighbour masks, a memo keyed by
+the set of vertices still available, and branches cut by the bound
+nu <= |vertices| / 2, which keeps the value exact.  :func:`matching_number`,
+:func:`maximum_matching`, :func:`gallai_edmonds` and the rainbow hypothesis
+check all call it.
 """
 
 from __future__ import annotations
@@ -232,98 +239,100 @@ class Matching:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency_masks(g: Graph, support=None) -> list[int]:
-    vs = frozenset(range(g.vertex_count)) if support is None else frozenset(support)
+def adjacency_masks(n: int, edges) -> list[int]:
+    """Per-vertex neighbour bitmasks of the graph with these edges on 0..n-1."""
+    adj = [0] * n
+    for (u, v) in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _vertex_mask(g: Graph, support) -> int:
+    if support is None:
+        return (1 << g.vertex_count) - 1
+    vs = frozenset(support)
     if not vs <= frozenset(range(g.vertex_count)):
         raise ValueError("support must be a subset of the vertex set")
-    adj = [0] * g.vertex_count
-    for (u, v) in g.edges:
-        if u in vs and v in vs:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return adj
+    return sum(1 << v for v in vs)
+
+
+def nu_within(adj: list[int], avail: int, memo: dict[int, int]) -> int:
+    """Matching number of the graph that ``adj`` induces on the vertex mask
+    ``avail``: the one search behind every per-graph nu in the package.
+
+    The least vertex v with a neighbour left is matched to each of its
+    neighbours u in turn; vertices below v with no neighbour left are dropped
+    from the rest r (which excludes v).  Leaving v unmatched is never needed:
+    if a maximum matching missed v, trading the edge at a neighbour u for vu
+    would give one that covers v.  Since nu never exceeds half the
+    vertices, the search stops as soon as one branch reaches ceil(|r|/2), so
+    the value stays exact.  ``memo`` maps a vertex mask to its nu and may be
+    shared by every call on the same ``adj``.
+    """
+    got = memo.get(avail)
+    if got is not None:
+        return got
+    rest = avail
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest ^= low
+        nb = adj[v] & avail
+        if nb:
+            break
+    else:
+        memo[avail] = 0
+        return 0
+    top = (rest.bit_count() + 1) >> 1
+    best = 0
+    while nb:
+        u = nb & -nb
+        nb ^= u
+        got = 1 + nu_within(adj, rest ^ u, memo)
+        if got > best:
+            best = got
+            if best == top:
+                break
+    memo[avail] = best
+    return best
 
 
 def matching_number(g: Graph, support=None) -> int:
     """Maximum number of pairwise disjoint edges (within ``support`` if given).
 
-    Exact exponential search on the set of still-available vertices, memoised;
-    no caps because every caller is desk scale by construction.
+    Exact: one call of the bound-pruned, memoised search :func:`nu_within`
+    on the graph's adjacency masks; no caps because every caller is desk
+    scale by construction.
     """
-    adj = _adjacency_masks(g, support)
-    vs = range(g.vertex_count) if support is None else sorted(support)
-    avail0 = 0
-    for v in vs:
-        avail0 |= 1 << v
-    memo: dict[int, int] = {}
-
-    def rec(avail: int) -> int:
-        key = avail
-        got = memo.get(key)
-        if got is not None:
-            return got
-        # least available vertex with an available neighbour
-        m = avail
-        v = -1
-        while m:
-            cand = (m & -m).bit_length() - 1
-            if adj[cand] & avail:
-                v = cand
-                break
-            m &= m - 1
-        if v < 0:
-            memo[key] = 0
-            return 0
-        best = rec(avail & ~(1 << v))  # v stays unmatched
-        nb = adj[v] & avail
-        while nb:
-            u = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            best = max(best, 1 + rec(avail & ~(1 << v) & ~(1 << u)))
-        memo[key] = best
-        return best
-
-    return rec(avail0)
+    avail = _vertex_mask(g, support)
+    return nu_within(adjacency_masks(g.vertex_count, g.edges), avail, {})
 
 
 def maximum_matching(g: Graph, support=None) -> Matching:
     """One maximum matching, as a certificate for :func:`matching_number`."""
-    target = matching_number(g, support)
+    adj = adjacency_masks(g.vertex_count, g.edges)
+    avail = _vertex_mask(g, support)
+    memo: dict[int, int] = {}
+    need = nu_within(adj, avail, memo)
+    edges = g.sorted_edges()
     chosen: list[tuple[int, int]] = []
-    adj = _adjacency_masks(g, support)
-    vs = range(g.vertex_count) if support is None else sorted(support)
-    avail = 0
-    for v in vs:
-        avail |= 1 << v
-
-    def nu(avail):
-        sup = [v for v in range(g.vertex_count) if avail >> v & 1]
-        return matching_number(g, [v for v in sup])
-
-    need = target
     while need > 0:
-        m = avail
-        progressed = False
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nb = adj[v] & avail
-            if not nb:
-                continue
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                rest = avail & ~(1 << v) & ~(1 << u)
-                if 1 + nu(rest) == need:
-                    chosen.append(normalize_edge(v, u))
-                    avail = rest
-                    need -= 1
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:  # pragma: no cover - would contradict matching_number
+        # the first edge vu within reach whose rest still has nu = need - 1
+        pick = next(
+            (
+                (v, u)
+                for (v, u) in edges
+                if avail >> v & avail >> u & 1
+                and 1 + nu_within(adj, avail & ~(1 << v | 1 << u), memo) == need
+            ),
+            None,
+        )
+        if pick is None:  # would contradict the matching number
             raise InternalCheckError("failed to extract a maximum matching certificate")
+        chosen.append(pick)
+        avail &= ~(1 << pick[0] | 1 << pick[1])
+        need -= 1
     return Matching(frozenset(chosen))
 
 
@@ -501,11 +510,13 @@ def gallai_edmonds(g: Graph) -> GallaiEdmondsDecomposition:
     affords and which keeps the code oracle-checkable.
     """
     n = g.vertex_count
-    nu = matching_number(g)
-    full = frozenset(range(n))
-    d = frozenset(v for v in range(n) if matching_number(g, full - {v}) == nu)
+    adj = adjacency_masks(n, g.edges)
+    full = (1 << n) - 1
+    memo: dict[int, int] = {}
+    nu = nu_within(adj, full, memo)
+    d = frozenset(v for v in range(n) if nu_within(adj, full & ~(1 << v), memo) == nu)
     a = g.neighborhood(d)
-    c = full - d - a
+    c = frozenset(range(n)) - d - a
     return GallaiEdmondsDecomposition(_components_within(g, d), a, c)
 
 

@@ -22,9 +22,11 @@ from .graphs import (
     DEFAULT_SUBSET_CAP,
     Graph,
     Matching,
+    adjacency_masks,
     format_graph,
     matching_number,
     normalize_edge,
+    nu_within,
     parse_graph,
     subset_matching_numbers,
 )
@@ -149,10 +151,12 @@ def verify_hypotheses(inst: RainbowInstance) -> bool:
     if any(not es for es in inst.edge_sets):
         return False
     n = inst.host.vertex_count
+    full = (1 << n) - 1
+    adjs = [adjacency_masks(n, es) for es in inst.edge_sets]
     for i in range(inst.m):
         for j in range(i + 1, inst.m):
-            g = Graph.from_edges(n, inst.edge_sets[i] | inst.edge_sets[j])
-            if matching_number(g) < inst.k:
+            union = [a | b for a, b in zip(adjs[i], adjs[j])]
+            if nu_within(union, full, {}) < inst.k:
                 return False
     return True
 

@@ -1,11 +1,13 @@
 """Graphs, matchings, and the Gallai-Edmonds decomposition."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nonmatching.graphs as graphs_module
 from nonmatching.errors import CapExceededError, FormatError, InternalCheckError
 from nonmatching.graphs import (
     Graph,
@@ -65,6 +67,31 @@ class TestMatchingNumber:
         m = maximum_matching(g)
         assert len(m) == matching_number(g) == 3
         assert m.edges <= g.edges
+        m = maximum_matching(Graph.complete(6), [0, 2, 3, 5, 4])
+        assert len(m) == 2 and m.covered() <= {0, 2, 3, 4, 5}
+
+    def test_certificate_is_maximum(self):
+        # every graph on <= 5 vertices and 200 seeded subgraphs of K8: the
+        # certificate is a matching of g, and no matching of g is larger
+        graphs = [mask_to_graph(n, mask) for n in range(6)
+                  for mask in range(1 << (n * (n - 1) // 2))]
+        rng = random.Random(8)
+        graphs += [mask_to_graph(8, rng.getrandbits(28)) for _ in range(200)]
+        for g in graphs:
+            m = maximum_matching(g)
+            assert m.edges <= g.edges
+            size = len(m)
+            assert size == matching_number(g)
+            if 2 * (size + 1) <= g.vertex_count:
+                for comb in itertools.combinations(g.sorted_edges(), size + 1):
+                    vs = [v for e in comb for v in e]
+                    assert len(set(vs)) < len(vs), f"{comb} beats {sorted(m.edges)}"
+
+    def test_certificate_guard_fires(self, monkeypatch):
+        # a search that overstates nu leaves no edge to extend the certificate
+        monkeypatch.setattr(graphs_module, "nu_within", lambda adj, avail, memo: avail.bit_count())
+        with pytest.raises(InternalCheckError):
+            maximum_matching(Graph.cycle(7))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6), st.data())
@@ -95,10 +122,7 @@ class TestMatchingNumber:
                 if ok:
                     matchings.append(m)
             table = subset_matching_numbers(edges) if edges else None
-            # the per-graph algorithm is subsampled at n=6 (the tabulated
-            # route below stays exhaustive there)
-            step = 1 if n <= 5 else 9
-            for mask in range(0, 1 << len(edges), step):
+            for mask in range(1 << len(edges)):
                 naive = max((m.bit_count() for m in matchings if m & ~mask == 0), default=0)
                 assert matching_number(mask_to_graph(n, mask)) == naive
             if table is not None:

@@ -1,5 +1,8 @@
 """Rainbow matchings, the labelled complex, and matroid variants."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +89,27 @@ class TestHypothesesAndTheorem:
     def test_single_shared_edge_fails(self):
         inst = RainbowInstance.make(c4_host(), [[(0, 2)], [(0, 2)]], 2)
         assert not verify_hypotheses(inst)
+
+    def test_hypotheses_against_definition(self):
+        # seeded instances on 2..9 vertices, some of them isolated in every
+        # set; a pair passes iff its union holds k pairwise disjoint edges
+        rng = random.Random(14)
+        verdicts = {True: 0, False: 0}
+        for _ in range(600):
+            n = rng.randint(2, 9)
+            used = rng.sample(range(n), rng.randint(2, n))
+            pool = [(u, v) for u in used for v in used if u < v]
+            sets = [rng.sample(pool, rng.randint(1, min(len(pool), 5)))
+                    for _ in range(rng.randint(2, 5))]
+            inst = RainbowInstance.make(Graph.complete(n), sets, rng.randint(1, 3))
+            expected = all(
+                any(len({v for e in comb for v in e}) == 2 * inst.k
+                    for comb in itertools.combinations(a | b, inst.k))
+                for a, b in itertools.combinations(inst.edge_sets, 2)
+            )
+            assert verify_hypotheses(inst) == expected, inst
+            verdicts[expected] += 1
+        assert min(verdicts.values()) >= 100, verdicts
 
     def test_theorem_satisfied(self):
         inst = RainbowInstance.make(
