@@ -275,9 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d0", type=int, required=True)
     p.add_argument("--near", action="store_true", help="non-empty faces only")
-    p.add_argument("--induced", action="store_true", help="all induced subcomplexes")
+    p.add_argument("--induced", action="store_true", help="all induced subcomplexes (not with --near)")
     p.add_argument("--exhaustive", action="store_true", help="default policy")
-    p.add_argument("--sample", type=int, default=0, help="sample this many faces")
+    p.add_argument("--sample", type=int, default=0, help="sample this many faces (with --near)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="gf2")
     p.set_defaults(fn=cmd_leray)
@@ -312,6 +312,11 @@ def main(argv=None) -> int:
             ap.error("rainbow verify needs an instance file")
         if args.action == "tightness" and args.k is None:
             ap.error("rainbow tightness needs --k")
+    if args.command == "leray":
+        if args.sample and not args.near:
+            ap.error("leray --sample needs --near")
+        if args.induced and args.near:
+            ap.error("leray --induced and --near exclude each other")
     try:
         return args.fn(args)
     except CapExceededError as exc:

@@ -106,6 +106,16 @@ class TestLerayCommand:
                                "--d0", "2", "--near", "--sample", "5", "--seed", "1")
         assert code == 0 and json.loads(out)["checked"] == 5
 
+    @pytest.mark.parametrize("flags", [("--sample", "5"), ("--induced", "--near")])
+    def test_ignored_flags_are_usage_errors(self, tmp_path, capsys, cache_dir, flags):
+        # --sample applies only to --near, and --near and --induced are two
+        # different checks; neither combination may run some other check
+        path = write_graph(tmp_path, Graph.complete(4))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, cache_dir, "leray", path, "--k", "2", "--d0", "2", *flags)
+        assert exc.value.code == 2
+        assert "--near" in capsys.readouterr().err
+
 
 class TestMorseVerifyCommand:
     def test_pm(self, tmp_path, capsys, cache_dir):

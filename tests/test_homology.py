@@ -18,7 +18,7 @@ from nonmatching.complexes import (
     join_complexes,
     link,
 )
-from nonmatching.errors import CapExceededError
+from nonmatching.errors import CapExceededError, InternalCheckError
 from nonmatching.graphs import Graph, subdivided_complete_graph
 from nonmatching.homology import (
     GF2,
@@ -33,10 +33,12 @@ from nonmatching.homology import (
     reduced_betti,
     vanishing_from,
     _boundary_columns,
+    _FacesAbove,
     _faces_by_size,
     _field_ops,
     _reduce,
 )
+from nonmatching import homology
 
 
 def four_cycle_complex() -> SimplicialComplex:
@@ -290,6 +292,111 @@ class TestLerayChecks:
         cx = build_nm_complex(Graph.complete(4), 2)
         report = check_near_leray(cx, 2, GF2, "EXHAUSTIVE")
         assert '"passed": true' in report.to_json()
+
+
+def random_complexes(seed: int = 11) -> list[SimplicialComplex]:
+    """Seeded complexes from random facets plus a hollow simplex (a sphere of
+    dimension 2 to 4): nine on 6 to 9 vertices, and three on 65, 70 and 100,
+    whose masks do not fit in 64 bits."""
+    rng = random.Random(seed)
+    out = []
+    for n in [rng.randint(6, 9) for _ in range(9)] + [65, 70, 100]:
+        # on the large grounds, draw from a few vertices spread over all the
+        # bits, so that facets overlap and the high bits are used
+        pool = rng.sample(range(n), 8) if n > 64 else list(range(n))
+        facets = [rng.sample(pool, rng.randint(2, 5)) for _ in range(rng.randint(2, 5))]
+        hollow = rng.sample(pool, rng.randint(4, 6))
+        facets += itertools.combinations(hollow, len(hollow) - 1)
+        out.append(from_facets(n, facets))
+    return out
+
+
+ALL_FIELDS = (GF2, GFP(LARGE_PRIME), RATIONAL)
+ALL_D0 = (-1, 0, 1, 2, 3)
+# name -> (complexes, [(fields, d0 values)]).  K4,4 at k=3 has 3,017 faces,
+# and its full grid takes about 23 s (Q ranks of every link at low d0), so
+# the other two fields run there only from d0 = 2, where violations remain.
+LINK_ORACLE_INPUTS = {
+    "K5,k=2": (lambda: [build_nm_complex(Graph.complete(5), 2)], [(ALL_FIELDS, ALL_D0)]),
+    "K2,3,k=2": (lambda: [build_nm_complex(Graph.complete_bipartite(2, 3), 2)],
+                 [(ALL_FIELDS, ALL_D0)]),
+    "K3,3,k=2": (lambda: [build_nm_complex(Graph.complete_bipartite(3, 3), 2)],
+                 [(ALL_FIELDS, ALL_D0)]),
+    "K4,4,k=3": (lambda: [build_nm_complex(Graph.complete_bipartite(4, 4), 3)],
+                 [((GF2,), ALL_D0), (ALL_FIELDS[1:], (2, 3))]),
+    "random": (random_complexes, [(ALL_FIELDS, ALL_D0)]),
+}
+
+
+class TestLinkChecksAgainstLinks:
+    """The link checks against the definition: build each link, ask
+    ``vanishing_from`` of it, and compare the sets of failing faces."""
+
+    @pytest.mark.parametrize("name", sorted(LINK_ORACLE_INPUTS))
+    def test_violations_match_link_walk(self, name):
+        build, grid = LINK_ORACLE_INPUTS[name]
+        verdicts = {True: 0, False: 0}
+        for cx in build():
+            links = {m: link(cx, m) for m in cx.faces}
+            near = sorted(m for m in cx.faces if m)
+            sample = sorted(random.Random(5).sample(near, min(len(near), 25)))
+            for fields, d0s in grid:
+                for field, d0 in itertools.product(fields, d0s):
+                    failing = {m for m, lk in links.items() if not vanishing_from(lk, d0, field)}
+                    verdicts[False] += len(failing)
+                    verdicts[True] += len(links) - len(failing)
+                    reports = [
+                        (check_leray(cx, d0, field, "LINKS"), sorted(cx.faces)),
+                        (check_near_leray(cx, d0, field, "EXHAUSTIVE"), near),
+                        (check_near_leray(cx, d0, field, "SAMPLED", 25, 5), sample),
+                    ]
+                    for report, faces in reports:
+                        want = [cx.ground.decode(m) for m in faces if m in failing]
+                        assert [v.face for v in report.violations] == want, (name, field, d0)
+                        assert report.checked == len(faces) and report.passed == (not want)
+        assert verdicts[True] and verdicts[False], verdicts
+
+    def test_uint64_and_object_filters_agree(self):
+        # the same faces above sigma, from the uint64 array and from Python ints
+        cx = build_nm_complex(Graph.complete(5), 2)
+        wide = SimplicialComplex(GroundSet(cx.ground.elements + tuple(range(60))), cx.faces)
+        narrow, big = _FacesAbove(cx, 0), _FacesAbove(wide, 0)
+        assert narrow.masks.dtype == np.uint64 and big.masks.dtype == object
+        for m in sorted(cx.faces):
+            for d0 in (0, 1, 2):
+                assert narrow.link_vanishes(m, d0, GF2, 1 << 20) == big.link_vanishes(m, d0, GF2, 1 << 20)
+
+
+class TestRankGuards:
+    def test_extra_pivot_trips_negative_betti(self, monkeypatch):
+        real = homology._reduce
+
+        def one_too_many(ops, columns):
+            pivots = real(ops, columns)
+            pivots[-1] = None  # a pivot row that no column has
+            return pivots
+
+        monkeypatch.setattr(homology, "_reduce", one_too_many)
+        cx = build_nm_complex(Graph.complete(4), 2)
+        with pytest.raises(InternalCheckError, match="negative betti"):
+            reduced_betti(cx)
+        with pytest.raises(InternalCheckError, match="negative betti"):
+            vanishing_from(cx, 0)
+        with pytest.raises(InternalCheckError, match="negative betti"):
+            check_near_leray(cx, 0)
+        with pytest.raises(InternalCheckError, match="negative betti"):
+            check_leray(cx, 1)
+
+    def test_false_link_failure_trips_cross_check(self, monkeypatch):
+        # every link of NM_2(K4) vanishes from 2; a fast test that says
+        # otherwise is contradicted by the link's own Betti table
+        cx = build_nm_complex(Graph.complete(4), 2)
+        assert check_near_leray(cx, 2).passed and check_leray(cx, 3).passed
+        monkeypatch.setattr(_FacesAbove, "link_vanishes", lambda self, *args: False)
+        with pytest.raises(InternalCheckError, match="failed to vanish"):
+            check_near_leray(cx, 2)
+        with pytest.raises(InternalCheckError, match="failed to vanish"):
+            check_leray(cx, 3)
 
 
 class TestBettiTableOutput:
