@@ -66,6 +66,14 @@ def mask_bits(mask: int):
         mask ^= low
 
 
+def vertex_bits(vs) -> int:
+    """A set of (non-negative integer) vertices as a vertex bitmask."""
+    m = 0
+    for v in vs:
+        m |= 1 << v
+    return m
+
+
 def submasks(mask: int) -> list[int]:
     """Every submask of a bitmask, the empty one included, in ascending order."""
     out = [0]
@@ -79,16 +87,18 @@ def submasks(mask: int) -> list[int]:
 class EdgeHost:
     """One host graph over an edge ground: its nu table and bit bookkeeping.
 
-    Position i of a mask is the edge ``ground.elements[i]``.  Hosts are shared
-    through :func:`edge_host`, so the nu table is read-only.
+    Position i of an edge mask is the edge ``ground.elements[i]``; bit v of a
+    vertex mask is the vertex v.  Hosts are shared through :func:`edge_host`,
+    so the nu table is read-only.  Edge sets spanned by vertex sets come from
+    the per-vertex edge bits, and the decomposition works on vertex masks.
     """
 
     def __init__(self, ground: GroundSet):
         self.ground = ground
         self.index = ground.index()
         self.edges = ground.elements
-        self.nu = subset_matching_numbers(list(self.edges))
-        self.nu.flags.writeable = False
+        # the nu table as bytes: immutable, and indexed straight to Python ints
+        self.nu = subset_matching_numbers(list(self.edges)).tobytes()
         self.bits_at: dict[int, int] = {}
         # per vertex: (edge bit, neighbour's vertex bit) for each incident edge
         self.star: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -96,6 +106,8 @@ class EdgeHost:
             for a, b in ((u, v), (v, u)):
                 self.bits_at[a] = self.bits_at.get(a, 0) | (1 << i)
                 self.star[a] = self.star.get(a, ()) + ((1 << i, 1 << b),)
+        self._all_vertices = sum(1 << v for v in self.bits_at)
+        self._vertex_sets: dict[int, frozenset] = {}
 
     def mask_of(self, edges) -> int:
         m = 0
@@ -104,23 +116,28 @@ class EdgeHost:
         return m
 
     def nu_of(self, mask: int) -> int:
-        return int(self.nu[mask])
+        return self.nu[mask]
+
+    def _touch(self, vmask: int) -> int:
+        """The edges with at least one end in the vertex mask."""
+        bits_at = self.bits_at
+        out = 0
+        for v in mask_bits(vmask):
+            out |= bits_at.get(v, 0)
+        return out
+
+    def _within(self, vmask: int) -> int:
+        return self._touch(vmask) & ~self._touch(self._all_vertices & ~vmask)
 
     def bits_within(self, vs) -> int:
-        s = frozenset(vs)
-        m = 0
-        for i, (u, v) in enumerate(self.edges):
-            if u in s and v in s:
-                m |= 1 << i
-        return m
+        """The edges with both ends in ``vs``."""
+        return self._within(vertex_bits(vs))
 
     def bits_between(self, a, b) -> int:
-        sa, sb = frozenset(a), frozenset(b)
-        m = 0
-        for i, (u, v) in enumerate(self.edges):
-            if (u in sa and v in sb) or (u in sb and v in sa):
-                m |= 1 << i
-        return m
+        """The edges with one end in ``a`` and the other in ``b`` (the two
+        may overlap)."""
+        ma, mb = vertex_bits(a), vertex_bits(b)
+        return self._touch(ma) & self._touch(mb) & self._within(ma | mb)
 
     def neighbor_bits(self, mask: int, v: int) -> int:
         """Neighbours of ``v`` in the graph ``mask``, as a vertex bitmask."""
@@ -150,42 +167,52 @@ class EdgeHost:
                 unions.append(u)
         return True
 
+    def vertex_set(self, vmask: int) -> frozenset:
+        """The vertex mask as a frozenset, one shared object per mask."""
+        out = self._vertex_sets.get(vmask)
+        if out is None:
+            out = self._vertex_sets[vmask] = frozenset(mask_bits(vmask))
+        return out
+
     def decompose(self, mask: int, vs):
         """Gallai-Edmonds data (nu, D, A, C, components) of the graph ``mask``
         on the vertex set ``vs``.
 
         D holds the vertices whose deletion keeps the matching number, A the
         vertices outside D adjacent to it, C the rest; the components of D
-        are ordered by their least vertex.
+        are ordered by their least vertex.  All of it is computed on vertex
+        masks (D from the nu table, A from D's neighbour masks, the
+        components by a search over them) and handed out as frozensets.
         """
-        nu_table, bits_at, edges = self.nu, self.bits_at, self.edges
-        nu = int(nu_table[mask])
-        d = frozenset(u for u in vs if int(nu_table[mask & ~bits_at.get(u, 0)]) == nu)
-        a = set()
-        for b in mask_bits(mask):
-            (u, v) = edges[b]
-            if (u in d) != (v in d):
-                a.add(v if u in d else u)
-        a = frozenset(a)
-        c = frozenset(vs) - d - a
+        nu_table, bits_at, star, vset = self.nu, self.bits_at, self.star, self.vertex_set
+        nu = nu_table[mask]
+        vmask = d = reach = 0
+        nbrs = {}  # D's neighbour masks in the graph
+        for v in vs:
+            bit = 1 << v
+            vmask |= bit
+            if nu_table[mask & ~bits_at.get(v, 0)] == nu:
+                d |= bit
+                nb = 0
+                for edge, other in star.get(v, ()):
+                    if mask & edge:
+                        nb |= other
+                nbrs[v] = nb
+                reach |= nb
+        a = reach & ~d
         comps = []
-        rest = set(d)
+        rest = d
         while rest:
-            start = min(rest)
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for b in mask_bits(mask & bits_at.get(u, 0)):
-                    (x, y) = edges[b]
-                    w = x if y == u else y
-                    if w in rest and w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-            rest -= comp
-        comps.sort(key=min)
-        return nu, d, a, c, tuple(comps)
+            comp = frontier = rest & -rest
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                new = nbrs[low.bit_length() - 1] & rest & ~comp
+                comp |= new
+                frontier |= new
+            comps.append(vset(comp))
+            rest &= ~comp
+        return nu, vset(d), vset(a), vset(vmask & ~d & ~a), tuple(comps)
 
 
 @functools.lru_cache(maxsize=64)

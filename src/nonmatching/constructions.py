@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import EdgeHost, GroundSet, edge_host, mask_bits, submasks
+from .complexes import EdgeHost, GroundSet, edge_host, mask_bits, submasks, vertex_bits
 from .errors import EmptyFamilyError, InternalCheckError
 from .graphs import (
     Graph,
@@ -67,17 +67,6 @@ def _h_mask(host: EdgeHost, h) -> int:
     if isinstance(h, int):
         return h
     return host.mask_of(h.edges if isinstance(h, Graph) else h)
-
-
-def _vertex_bits(vs) -> int:
-    out = 0
-    for v in vs:
-        out |= 1 << v
-    return out
-
-
-def _vertex_set(bits: int) -> frozenset[int]:
-    return frozenset(mask_bits(bits))
 
 
 def _ge_key(host: EdgeHost, mask: int, vs):
@@ -124,7 +113,7 @@ def _fc_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
 
 
 def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
-    x_bits, y_bits = _vertex_bits(xs), _vertex_bits(ys)
+    x_bits, y_bits = vertex_bits(xs), vertex_bits(ys)
     members = (h_mask | s for s in submasks(host.bits_between(xs, ys) & ~h_mask))
     return [m for m in members if host.hall(m, ys, x_bits, 1) and host.hall(m, zs, y_bits, 1)]
 
@@ -365,7 +354,7 @@ def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
     ground = host.bits_between(c_x, ys)
     h_yc = h_mask & ground
     c_y_minus = tuple(v for v in c_y if v != v0)
-    cx_bits, cy_bits, y_bits, z_bits = (_vertex_bits(vs) for vs in (c_x, c_y, ys, z_c))
+    cx_bits, cy_bits, y_bits, z_bits = (vertex_bits(vs) for vs in (c_x, c_y, ys, z_c))
     members = []
     if len(c_x) == len(c_y):
         for s in submasks(ground & ~h_yc):
@@ -387,7 +376,7 @@ def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
     def type_pairs(key, group):
         s_set, st_set = key
         return _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c,
-                               _vertex_set(s_set), _vertex_set(st_set & ~s_set), group)
+                               host.vertex_set(s_set), host.vertex_set(st_set & ~s_set), group)
 
     return tuple(members), tuple(_clustered_pairs(members, type_key, type_leq, type_pairs))
 
@@ -400,7 +389,7 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
     # block at v0: forced edges to h-neighbours and the s-part, free ones to
     # the rest of the unconstrained x part
     h_v = h_mask & host.bits_at.get(v0, 0) & host.bits_between(c_x, (v0,))
-    n_prime = _vertex_set(host.neighbor_bits(h_v, v0))
+    n_prime = host.vertex_set(host.neighbor_bits(h_v, v0))
     if n_prime & (set(t_set) | set(r_set)):
         raise ConstructionError("forced neighbours contradict the type")
     forced = host.bits_between(sorted(n_prime | s_set), (v0,))
@@ -761,7 +750,7 @@ def build_link_matching_complete(vertices, h, k: int, *, host: EdgeHost | None =
 
     deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in vs}
     v = min(vs, key=lambda u: (deg[u], u))
-    n_h_v = _vertex_set(host.neighbor_bits(h_mask, v))
+    n_h_v = host.vertex_set(host.neighbor_bits(h_mask, v))
     w_set = tuple(u for u in vs if u != v and u not in n_h_v)
     peel, vstar = _star_peel(host, family, h_mask, v, w_set, k)
 
@@ -805,7 +794,7 @@ def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: EdgeHost |
     deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in xs + ys}
     v0 = min(xs + ys, key=lambda u: (deg[u], u))
     own, other = (ys, xs) if v0 in ys else (xs, ys)
-    n_h_v = _vertex_set(host.neighbor_bits(h_mask, v0))
+    n_h_v = host.vertex_set(host.neighbor_bits(h_mask, v0))
     w_set = tuple(u for u in other if u not in n_h_v)
     peel, vstar = _star_peel(host, family, h_mask, v0, w_set, k)
 

@@ -210,8 +210,11 @@ class _SparseField:
     """GF(p) or Q: a column is a dict from row to a nonzero coefficient.
 
     GF(p) keeps Python ints reduced mod p, which cannot overflow for any
-    prime; Q (``p`` = 0) keeps exact ``Fraction``s.  Pivot columns are stored
-    scaled so that their lowest entry is 1.
+    prime.  Q (``p`` = 0) keeps Python ints, exact and unbounded, for as long
+    as every pivot has lowest entry +-1, and ``Fraction``s only from a pivot
+    with any other lowest entry on.  Pivot columns are stored scaled so that
+    their lowest entry is 1; a column whose lowest entry is already 1 is
+    stored as it is.
     """
 
     def __init__(self, p: int = 0):
@@ -225,11 +228,15 @@ class _SparseField:
     low = staticmethod(max)
 
     def pivot(self, col, low):
-        p = self.p
+        c, p = col[low], self.p
+        if c == 1:
+            return col
         if p:
-            inv = pow(col[low], -1, p)
+            inv = pow(c, -1, p)
             return {r: v * inv % p for r, v in col.items()}
-        inv = 1 / Fraction(col[low])
+        if c == -1:
+            return {r: -v for r, v in col.items()}
+        inv = 1 / Fraction(c)
         return {r: v * inv for r, v in col.items()}
 
     def eliminate(self, col, piv, low):

@@ -125,54 +125,46 @@ def is_acyclic(family, pairs) -> tuple[bool, tuple[int, ...] | None]:
     cycle exists, is the face sequence (sigma_0, tau_0, sigma_1, tau_1, ...)
     with every (sigma_i, tau_i) matched and sigma_{i+1} a cover below tau_i.
     """
-    fam = set(family)
     plist = list(pairs)
-    lower = {}
-    for idx, (s, t) in enumerate(plist):
-        lower[s] = idx
+    lower = {s: idx for idx, (s, _) in enumerate(plist)}
+    # succ[i]: the pairs whose lower face is a cover below tau_i, other than sigma_i
+    succ: list[list[int]] = []
+    for s, t in plist:
+        out = []
+        rest = t
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = lower.get(t ^ low)
+            if j is not None and t ^ low != s:
+                out.append(j)
+        succ.append(out)
 
-    def successors(idx):
-        (s, t) = plist[idx]
-        for b in mask_bits(t):
-            cand = t ^ (1 << b)
-            if cand == s:
-                continue
-            j = lower.get(cand)
-            if j is not None:
-                yield j
-
-    color = {}
-    pos_in_chain: dict[int, int] = {}
+    color = [0] * len(plist)  # 0 unseen, 1 on the current chain, 2 done
     for start in range(len(plist)):
-        if color.get(start):
+        if color[start]:
             continue
-        chain: list[int] = []
-        stack = [(start, successors(start))]
         color[start] = 1
-        pos_in_chain[start] = 0
-        chain.append(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color.get(nxt) == 1:
-                    cycle = chain[pos_in_chain[nxt]:]
-                    faces: list[int] = []
-                    for p in cycle:
-                        faces.extend(plist[p])
-                    return False, tuple(faces)
-                if not color.get(nxt):
-                    color[nxt] = 1
-                    pos_in_chain[nxt] = len(chain)
-                    chain.append(nxt)
-                    stack.append((nxt, successors(nxt)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = 2
-                chain.pop()
-                pos_in_chain.pop(node, None)
-                stack.pop()
+        chain, ptr = [start], [0]  # the DFS path, and each node's next successor
+        while chain:
+            nxts = succ[chain[-1]]
+            i = ptr[-1]
+            while i < len(nxts) and color[nxts[i]] == 2:
+                i += 1
+            if i == len(nxts):
+                color[chain.pop()] = 2
+                ptr.pop()
+                continue
+            nxt = nxts[i]
+            ptr[-1] = i + 1
+            if color[nxt] == 1:
+                faces: list[int] = []
+                for p in chain[chain.index(nxt):]:
+                    faces.extend(plist[p])
+                return False, tuple(faces)
+            color[nxt] = 1
+            chain.append(nxt)
+            ptr.append(0)
     return True, None
 
 

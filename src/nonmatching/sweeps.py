@@ -239,17 +239,43 @@ def _all_matchings(n: int) -> tuple[int, ...]:
     return tuple(m for m in range(1 << len(edges)) if is_matching(m))
 
 
+@functools.lru_cache(maxsize=None)
+def _ge_tables(n: int):
+    """Per host size n: the edges of K_n within and touching each vertex
+    subset (indexed by vertex mask), the vertex mask of each vertex set, and
+    the matchings of :func:`_all_matchings` grouped by size."""
+    edges = complete_edge_list(n)
+    within, touch = [], []
+    for s in range(1 << n):
+        w = t = 0
+        for i, (u, v) in enumerate(edges):
+            if s >> u & 1 or s >> v & 1:
+                t |= 1 << i
+                if s >> u & 1 and s >> v & 1:
+                    w |= 1 << i
+        within.append(w)
+        touch.append(t)
+    vertex_mask = {frozenset(mask_bits(s)): s for s in range(1 << n)}
+    by_size: list[list[int]] = [[] for _ in range(n // 2 + 1)]
+    for m in _all_matchings(n):
+        by_size[m.bit_count()].append(m)
+    return within, touch, vertex_mask, by_size
+
+
 def run_ge_chunk(params: dict) -> dict:
     """Decomposition checks for every graph mask in a range, one host size.
 
-    Per graph: the four structural properties of the decomposition, the
-    three-way split of every maximum matching, invariance under single-edge
-    perturbations that stay inside the matched-or-attachment part, and (on a
-    deterministic subsample) agreement of the fast tabulated route with the
-    definitional operation and of the matching number with the
-    all-matchings oracle.  The decomposer under test is
-    :meth:`nonmatching.complexes.EdgeHost.decompose`, the one the Morse
-    builders use, on the shared host of the complete graph.
+    Per graph: the four structural properties of the decomposition (its
+    components partitioning D), the three-way split of every maximum
+    matching, invariance under single-edge perturbations that stay inside
+    the matched-or-attachment part, and (on a deterministic subsample)
+    agreement of the fast tabulated route with the definitional operation
+    and of the matching number with the all-matchings oracle.  The
+    decomposer under test is :meth:`nonmatching.complexes.EdgeHost.decompose`,
+    the one the Morse builders use, on the shared host of the complete
+    graph.  Its output is checked on edge masks: per-n tables give the edges
+    within and touching each vertex set, so the split of a maximum matching
+    is a handful of popcounts.
     """
     n = params["n"]
     host = edge_host(GroundSet(tuple(complete_edge_list(n))))
@@ -276,90 +302,71 @@ def _ge_mask_ok(host: EdgeHost, n: int, mask: int) -> bool:
         if (ge.components, ge.a_set, ge.c_set) != (comps, a, c):
             return False
 
+    within, touch, vertex_mask, by_size = _ge_tables(n)
+    nu_table = host.nu
+    dm, am, cm = vertex_mask[d], vertex_mask[a], vertex_mask[c]
+    cms = [vertex_mask[comp] for comp in comps]
+    # (0) the components partition D
+    union = 0
+    for cmk in cms:
+        if union & cmk:
+            return False
+        union |= cmk
+    if union != dm:
+        return False
+    a_size, c_size = am.bit_count(), cm.bit_count()
+    halves = [(len(comp) - 1) // 2 for comp in comps]
     # (4) component count
-    if len(comps) != len(a) + n - 2 * nu:
+    if len(comps) != a_size + n - 2 * nu:
         return False
     # (1) components factor critical, via subgraph matching numbers
-    for comp in comps:
-        inner = mask & host.bits_within(comp)
+    for comp, cmk, half in zip(comps, cms, halves):
+        inner = mask & within[cmk]
         for v in comp:
-            if int(host.nu[inner & ~host.bits_at.get(v, 0)]) != (len(comp) - 1) // 2:
+            if nu_table[inner & ~touch[1 << v]] != half:
                 return False
     # (2) the matched part has a perfect matching
-    if 2 * int(host.nu[mask & host.bits_within(c)]) != len(c):
+    if 2 * nu_table[mask & within[cm]] != c_size:
         return False
-    # (3) the attachment set matches into distinct components avoiding any one
-    comp_nbrs = []
-    a_list = sorted(a)
-    for comp in comps:
-        nb = 0
-        for v in comp:
-            for b in mask_bits(mask & host.bits_at.get(v, 0)):
-                (x, y) = host.edges[b]
-                w = x if y == v else y
-                if w in a:
-                    nb |= 1 << a_list.index(w)
-        comp_nbrs.append(nb)
-    for skip in range(max(len(comps), 1)):
-        if not a_list:
-            break
-        cols = [comp_nbrs[i] for i in range(len(comps)) if i != skip]
-        # Hall condition for covering every attachment vertex by distinct columns
-        for sub in range(1, 1 << len(a_list)):
-            need = sub.bit_count()
-            have = sum(1 for col in cols if col & sub)
-            if have < need:
+    # (3) the attachment set matches into distinct components avoiding any
+    # one: Hall's condition on each component's attachment neighbours
+    if am:
+        comp_nbrs = []
+        for cmk in cms:
+            out = mask & touch[cmk]
+            comp_nbrs.append(sum(1 << v for v in a if out & touch[1 << v]))
+        subs = submasks(am)[1:]
+        for skip in range(max(len(comps), 1)):
+            cols = comp_nbrs[:skip] + comp_nbrs[skip + 1:]
+            for sub in subs:
+                if sum(1 for col in cols if col & sub) < sub.bit_count():
+                    return False
+
+    # maximum matchings split along the decomposition: |C|/2 edges inside C,
+    # (|K|-1)/2 inside each component K, and one edge from each attachment
+    # vertex into D, at most one per component
+    c_edges = within[cm]
+    a_edges = touch[am] & touch[dm] & within[am | dm]
+    comp_edges = [within[cmk] for cmk in cms]
+    into = [a_edges & touch[cmk] for cmk in cms]
+    allowed = c_edges | a_edges
+    for e in comp_edges:
+        allowed |= e
+    for m in by_size[nu]:
+        if m & ~mask:
+            continue
+        if m & ~allowed:
+            return False
+        if 2 * (m & c_edges).bit_count() != c_size or (m & a_edges).bit_count() != a_size:
+            return False
+        for e, into_k, half in zip(comp_edges, into, halves):
+            if (m & e).bit_count() != half or (m & into_k).bit_count() > 1:
                 return False
 
-    # maximum matchings split along the decomposition
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    c_bits = host.bits_within(c)
-    for m in _all_matchings(n):
-        if m & ~mask or m.bit_count() != nu:
-            continue
-        covered_c = 0
-        hit_comps = []
-        covered_a = set()
-        per_comp = [0] * len(comps)
-        ok = True
-        for b in mask_bits(m):
-            (u, v) = host.edges[b]
-            ua, va = u in a, v in a
-            ud, vd = u in d, v in d
-            if (1 << b) & c_bits:
-                covered_c += 2
-            elif ua and vd:
-                covered_a.add(u)
-                hit_comps.append(comp_of[v])
-            elif va and ud:
-                covered_a.add(v)
-                hit_comps.append(comp_of[u])
-            elif ud and vd and comp_of[u] == comp_of[v]:
-                per_comp[comp_of[u]] += 1
-            else:
-                ok = False
-                break
-        if not ok:
-            return False
-        if covered_c != len(c) or covered_a != a:
-            return False
-        if len(hit_comps) != len(set(hit_comps)):
-            return False
-        if any(per_comp[i] != (len(comps[i]) - 1) // 2 for i in range(len(comps))):
-            return False
-
-    # single-edge perturbations inside the matched-or-attachment part
-    for i, (u, v) in enumerate(host.edges):
-        both_a = u in a and v in a
-        crosses = (u in a and v in c) or (v in a and u in c)
-        if both_a or crosses:
-            for m2 in (mask | (1 << i), mask & ~(1 << i)):
-                if m2 != mask and host.decompose(m2, vs)[1:] != (d, a, c, comps):
-                    return False
-    return True
+    # single-edge perturbations inside the matched-or-attachment part:
+    # adding or deleting an A-A or A-C edge keeps the decomposition
+    perturb = mask_bits(within[am] | (touch[am] & touch[cm] & within[am | cm]))
+    return all(host.decompose(mask ^ (1 << b), vs)[1:] == (d, a, c, comps) for b in perturb)
 
 
 def run_rainbow13_host(params: dict) -> dict:

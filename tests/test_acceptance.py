@@ -9,7 +9,7 @@ import pytest
 
 from nonmatching import sweeps
 from nonmatching.cache import digest_of
-from nonmatching.complexes import build_nm_complex
+from nonmatching.complexes import EdgeHost, build_nm_complex
 from nonmatching.graphs import subdivided_complete_graph
 from nonmatching.homology import GF2, GFP, LARGE_PRIME, reduced_betti
 
@@ -109,6 +109,21 @@ class TestAcceptance:
         checked = sum(r.details["checked"] for r in results)
         total = sum(1 << (n * (n - 1) // 2) for n in range(0, 7))
         report("7 gallai-edmonds", not failures and checked == total, f"{checked} graphs")
+
+    def test_criterion_7_rejects_a_mutated_decomposer(self, monkeypatch):
+        """The checks behind criterion 7 can fail: a decomposer that moves
+        one attachment vertex into C fails the sweep of the 5-vertex graphs."""
+        real = EdgeHost.decompose
+
+        def a_to_c(self, mask, vs):
+            nu, d, a, c, comps = real(self, mask, vs)
+            if a:
+                a, c = a - {min(a)}, c | {min(a)}
+            return nu, d, a, c, comps
+
+        monkeypatch.setattr(EdgeHost, "decompose", a_to_c)
+        out = sweeps.run_ge_chunk({"n": 5, "lo": 0, "hi": 1 << 10})
+        assert not out["passed"] and out["violations"]
 
     def test_criterion_8_rainbow(self):
         """Bipartite guarantee exhaustive at k=2; >= 10^4 seeded general

@@ -26,6 +26,7 @@ from nonmatching.errors import CapExceededError, InternalCheckError
 from nonmatching.graphs import (
     Graph,
     bipartite_edge_list,
+    complete_edge_list,
     gallai_edmonds,
     is_factor_critical,
     is_y_factor_critical,
@@ -358,9 +359,40 @@ class TestEdgeHost:
         assert edge_host(GroundSet(edges)) is not edge_host(GroundSet(edges[::-1]))
 
     def test_nu_table_read_only(self):
+        # the table is a bytes object: immutable, read as Python ints
         host = edge_host(GroundSet(tuple(bipartite_edge_list((0, 1), (2, 3)))))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             host.nu[0] = 1
+
+    @pytest.mark.parametrize("edges, vertices", [
+        (complete_edge_list(6), range(7)),
+        (bipartite_edge_list((0, 1, 2), (3, 4, 5, 6)), range(8)),
+    ], ids=["K6", "K3,4"])
+    def test_bits_match_edge_scan(self, edges, vertices):
+        # every vertex subset, and every ordered pair of subsets (overlapping
+        # ones included), against a scan of the edges; the last vertex has
+        # no edge in the host
+        host = edge_host(GroundSet(tuple(edges)))
+        subsets = [frozenset(c) for r in range(len(vertices) + 1)
+                   for c in itertools.combinations(vertices, r)]
+
+        def scan(keep):
+            return sum(1 << i for i, (u, v) in enumerate(host.edges) if keep(u, v))
+
+        for s in subsets:
+            assert host.bits_within(s) == scan(lambda u, v: u in s and v in s), s
+            for t in subsets:
+                want = scan(lambda u, v: (u in s and v in t) or (u in t and v in s))
+                assert host.bits_between(s, t) == want, (s, t)
+
+    def test_decompose_matches_definition_on_k5(self):
+        host = edge_host(GroundSet(tuple(complete_edge_list(5))))
+        for mask in range(1 << 10):
+            nu, d, a, c, comps = host.decompose(mask, range(5))
+            g = mask_to_graph(5, mask)
+            ge = gallai_edmonds(g)
+            assert (comps, a, c) == (ge.components, ge.a_set, ge.c_set), mask
+            assert nu == matching_number(g) and d == frozenset().union(*comps), mask
 
 
 class TestSerialization:

@@ -182,6 +182,28 @@ class TestReducedBetti:
         cols = [(0, [0, 1]), (1, [1, 2]), (2, [0, 2])]
         assert len(_reduce(_field_ops(RATIONAL), cols)) == 2
 
+    def test_rational_non_unit_pivot(self):
+        # integer columns whose lowest entries are not +-1 (2 on the very
+        # first column) take the Fraction path; ranks against numpy, and
+        # every stored pivot must end in 1
+        ops = _field_ops(RATIONAL)
+
+        class IntColumns(type(ops)):
+            def column(self, entries):
+                return dict(entries)
+
+        rng = random.Random(3)
+        mats = [np.array([[1, 1, 2, 0], [2, 0, 4, 2], [0, -3, 0, -3]])]
+        mats += [np.array([[rng.randint(-2, 2) for _ in range(5)] for _ in range(4)]) for _ in range(40)]
+        fractions = 0
+        for mat in mats:
+            cols = [(j, {r: int(x) for r, x in enumerate(mat[:, j]) if x}) for j in range(mat.shape[1])]
+            pivots = _reduce(IntColumns(0), cols)
+            assert len(pivots) == np.linalg.matrix_rank(mat.astype(float)), mat
+            assert all(piv[r] == 1 for r, piv in pivots.items())
+            fractions += any(type(v) is not int for piv in pivots.values() for v in piv.values())
+        assert fractions
+
     def test_torsion_separates_fields(self):
         cx = rp2_complex()
         assert nonzero(reduced_betti(cx, GF2)) == {1: 1, 2: 1}
@@ -314,8 +336,9 @@ def random_complexes(seed: int = 11) -> list[SimplicialComplex]:
 ALL_FIELDS = (GF2, GFP(LARGE_PRIME), RATIONAL)
 ALL_D0 = (-1, 0, 1, 2, 3)
 # name -> (complexes, [(fields, d0 values)]).  K4,4 at k=3 has 3,017 faces,
-# and its full grid takes about 23 s (Q ranks of every link at low d0), so
-# the other two fields run there only from d0 = 2, where violations remain.
+# and its full grid takes about 11 s (every link built and ranked over each
+# field at low d0), so the other two fields run there only from d0 = 2, where
+# violations remain.
 LINK_ORACLE_INPUTS = {
     "K5,k=2": (lambda: [build_nm_complex(Graph.complete(5), 2)], [(ALL_FIELDS, ALL_D0)]),
     "K2,3,k=2": (lambda: [build_nm_complex(Graph.complete_bipartite(2, 3), 2)],
