@@ -5,6 +5,11 @@ an ordered :class:`GroundSet`.  Ground-set order is fixed for the lifetime of
 a complex: it is the orientation convention every boundary matrix uses.
 Links and induced subcomplexes are enumerated from their base face upward
 through the faces above it, not by a scan of the whole face set.
+
+The special graph families (PM, FC, BFC and the two link families) have one
+membership filter each, on the edge masks of a shared :class:`EdgeHost`:
+the Morse builders in :mod:`nonmatching.constructions` and the public
+:func:`enumerate_family` both call them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from .graphs import (
     Graph,
     bipartite_edge_list,
     is_factor_critical,
-    is_yz_factor_critical,
     normalize_edge,
     subset_matching_numbers,
 )
@@ -221,6 +225,44 @@ def edge_host(ground: GroundSet) -> EdgeHost:
     return EdgeHost(ground)
 
 
+# ---------------------------------------------------------------------------
+# The special families as mask filters on a host: the members containing
+# ``h_mask``, ascending.  The builders and :func:`enumerate_family` share them.
+# ---------------------------------------------------------------------------
+
+
+def _pm_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
+    """Subgraphs on ``vs`` with a perfect matching (none when |vs| is odd)."""
+    if len(vs) % 2:
+        return []
+    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
+    return [m for m in members if 2 * host.nu_of(m) == len(vs)]
+
+
+def _fc_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
+    """Factor critical subgraphs on ``vs``: deleting any vertex leaves a
+    perfect matching on the rest (so none when |vs| is even and positive)."""
+    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
+    return [m for m in members
+            if all(2 * host.nu_of(m & ~host.bits_at.get(v, 0)) == len(vs) - 1 for v in vs)]
+
+
+def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
+    """(y, z)-factor critical subgraphs between ``xs`` and ``ys``, by Hall's
+    condition with surplus one; an empty side gives the empty graph alone."""
+    if not (xs and ys):
+        return [0]
+    x_bits, y_bits = vertex_bits(xs), vertex_bits(ys)
+    members = (h_mask | s for s in submasks(host.bits_between(xs, ys) & ~h_mask))
+    return [m for m in members if host.hall(m, ys, x_bits, 1) and host.hall(m, zs, y_bits, 1)]
+
+
+def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
+    """Subgraphs of the edges ``within`` with matching number below ``k``."""
+    members = (h_mask | s for s in submasks(within & ~h_mask))
+    return [m for m in members if host.nu_of(m) < k]
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Hereditary family of subsets of a ground set, stored face by face.
@@ -233,18 +275,18 @@ class SimplicialComplex:
     faces: frozenset[int]
 
     @classmethod
-    def from_masks(cls, ground: GroundSet, masks, check: bool = True) -> "SimplicialComplex":
+    def from_masks(cls, ground: GroundSet, masks) -> "SimplicialComplex":
         faces = frozenset(masks)
         cx = cls(ground, faces)
-        if check and faces and not cx.is_hereditary():
+        if faces and not cx.is_hereditary():
             raise ValueError("face set is not hereditary")
-        if check and faces and 0 not in faces:
+        if faces and 0 not in faces:
             raise ValueError("a non-void complex must contain the empty face")
         return cx
 
     @classmethod
-    def from_faces(cls, ground: GroundSet, face_subsets, check: bool = True) -> "SimplicialComplex":
-        return cls.from_masks(ground, (ground.mask_of(f) for f in face_subsets), check)
+    def from_faces(cls, ground: GroundSet, face_subsets) -> "SimplicialComplex":
+        return cls.from_masks(ground, (ground.mask_of(f) for f in face_subsets))
 
     @classmethod
     def full_simplex(cls, ground: GroundSet, cap: int = DEFAULT_SUBSET_CAP) -> "SimplicialComplex":
@@ -400,7 +442,7 @@ def build_nm_complex(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> Simplic
 
 
 # ---------------------------------------------------------------------------
-# The special families (as graphs = edge subsets of a host)
+# The special families as Graphs: a public front on the mask filters above
 # ---------------------------------------------------------------------------
 
 FAMILY_KINDS = ("PM", "FC", "BFC", "NMLINK_COMPLETE", "NMLINK_BIPARTITE")
@@ -459,66 +501,35 @@ class FamilySpec:
         return bipartite_edge_list(self.x_side, self.y_side)
 
 
-def family_masks(spec: FamilySpec, ground: GroundSet, cap: int = DEFAULT_SUBSET_CAP) -> list[int]:
-    """Member graphs of the family, as masks over ``ground`` (must contain the
-    host edges; the nu table spans the whole ground).  Sorted ascending for
-    determinism."""
-    idx = ground.index()
+def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Graph]:
+    """Member graphs of the family, sorted by edge mask over the host ground.
+
+    The members come from the same mask filters the Morse builders use, on
+    the shared host of ``spec.host_edges()``.  Conventions: PM over the empty
+    vertex set, FC over a single vertex, and BFC with an empty side each
+    yield exactly the empty graph; FC over an even vertex set is empty, and
+    families can also be genuinely empty (no members at all).
+    """
     host_edges = spec.host_edges()
     if (1 << len(host_edges)) > cap:
         raise CapExceededError(f"2^{len(host_edges)} host subsets exceeds the cap {cap}")
-    host_bits = 0
-    for e in host_edges:
-        host_bits |= 1 << idx[e]
-    h_mask = 0
-    for e in spec.subgraph_h:
-        h_mask |= 1 << idx[normalize_edge(*e)]
-    vs = sorted(spec.vertices)
-    xs, ys, zs = sorted(spec.x_side), sorted(spec.y_side), sorted(spec.z_subset)
-
-    # conventions first: PM over no vertex, FC over one vertex and BFC with
-    # an empty side each yield the empty graph alone
-    if spec.kind == "PM" and not vs:
-        return [0]
-    if (spec.kind == "FC" and len(vs) <= 1) or (spec.kind == "BFC" and not (xs and ys)):
-        return [0] if h_mask == 0 else []
-    if (spec.kind == "PM" and len(vs) % 2) or (spec.kind == "FC" and len(vs) % 2 == 0):
-        return []
-    members = [h_mask | s for s in submasks(host_bits & ~h_mask)]
-
-    if spec.kind == "BFC":
-        n = max(xs + ys) + 1
-        return [m for m in members
-                if is_yz_factor_critical(Graph.from_edges(n, ground.decode(m)), xs, ys, zs)]
-    nu = subset_matching_numbers(list(ground.elements), cap)
+    host = edge_host(GroundSet(tuple(host_edges)))
+    h_mask = host.mask_of(spec.subgraph_h)
+    vs, xs, ys = sorted(spec.vertices), sorted(spec.x_side), sorted(spec.y_side)
     if spec.kind == "PM":
-        return [m for m in members if 2 * int(nu[m]) == len(vs)]
-    if spec.kind == "FC":
-        bits_at = {v: 0 for v in vs}
-        for (u, w) in host_edges:
-            bits_at[u] |= 1 << idx[(u, w)]
-            bits_at[w] |= 1 << idx[(u, w)]
-        target = (len(vs) - 1) // 2
-        return [m for m in members if all(int(nu[m & ~bits_at[v]]) == target for v in vs)]
-    return [m for m in members if int(nu[m]) < spec.k]  # NMLINK families
-
-
-def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Graph]:
-    """Member graphs of the family, by definitional filtering.
-
-    Conventions: PM over the empty vertex set, FC over a single vertex, and
-    BFC with an empty side each yield exactly the empty graph; families can
-    also be genuinely empty (no members at all).
-    """
-    host_edges = spec.host_edges()
-    ground = GroundSet(tuple(host_edges))
-    all_vs = tuple(spec.vertices) + tuple(spec.x_side) + tuple(spec.y_side)
-    n = max(all_vs) + 1 if all_vs else 0
-    out = [Graph.from_edges(n, ground.decode(m)) for m in family_masks(spec, ground, cap)]
+        masks = _pm_masks(host, vs, h_mask)
+    elif spec.kind == "FC":
+        masks = _fc_masks(host, vs, h_mask)
+    elif spec.kind == "BFC":
+        masks = _bfc_masks(host, xs, ys, sorted(spec.z_subset), h_mask)
+    else:
+        masks = _nmlink_masks(host, (1 << len(host_edges)) - 1, h_mask, spec.k)
+    n = max(vs + xs + ys, default=-1) + 1
+    out = [Graph.from_edges(n, host.ground.decode(m)) for m in masks]
     # FC members must be factor critical in the predicate sense too; the
-    # nu-table filter above is equivalent, which the tests pin down.
-    if spec.kind == "FC" and len(spec.vertices) > 1:
-        if not all(is_factor_critical(g, spec.vertices) for g in out):
+    # nu-table filter is equivalent, which the tests pin down.
+    if spec.kind == "FC" and len(vs) > 1:
+        if not all(is_factor_critical(g, vs) for g in out):
             raise InternalCheckError("nu-table FC member is not factor critical")
     return out
 

@@ -5,7 +5,10 @@ critical graphs (FC), bipartite two-level factor critical graphs (BFC), and
 the two "link" families of bounded-matching-number supergraphs of a fixed
 subgraph, over a complete or complete bipartite host.
 
-Each builder materialises its family explicitly and runs one shared
+Each builder materialises its family explicitly, through the membership
+filters it shares with :func:`nonmatching.complexes.enumerate_family`
+(``_pm_masks``, ``_fc_masks``, ``_bfc_masks`` and ``_nmlink_masks``, next to
+:class:`nonmatching.complexes.EdgeHost`), and runs one shared
 recursion, :func:`_peel_cluster_lift`: a first-stage matching peels most of
 the family (a toggle on one edge for PM, FC and BFC; toggles on the addable
 edges of a free star for the link families), the unmatched members lose the
@@ -40,7 +43,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .complexes import EdgeHost, GroundSet, edge_host, mask_bits, submasks, vertex_bits
+from .complexes import (
+    EdgeHost,
+    GroundSet,
+    _bfc_masks,
+    _fc_masks,
+    _nmlink_masks,
+    _pm_masks,
+    edge_host,
+    mask_bits,
+    submasks,
+    vertex_bits,
+)
 from .errors import EmptyFamilyError, InternalCheckError
 from .graphs import (
     Graph,
@@ -90,37 +104,6 @@ def _ge_leq(k1, k2) -> bool:
 
 class ConstructionError(InternalCheckError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Family enumeration on a host (mask level)
-# ---------------------------------------------------------------------------
-
-
-def _pm_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
-    if len(vs) % 2:
-        return []
-    target = len(vs) // 2
-    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
-    return [m for m in members if host.nu_of(m) == target]
-
-
-def _fc_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
-    target = (len(vs) - 1) // 2
-    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
-    return [m for m in members
-            if all(host.nu_of(m & ~host.bits_at.get(v, 0)) == target for v in vs)]
-
-
-def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
-    x_bits, y_bits = vertex_bits(xs), vertex_bits(ys)
-    members = (h_mask | s for s in submasks(host.bits_between(xs, ys) & ~h_mask))
-    return [m for m in members if host.hall(m, ys, x_bits, 1) and host.hall(m, zs, y_bits, 1)]
-
-
-def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
-    members = (h_mask | s for s in submasks(within & ~h_mask))
-    return [m for m in members if host.nu_of(m) < k]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ the set of vertices still available, and branches cut by the bound
 nu <= |vertices| / 2, which keeps the value exact.  :func:`matching_number`,
 :func:`maximum_matching`, :func:`gallai_edmonds` and the rainbow hypothesis
 check all call it.
+
+:func:`gallai_edmonds` computes the decomposition straight from its
+definition; it is the oracle for the mask-level decomposer the Morse
+builders use (:meth:`nonmatching.complexes.EdgeHost.decompose`).  Whether a
+decomposition has the structural properties is checked at mask level, by
+:func:`nonmatching.sweeps.ge_violation`.
 """
 
 from __future__ import annotations
@@ -518,95 +524,6 @@ def gallai_edmonds(g: Graph) -> GallaiEdmondsDecomposition:
     a = g.neighborhood(d)
     c = frozenset(range(n)) - d - a
     return GallaiEdmondsDecomposition(_components_within(g, d), a, c)
-
-
-def gallai_edmonds_violations(g: Graph, ge: GallaiEdmondsDecomposition) -> list[str]:
-    """Check the structural properties of a decomposition; return violations.
-
-    Verified: the parts partition V; A equals the neighbourhood of D; each
-    component induces a connected factor-critical subgraph; C is perfectly
-    matchable; the component count equals |A| + |V| - 2 nu(G); and for every
-    component there is a matching of A into the *other* components hitting
-    each at most once.
-    """
-    bad = []
-    n = g.vertex_count
-    parts = [ge.d_set, ge.a_set, ge.c_set]
-    if ge.d_set | ge.a_set | ge.c_set != frozenset(range(n)) or (
-        len(ge.d_set) + len(ge.a_set) + len(ge.c_set) != n
-    ):
-        bad.append("partition")
-    if g.neighborhood(ge.d_set) != ge.a_set:
-        bad.append("a-is-neighborhood-of-d")
-    if _components_within(g, ge.d_set) != ge.components:
-        bad.append("component-structure")
-    for comp in ge.components:
-        if not is_factor_critical(g, comp):
-            bad.append(f"factor-critical-{min(comp)}")
-    if not has_perfect_matching(g, ge.c_set):
-        bad.append("c-perfectly-matchable")
-    if ge.component_count != len(ge.a_set) + n - 2 * matching_number(g):
-        bad.append("component-count")
-    # A can be matched into distinct components avoiding any one of them.
-    r = ge.component_count
-    for skip in range(max(r, 1)):
-        if not ge.a_set:
-            break
-        if r == 0:
-            bad.append("a-matching-no-components")
-            break
-        aux_n = len(ge.a_set) + r
-        a_list = sorted(ge.a_set)
-        aux_edges = []
-        for ai, a in enumerate(a_list):
-            for ci, comp in enumerate(ge.components):
-                if ci == skip:
-                    continue
-                if g.neighbors(a) & comp:
-                    aux_edges.append((ai, len(a_list) + ci))
-        aux = Graph.from_edges(aux_n, aux_edges)
-        if matching_number(aux) != len(a_list):
-            bad.append(f"a-matching-avoiding-component-{skip}")
-    return bad
-
-
-def maximum_matching_split_violations(
-    g: Graph, ge: GallaiEdmondsDecomposition, m: Matching
-) -> list[str]:
-    """Check that one maximum matching splits along the decomposition.
-
-    Expected: a perfect matching on C; one edge from each vertex of A into D,
-    hitting pairwise distinct components; and a near-perfect matching inside
-    each component.
-    """
-    bad = []
-    c_edges = {e for e in m.edges if e[0] in ge.c_set and e[1] in ge.c_set}
-    if frozenset(v for e in c_edges for v in e) != ge.c_set:
-        bad.append("c-part-not-perfect")
-    comp_of = {}
-    for i, comp in enumerate(ge.components):
-        for v in comp:
-            comp_of[v] = i
-    hit = []
-    covered_a = set()
-    for e in m.edges:
-        (u, v) = e
-        in_a = [w for w in e if w in ge.a_set]
-        in_d = [w for w in e if w in ge.d_set]
-        if len(in_a) == 1 and len(in_d) == 1:
-            covered_a.add(in_a[0])
-            hit.append(comp_of[in_d[0]])
-        elif len(in_a) == 2 or (len(in_a) == 1 and not in_d):
-            bad.append("a-edge-not-into-d")
-    if covered_a != ge.a_set:
-        bad.append("a-not-covered-into-d")
-    if len(hit) != len(set(hit)):
-        bad.append("a-edges-share-component")
-    for i, comp in enumerate(ge.components):
-        inside = sum(1 for e in m.edges if e[0] in comp and e[1] in comp)
-        if inside != (len(comp) - 1) // 2:
-            bad.append(f"component-{i}-not-near-perfect")
-    return bad
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,8 @@ class _SparseField:
                 col[r] = nv
             else:
                 del col[r]
+        if low in col:  # a pivot not scaled to lowest entry 1 would loop forever
+            raise InternalCheckError(f"elimination left row {low} in the column")
         return col
 
 
@@ -333,26 +335,23 @@ def reduced_betti(
     cx: SimplicialComplex,
     field: FieldSpec = GF2,
     cap: int = DEFAULT_FACE_CAP,
-    min_dim: int | None = None,
 ) -> BettiTable:
     """Reduced Betti numbers of the complex over the given field.
 
     Dimensions run from -1 (which reports 1 exactly for the one-face complex
-    {empty}) up to the complex dimension.  ``min_dim`` restricts the output
-    to dimensions >= min_dim and skips the ranks below, which the sweeps use.
-    Boundary maps are reduced from the top dimension down, and a d-face that
-    is a pivot row of bd_{d+1} is skipped as a column of bd_d (clearing).
+    {empty}) up to the complex dimension.  Boundary maps are reduced from
+    the top dimension down, and a d-face that is a pivot row of bd_{d+1} is
+    skipped as a column of bd_d (clearing).
     The alternating sum is checked against the reduced Euler characteristic.
     """
     if cx.is_void():
         return BettiTable(field, {})
     by_size = _faces_by_size(cx)
-    betti = _betti_of_sizes(by_size, field, -1 if min_dim is None else min_dim, cap)
-    if min_dim is None:
-        euler_faces = sum((-1) ** (size - 1) * len(faces) for size, faces in enumerate(by_size))
-        euler_betti = sum((-1) ** d * b for d, b in betti.items())
-        if euler_faces != euler_betti:  # pragma: no cover - rank bug guard
-            raise InternalCheckError("Euler characteristic mismatch")
+    betti = _betti_of_sizes(by_size, field, -1, cap)
+    euler_faces = sum((-1) ** (size - 1) * len(faces) for size, faces in enumerate(by_size))
+    euler_betti = sum((-1) ** d * b for d, b in betti.items())
+    if euler_faces != euler_betti:  # pragma: no cover - rank bug guard
+        raise InternalCheckError("Euler characteristic mismatch")
     return BettiTable(field, betti)
 
 

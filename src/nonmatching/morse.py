@@ -271,7 +271,7 @@ def _verify_monotone(family, key_of, leq):
                     )
 
 
-def cluster_union(family, key_fn, leq, part_pairs, *, verify: bool = True) -> list[Pair]:
+def cluster_union(family, key_fn, leq, part_pairs) -> list[Pair]:
     """Union of per-fiber matchings for a monotone key into a poset.
 
     ``key_fn`` maps faces to keys, ``leq`` is the poset order on keys (must
@@ -291,14 +291,12 @@ def cluster_union(family, key_fn, leq, part_pairs, *, verify: bool = True) -> li
         for (s, t) in pl:
             if s not in fiber or t not in fiber:
                 raise ValueError("per-part matching leaves its fiber")
-    if verify:
-        _verify_monotone(fam_sorted, key_of, leq)
+    _verify_monotone(fam_sorted, key_of, leq)
     order = sorted(fibers, key=lambda k: fibers[k][0])
     pairs = [p for k in order for p in part_pairs.get(k, ())]
-    if verify:
-        ok, _ = is_acyclic(fam_sorted, pairs)
-        if not ok:
-            raise InternalCheckError("cluster union came out cyclic")
+    ok, _ = is_acyclic(fam_sorted, pairs)
+    if not ok:
+        raise InternalCheckError("cluster union came out cyclic")
     return pairs
 
 
@@ -328,7 +326,7 @@ class JoinResult:
     criticals: tuple[int, ...]
 
 
-def join_matching(parts, *, verify: bool = True) -> JoinResult:
+def join_matching(parts) -> JoinResult:
     """Acyclic matching on a join of families over disjoint ground parts.
 
     Parts are processed sorted by critical-set size; a pair of the combined
@@ -351,12 +349,11 @@ def join_matching(parts, *, verify: bool = True) -> JoinResult:
     crit = []
     for p in parts:
         rep = validate_matching(p.family, p.pairs)
-        if verify and not rep.valid:
+        if not rep.valid:
             raise ValueError(f"invalid part matching: {rep.problems[:1]}")
-        if verify:
-            ok, _ = is_acyclic(p.family, p.pairs)
-            if not ok:
-                raise ValueError("cyclic part matching handed to join")
+        ok, _ = is_acyclic(p.family, p.pairs)
+        if not ok:
+            raise ValueError("cyclic part matching handed to join")
         crit.append(rep.critical)
 
     order = sorted(range(len(parts)), key=lambda i: (len(crit[i]), i))
@@ -383,14 +380,13 @@ def join_matching(parts, *, verify: bool = True) -> JoinResult:
     criticals = tuple(sorted(alphas)) if alphas else ()
     if len(family) != len(set(family)):
         raise InternalCheckError("join family has colliding faces")
-    if verify:
-        matched = set()
-        for (s, t) in pairs:
-            matched.add(s)
-            matched.add(t)
-        actual = tuple(sorted(set(family) - matched))
-        if actual != criticals:
-            raise InternalCheckError("join criticals differ from the join of part criticals")
+    matched = set()
+    for (s, t) in pairs:
+        matched.add(s)
+        matched.add(t)
+    actual = tuple(sorted(set(family) - matched))
+    if actual != criticals:
+        raise InternalCheckError("join criticals differ from the join of part criticals")
     return JoinResult(family, tuple(pairs), criticals)
 
 
@@ -410,7 +406,7 @@ def _part_choices(part_mask: int, tau: int) -> list[int]:
     return [base | s for s in submasks(free)]
 
 
-def projection_matching(part_masks, tau: int, q_family, q_pairs, *, verify: bool = True) -> ProjectionResult:
+def projection_matching(part_masks, tau: int, q_family, q_pairs) -> ProjectionResult:
     """Lift a matching through the partition projection map.
 
     The ground splits into the given parts; pi(sigma) is the set of part
@@ -440,10 +436,9 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs, *, verify: bool
     rep = validate_matching(qfam, q_pairs)
     if not rep.valid:
         raise ValueError(f"invalid projected matching: {rep.problems[:1]}")
-    if verify:
-        ok, _ = is_acyclic(qfam, q_pairs)
-        if not ok:
-            raise ValueError("cyclic projected matching handed to the lift")
+    ok, _ = is_acyclic(qfam, q_pairs)
+    if not ok:
+        raise ValueError("cyclic projected matching handed to the lift")
 
     def members_with_projection(gamma: int) -> list[int]:
         out = [tau]
@@ -496,7 +491,7 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs, *, verify: bool
             else:
                 # part fully inside tau: contributes nothing beyond tau itself
                 join_parts.append(JoinPart.make(0, (0,), ()))
-        res = join_matching(join_parts, verify=verify)
+        res = join_matching(join_parts)
         for mface in res.family:
             if mface in seen:
                 raise InternalCheckError("projection blocks overlap")
@@ -504,29 +499,27 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs, *, verify: bool
         family.extend(res.family)
         pairs.extend(res.pairs)
         criticals.extend(res.criticals)
-        if verify:
-            if complete and res.criticals:
-                raise InternalCheckError("complete block produced criticals")
-            for c in res.criticals:
-                expect = gamma.bit_count() - pi_tau.bit_count() + tau.bit_count()
-                if c.bit_count() != expect:
-                    raise InternalCheckError("lifted critical has the wrong size")
+        if complete and res.criticals:
+            raise InternalCheckError("complete block produced criticals")
+        for c in res.criticals:
+            expect = gamma.bit_count() - pi_tau.bit_count() + tau.bit_count()
+            if c.bit_count() != expect:
+                raise InternalCheckError("lifted critical has the wrong size")
 
-    if verify:
-        pis = set()
-        for c in criticals:
-            pc = 0
-            for i, pm in enumerate(parts):
-                if c & pm:
-                    pc |= 1 << i
-            if pc in pis:
-                raise InternalCheckError("lifted criticals do not inject")
-            pis.add(pc)
-            if pc not in set(rep.critical):
-                raise InternalCheckError("lifted critical projects outside projected criticals")
-        ok, _ = is_acyclic(family, pairs)
-        if not ok:
-            raise InternalCheckError("projection lift came out cyclic")
+    pis = set()
+    for c in criticals:
+        pc = 0
+        for i, pm in enumerate(parts):
+            if c & pm:
+                pc |= 1 << i
+        if pc in pis:
+            raise InternalCheckError("lifted criticals do not inject")
+        pis.add(pc)
+        if pc not in set(rep.critical):
+            raise InternalCheckError("lifted critical projects outside projected criticals")
+    ok, _ = is_acyclic(family, pairs)
+    if not ok:
+        raise InternalCheckError("projection lift came out cyclic")
     return ProjectionResult(tuple(sorted(family)), tuple(pairs), tuple(sorted(criticals)))
 
 

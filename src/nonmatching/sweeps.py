@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from . import constructions as cons
 from . import rainbow as rb
 from .complexes import (
-    EdgeHost,
     GroundSet,
     SimplicialComplex,
     build_nm_complex,
     edge_host,
     mask_bits,
     submasks,
+    vertex_bits,
 )
 from .graphs import (
     Graph,
@@ -167,7 +167,7 @@ def _link_complex_cross_check(result, field) -> bool:
     for m in result.family:
         h_mask &= m
     stripped = [m & ~h_mask for m in result.family]
-    cx = SimplicialComplex.from_masks(result.ground, stripped, check=True)
+    cx = SimplicialComplex.from_masks(result.ground, stripped)
     pairs = [(s & ~h_mask, t & ~h_mask) for (s, t) in result.pairs if s != h_mask]
     return morse_inequality_details(cx, pairs, field)["holds"]
 
@@ -241,9 +241,9 @@ def _all_matchings(n: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _ge_tables(n: int):
-    """Per host size n: the edges of K_n within and touching each vertex
-    subset (indexed by vertex mask), the vertex mask of each vertex set, and
-    the matchings of :func:`_all_matchings` grouped by size."""
+    """Per host size n: the shared host of K_n, the edges within and
+    touching each vertex subset (indexed by vertex mask), and the matchings
+    of :func:`_all_matchings` grouped by size."""
     edges = complete_edge_list(n)
     within, touch = [], []
     for s in range(1 << n):
@@ -255,118 +255,161 @@ def _ge_tables(n: int):
                     w |= 1 << i
         within.append(w)
         touch.append(t)
-    vertex_mask = {frozenset(mask_bits(s)): s for s in range(1 << n)}
     by_size: list[list[int]] = [[] for _ in range(n // 2 + 1)]
     for m in _all_matchings(n):
         by_size[m.bit_count()].append(m)
-    return within, touch, vertex_mask, by_size
+    return edge_host(GroundSet(tuple(edges))), within, touch, by_size
 
 
 def run_ge_chunk(params: dict) -> dict:
     """Decomposition checks for every graph mask in a range, one host size.
 
-    Per graph: the four structural properties of the decomposition (its
-    components partitioning D), the three-way split of every maximum
-    matching, invariance under single-edge perturbations that stay inside
-    the matched-or-attachment part, and (on a deterministic subsample)
-    agreement of the fast tabulated route with the definitional operation
-    and of the matching number with the all-matchings oracle.  The
-    decomposer under test is :meth:`nonmatching.complexes.EdgeHost.decompose`,
+    The decomposer under test is :meth:`nonmatching.complexes.EdgeHost.decompose`,
     the one the Morse builders use, on the shared host of the complete
-    graph.  Its output is checked on edge masks: per-n tables give the edges
-    within and touching each vertex set, so the split of a maximum matching
-    is a handful of popcounts.
+    graph.  Per graph: every property of :func:`ge_violation`, invariance
+    under single-edge perturbations that stay inside the matched-or-attachment
+    part, and (on a deterministic subsample) agreement with the definitional
+    :func:`nonmatching.graphs.gallai_edmonds` and of the matching number with
+    the all-matchings oracle.
     """
     n = params["n"]
-    host = edge_host(GroundSet(tuple(complete_edge_list(n))))
+    host, within, touch, _ = _ge_tables(n)
+    vs = range(n)
     bad = []
     for mask in range(params["lo"], params["hi"]):
-        if not _ge_mask_ok(host, n, mask):
+        nu, d, a, c, comps = host.decompose(mask, vs)
+        ok = ge_violation(n, mask, comps, a, c) is None
+        # nu against the all-matchings oracle, and the definitional operation,
+        # on a subsample (both are per-graph recomputations)
+        if ok and mask % 61 == 0:
+            naive = max((m.bit_count() for m in _all_matchings(n) if m & ~mask == 0), default=0)
+            ge = gallai_edmonds(mask_to_graph(n, mask))
+            ok = naive == nu and (ge.components, ge.a_set, ge.c_set) == (comps, a, c)
+        # adding or deleting an A-A or A-C edge keeps the decomposition
+        if ok:
+            am, cm = vertex_bits(a), vertex_bits(c)
+            perturb = within[am] | (touch[am] & touch[cm] & within[am | cm])
+            ok = all(host.decompose(mask ^ (1 << b), vs)[1:] == (d, a, c, comps)
+                     for b in mask_bits(perturb))
+        if not ok:
             bad.append(mask)
     return {"passed": not bad, "checked": params["hi"] - params["lo"], "violations": bad[:16]}
 
 
-def _ge_mask_ok(host: EdgeHost, n: int, mask: int) -> bool:
-    vs = range(n)
-    nu, d, a, c, comps = host.decompose(mask, vs)
+GE_PROPERTIES = (
+    "partition",
+    "a-is-neighborhood-of-d",
+    "component-structure",
+    "c-perfectly-matchable",
+    "maximum-matchings-split",
+    "component-count",
+    "factor-critical",
+    "a-matches-avoiding-any-component",
+)
 
-    # nu against the all-matchings oracle, and the definitional operation,
-    # on a subsample (both are per-graph recomputations)
-    if mask % 61 == 0:
-        naive = max(
-            (m.bit_count() for m in _all_matchings(n) if m & ~mask == 0), default=0
-        )
-        if naive != nu:
-            return False
-        ge = gallai_edmonds(mask_to_graph(n, mask))
-        if (ge.components, ge.a_set, ge.c_set) != (comps, a, c):
-            return False
 
-    within, touch, vertex_mask, by_size = _ge_tables(n)
+def ge_violation(n: int, mask: int, comps, a_set, c_set) -> str | None:
+    """The first Gallai-Edmonds property that a claimed decomposition of a
+    subgraph of K_n fails, or None when it has them all.
+
+    ``mask`` is an edge mask over ``complete_edge_list(n)``; the claim is the
+    components of D (ordered by least vertex), A and C.  The properties, in
+    the order checked and named as in :data:`GE_PROPERTIES`:
+
+    - D, A and C partition the vertices (the components partition D);
+    - A is the neighbourhood of D;
+    - the components are the connected components of G[D];
+    - G[C] has a perfect matching;
+    - every maximum matching splits: |C|/2 edges inside C, (|K|-1)/2 inside
+      each component K, and one edge from each vertex of A into D, at most
+      one per component;
+    - there are |A| + n - 2 nu(G) components;
+    - each component is factor critical;
+    - A matches into distinct components avoiding any one of them (Hall's
+      condition on each component's neighbours in A).
+
+    Together the properties pin the decomposition down, and in this order
+    each of them can be the first to fail.  Matching numbers come from the
+    nu table of the K_n host; maximum matchings from the all-matchings list.
+    """
+    host, within, touch, by_size = _ge_tables(n)
     nu_table = host.nu
-    dm, am, cm = vertex_mask[d], vertex_mask[a], vertex_mask[c]
-    cms = [vertex_mask[comp] for comp in comps]
-    # (0) the components partition D
-    union = 0
-    for cmk in cms:
-        if union & cmk:
-            return False
-        union |= cmk
-    if union != dm:
-        return False
-    a_size, c_size = am.bit_count(), cm.bit_count()
-    halves = [(len(comp) - 1) // 2 for comp in comps]
-    # (4) component count
-    if len(comps) != a_size + n - 2 * nu:
-        return False
-    # (1) components factor critical, via subgraph matching numbers
-    for comp, cmk, half in zip(comps, cms, halves):
-        inner = mask & within[cmk]
-        for v in comp:
-            if nu_table[inner & ~touch[1 << v]] != half:
-                return False
-    # (2) the matched part has a perfect matching
-    if 2 * nu_table[mask & within[cm]] != c_size:
-        return False
-    # (3) the attachment set matches into distinct components avoiding any
-    # one: Hall's condition on each component's attachment neighbours
-    if am:
-        comp_nbrs = []
-        for cmk in cms:
-            out = mask & touch[cmk]
-            comp_nbrs.append(sum(1 << v for v in a if out & touch[1 << v]))
-        subs = submasks(am)[1:]
-        for skip in range(max(len(comps), 1)):
-            cols = comp_nbrs[:skip] + comp_nbrs[skip + 1:]
-            for sub in subs:
-                if sum(1 for col in cols if col & sub) < sub.bit_count():
-                    return False
+    nu = nu_table[mask]
+    cms = [vertex_bits(comp) for comp in comps]
+    am, cm = vertex_bits(a_set), vertex_bits(c_set)
+    dm = 0
+    for k in cms:
+        if dm & k:
+            return "partition"
+        dm |= k
+    if dm & am or dm & cm or am & cm or dm | am | cm != (1 << n) - 1:
+        return "partition"
 
-    # maximum matchings split along the decomposition: |C|/2 edges inside C,
-    # (|K|-1)/2 inside each component K, and one edge from each attachment
-    # vertex into D, at most one per component
+    # the neighbours of each vertex of D and of each component, then the
+    # connected components of G[D] by a search over D's neighbour masks
+    nbrs, comp_reach, reach = {}, [], 0
+    for comp in comps:
+        r = 0
+        for v in comp:
+            nbrs[v] = host.neighbor_bits(mask, v)
+            r |= nbrs[v]
+        comp_reach.append(r)
+        reach |= r
+    if reach & ~dm != am:
+        return "a-is-neighborhood-of-d"
+    found, rest = [], dm
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbrs[low.bit_length() - 1] & rest & ~comp
+            comp |= new
+            frontier |= new
+        found.append(comp)
+        rest &= ~comp
+    if found != cms:
+        return "component-structure"
+
+    a_size, c_size = am.bit_count(), cm.bit_count()
+    if 2 * nu_table[mask & within[cm]] != c_size:
+        return "c-perfectly-matchable"
+
+    halves = [(k.bit_count() - 1) // 2 for k in cms]
     c_edges = within[cm]
     a_edges = touch[am] & touch[dm] & within[am | dm]
-    comp_edges = [within[cmk] for cmk in cms]
-    into = [a_edges & touch[cmk] for cmk in cms]
+    comp_edges = [within[k] for k in cms]
+    into = [a_edges & touch[k] for k in cms]
     allowed = c_edges | a_edges
     for e in comp_edges:
         allowed |= e
     for m in by_size[nu]:
         if m & ~mask:
             continue
-        if m & ~allowed:
-            return False
-        if 2 * (m & c_edges).bit_count() != c_size or (m & a_edges).bit_count() != a_size:
-            return False
+        if (m & ~allowed or 2 * (m & c_edges).bit_count() != c_size
+                or (m & a_edges).bit_count() != a_size):
+            return "maximum-matchings-split"
         for e, into_k, half in zip(comp_edges, into, halves):
             if (m & e).bit_count() != half or (m & into_k).bit_count() > 1:
-                return False
+                return "maximum-matchings-split"
 
-    # single-edge perturbations inside the matched-or-attachment part:
-    # adding or deleting an A-A or A-C edge keeps the decomposition
-    perturb = mask_bits(within[am] | (touch[am] & touch[cm] & within[am | cm]))
-    return all(host.decompose(mask ^ (1 << b), vs)[1:] == (d, a, c, comps) for b in perturb)
+    if len(cms) != a_size + n - 2 * nu:
+        return "component-count"
+
+    for comp, k, half in zip(comps, cms, halves):
+        inner = mask & within[k]
+        for v in comp:
+            if nu_table[inner & ~touch[1 << v]] != half:
+                return "factor-critical"
+
+    if am:
+        comp_nbrs = [r & am for r in comp_reach]
+        subs = submasks(am)[1:]
+        for skip in range(len(cms)):
+            cols = comp_nbrs[:skip] + comp_nbrs[skip + 1:]
+            if any(sum(1 for col in cols if col & sub) < sub.bit_count() for sub in subs):
+                return "a-matches-avoiding-any-component"
+    return None
 
 
 def run_rainbow13_host(params: dict) -> dict:

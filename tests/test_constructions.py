@@ -12,6 +12,13 @@ from nonmatching.constructions import (
 )
 import nonmatching.constructions as cons
 from nonmatching.errors import EmptyFamilyError
+from nonmatching.graphs import (
+    Graph,
+    has_perfect_matching,
+    is_factor_critical,
+    is_yz_factor_critical,
+    matching_number,
+)
 from nonmatching.morse import check_matching
 from nonmatching.sweeps import run_morse_family
 
@@ -31,6 +38,30 @@ def family_edge_sets(res):
     return {frozenset(res.ground.decode(m)) for m in res.family}
 
 
+def oracle_family(spec: FamilySpec, member) -> set:
+    """Every subgraph of the family's host that contains h and passes the
+    Graph-level predicate ``member``, as edge sets: the independent side of
+    the family tests (no nu table, no Hall bitmasks)."""
+    host = spec.host_edges()
+    vs = spec.vertices + spec.x_side + spec.y_side
+    n = max(vs) + 1
+    out = set()
+    for mask in range(1 << len(host)):
+        edges = frozenset(host[i] for i in range(len(host)) if mask >> i & 1)
+        if spec.subgraph_h <= edges and member(Graph.from_edges(n, edges)):
+            out.add(edges)
+    return out
+
+
+def assert_family(spec: FamilySpec, member, res=None) -> set:
+    """``enumerate_family`` and, when given, a builder's family equal the oracle."""
+    expect = oracle_family(spec, member)
+    assert {frozenset(g.edges) for g in enumerate_family(spec)} == expect
+    if res is not None:
+        assert family_edge_sets(res) == expect
+    return expect
+
+
 class TestPM:
     def test_empty_vertex_set(self):
         res = build_pm_matching([])
@@ -48,9 +79,13 @@ class TestPM:
         assert res.max_critical_size() < 6
 
     def test_family_is_definitional(self):
-        res = build_pm_matching([0, 1, 2, 3])
-        fam = enumerate_family(FamilySpec("PM", vertices=(0, 1, 2, 3)))
-        assert family_edge_sets(res) == {frozenset(g.edges) for g in fam}
+        for vs in ((0, 1), (0, 1, 2, 3), (0, 1, 2, 3, 4)):
+            for h in ((), ((0, 1),), ((0, 1), (1, 2))):
+                if vs == (0, 1) and len(h) > 1:
+                    continue
+                spec = FamilySpec("PM", vertices=vs, subgraph_h=frozenset(h))
+                assert_family(spec, lambda g: has_perfect_matching(g, vs),
+                              build_pm_matching(vs, list(h)))
 
     def test_odd_vertex_count_empty_family(self):
         res = build_pm_matching([0, 1, 2])
@@ -87,9 +122,19 @@ class TestFC:
         assert res.strict and res.max_critical_size() < res.bound == 7
 
     def test_family_is_definitional(self):
-        res = build_fc_matching([0, 1, 2, 3, 4])
-        fam = enumerate_family(FamilySpec("FC", vertices=(0, 1, 2, 3, 4)))
-        assert family_edge_sets(res) == {frozenset(g.edges) for g in fam}
+        for vs in ((0, 1, 2), (0, 1, 2, 3, 4)):
+            for h in ((), ((0, 1),), ((0, 1), (1, 2))):
+                spec = FamilySpec("FC", vertices=vs, subgraph_h=frozenset(h))
+                assert_family(spec, lambda g: is_factor_critical(g, vs),
+                              build_fc_matching(vs, list(h)))
+
+    def test_even_vertex_set_family_is_empty(self):
+        # no graph on an even vertex set is factor critical; the builder
+        # refuses the set (test_even_rejected), enumerate_family gives []
+        for vs in ((0, 1), (0, 1, 2, 3)):
+            for h in ((), ((0, 1),)):
+                spec = FamilySpec("FC", vertices=vs, subgraph_h=frozenset(h))
+                assert assert_family(spec, lambda g: is_factor_critical(g, vs)) == set()
 
 
 class TestBFC:
@@ -124,11 +169,18 @@ class TestBFC:
             "passed": True, "empty_family": True}
 
     def test_family_is_definitional(self):
-        res = build_bfc_matching([0, 1, 2], [3, 4], [0], [])
-        fam = enumerate_family(
-            FamilySpec("BFC", x_side=(0, 1, 2), y_side=(3, 4), z_subset=(0,))
-        )
-        assert family_edge_sets(res) == {frozenset(g.edges) for g in fam}
+        for xs, ys in (((0, 1), (2,)), ((0, 1, 2), (3, 4))):
+            for zs in ((), (0,), (0, 1)):
+                for h in ((), ((1, ys[0]),), ((0, ys[0]), (1, ys[-1]))):
+                    spec = FamilySpec("BFC", x_side=xs, y_side=ys, z_subset=zs,
+                                      subgraph_h=frozenset(h))
+                    try:
+                        res = build_bfc_matching(xs, ys, zs, list(h))
+                    except EmptyFamilyError:
+                        res = None
+                    expect = assert_family(
+                        spec, lambda g: is_yz_factor_critical(g, xs, ys, zs), res)
+                    assert (res is None) == (not expect)
 
     def test_z_constrains(self):
         with pytest.raises(ValueError):
@@ -157,12 +209,15 @@ class TestLinkComplete:
         assert res.max_critical_size() <= 4
 
     def test_family_is_definitional(self):
-        res = build_link_matching_complete([0, 1, 2, 3], [(0, 1)], 2)
-        fam = enumerate_family(
-            FamilySpec("NMLINK_COMPLETE", vertices=(0, 1, 2, 3),
-                       subgraph_h=frozenset({(0, 1)}), k=2)
-        )
-        assert family_edge_sets(res) == {frozenset(g.edges) for g in fam}
+        for vs in ((0, 1, 2, 3), (0, 1, 2, 3, 4)):
+            for k in (2, 3):
+                for h in ((), ((0, 1),), ((0, 1), (1, 2)), ((0, 1), (2, 3))):
+                    spec = FamilySpec("NMLINK_COMPLETE", vertices=vs,
+                                      subgraph_h=frozenset(h), k=k)
+                    # the builder needs 1 <= nu(h) < k
+                    nu_h = matching_number(Graph.from_edges(len(vs), h))
+                    res = build_link_matching_complete(vs, list(h), k) if 1 <= nu_h < k else None
+                    assert_family(spec, lambda g: matching_number(g) < k, res)
 
 
 class TestLinkBipartite:
@@ -179,12 +234,15 @@ class TestLinkBipartite:
         assert res.max_critical_size() <= 2
 
     def test_family_is_definitional(self):
-        res = build_link_matching_bipartite([0, 1], [2, 3], [(0, 2)], 2)
-        fam = enumerate_family(
-            FamilySpec("NMLINK_BIPARTITE", x_side=(0, 1), y_side=(2, 3),
-                       subgraph_h=frozenset({(0, 2)}), k=2)
-        )
-        assert family_edge_sets(res) == {frozenset(g.edges) for g in fam}
+        for xs, ys in (((0, 1), (2, 3)), ((0, 1, 2), (3, 4))):
+            for k in (2, 3):
+                for h in ((), ((0, ys[0]),), ((0, ys[0]), (1, ys[1]))):
+                    spec = FamilySpec("NMLINK_BIPARTITE", x_side=xs, y_side=ys,
+                                      subgraph_h=frozenset(h), k=k)
+                    nu_h = matching_number(Graph.from_edges(len(xs + ys), h))
+                    res = (build_link_matching_bipartite(xs, ys, list(h), k)
+                           if 1 <= nu_h < k else None)
+                    assert_family(spec, lambda g: matching_number(g) < k, res)
 
 
 class TestGrids:

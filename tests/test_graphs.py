@@ -16,7 +16,6 @@ from nonmatching.graphs import (
     complete_edge_list,
     format_graph,
     gallai_edmonds,
-    gallai_edmonds_violations,
     graph_isomorphism_classes,
     graph_to_mask,
     has_perfect_matching,
@@ -27,11 +26,11 @@ from nonmatching.graphs import (
     matching_number,
     maximum_matching,
     maximum_matchings,
-    maximum_matching_split_violations,
     parse_graph,
     subdivided_complete_graph,
     subset_matching_numbers,
 )
+from nonmatching.sweeps import GE_PROPERTIES, ge_violation
 
 
 def nu_by_enumeration(g: Graph) -> int:
@@ -245,15 +244,43 @@ class TestGallaiEdmonds:
     def test_properties_small(self):
         for n in range(0, 6):
             for mask in range(1 << (n * (n - 1) // 2)):
-                g = mask_to_graph(n, mask)
-                ge = gallai_edmonds(g)
-                assert gallai_edmonds_violations(g, ge) == []
+                ge = gallai_edmonds(mask_to_graph(n, mask))
+                assert ge_violation(n, mask, ge.components, ge.a_set, ge.c_set) is None
 
     def test_maximum_matching_split(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
         ge = gallai_edmonds(g)
-        for m in maximum_matchings(g):
-            assert maximum_matching_split_violations(g, ge, m) == []
+        assert len(maximum_matchings(g)) > 1
+        assert ge_violation(5, graph_to_mask(g), ge.components, ge.a_set, ge.c_set) is None
+
+
+# One wrong decomposition per property, each passing every earlier check:
+# (n, edges, components of D, A, C).
+WRONG_DECOMPOSITIONS = {
+    "partition": (2, [(0, 1)], [{0, 1}], {1}, set()),
+    "a-is-neighborhood-of-d": (1, [], [], {0}, set()),
+    "component-structure": (2, [], [{0, 1}], set(), set()),
+    "c-perfectly-matchable": (1, [], [], set(), {0}),
+    # the edge is no near-perfect matching of the even component {0, 1}
+    "maximum-matchings-split": (2, [(0, 1)], [{0, 1}], set(), set()),
+    # the star K1,3 as one component: every maximum matching is one edge
+    "component-count": (4, [(0, 1), (0, 2), (0, 3)], [{0, 1, 2, 3}], set(), set()),
+    # the path 1-0-2 is not factor critical
+    "factor-critical": (3, [(0, 1), (0, 2)], [{0, 1, 2}], set(), set()),
+    # vertex 1 cannot be matched avoiding the only component
+    "a-matches-avoiding-any-component": (2, [(0, 1)], [{0}], {1}, set()),
+}
+
+
+class TestGallaiEdmondsChecker:
+    @pytest.mark.parametrize("name", GE_PROPERTIES)
+    def test_each_check_fires(self, name):
+        n, edges, comps, a, c = WRONG_DECOMPOSITIONS[name]
+        g = Graph.from_edges(n, edges)
+        claim = (tuple(frozenset(k) for k in comps), frozenset(a), frozenset(c))
+        ge = gallai_edmonds(g)
+        assert claim != (ge.components, ge.a_set, ge.c_set)
+        assert ge_violation(n, graph_to_mask(g), *claim) == name
 
 
 class TestCanonicalForm:

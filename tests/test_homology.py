@@ -410,6 +410,16 @@ class TestRankGuards:
         with pytest.raises(InternalCheckError, match="negative betti"):
             check_leray(cx, 1)
 
+    @pytest.mark.parametrize("field", [GFP(LARGE_PRIME), RATIONAL], ids=["gfp", "q"])
+    def test_unscaled_pivot_raises_instead_of_looping(self, monkeypatch, field):
+        # elimination assumes every stored pivot ends in 1; pivots stored as
+        # they come must fail, not hang.  Boundary columns start with lowest
+        # entry 1, so this needs a reduced column ending in another entry,
+        # which the projective plane has.
+        monkeypatch.setattr(homology._SparseField, "pivot", lambda self, col, low: col)
+        with pytest.raises(InternalCheckError, match="elimination left row"):
+            reduced_betti(rp2_complex(), field)
+
     def test_false_link_failure_trips_cross_check(self, monkeypatch):
         # every link of NM_2(K4) vanishes from 2; a fast test that says
         # otherwise is contradicted by the link's own Betti table
