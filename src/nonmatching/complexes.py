@@ -323,9 +323,6 @@ class SimplicialComplex:
             out[d] = out.get(d, 0) + 1
         return out
 
-    def has_face(self, subset) -> bool:
-        return self.ground.mask_of(subset) in self.faces
-
     def is_hereditary(self) -> bool:
         for m in self.faces:
             for b in mask_bits(m):

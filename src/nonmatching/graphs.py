@@ -22,6 +22,14 @@ definition; it is the oracle for the mask-level decomposer the Morse
 builders use (:meth:`nonmatching.complexes.EdgeHost.decompose`).  Whether a
 decomposition has the structural properties is checked at mask level, by
 :func:`nonmatching.sweeps.ge_violation`.
+
+Symmetry has one path.  :func:`relabelings` lists the vertex relabelings
+(all of them, or those keeping or swapping two classes), a relabeling acts
+on edge masks through its slot map, and :func:`orbit_representatives` keeps
+the first mask of each orbit met in any iterable of masks.
+:func:`canonical_form`, :func:`graph_isomorphism_classes`,
+:func:`bipartite_subgraph_classes` and the rainbow instance key build on
+these.
 """
 
 from __future__ import annotations
@@ -549,88 +557,88 @@ def mask_to_graph(n: int, mask: int, bipartition=None) -> Graph:
     return Graph.from_edges(n, edges, bipartition)
 
 
-def canonical_form(g: Graph, vertex_cap: int = DEFAULT_CANONICAL_VERTEX_CAP):
+def relabelings(n: int, classes) -> list[tuple[int, ...]]:
+    """Vertex relabelings of 0..n-1, each a tuple p sending v to p[v].
+
+    With ``classes`` None, every permutation.  With classes (X, Y) partitioning
+    0..n-1, the maps sending X onto 0..|X|-1 and Y onto the rest, plus, when
+    |X| = |Y|, the maps sending Y onto 0..|Y|-1 and X onto the rest.
+    """
+    if classes is None:
+        return list(itertools.permutations(range(n)))
+    x, y = sorted(classes[0]), sorted(classes[1])
+    sides = [(x, y), (y, x)] if len(x) == len(y) else [(x, y)]
+    out = []
+    for first, second in sides:
+        order = first + second
+        for head in itertools.permutations(range(len(first))):
+            for tail in itertools.permutations(range(len(first), n)):
+                perm = [0] * n
+                for v, label in zip(order, head + tail):
+                    perm[v] = label
+                out.append(tuple(perm))
+    return out
+
+
+def canonical_form(g: Graph):
     """Minimum edge-bitmask over all vertex relabelings.
 
     Isomorphic graphs map to identical encodings.  When a bipartition is
-    present only relabelings preserving the classes are considered (the two
-    sides may swap when they have equal size), and the class sizes are part
-    of the encoding.  Exhaustive over permutations, hence the vertex cap.
+    present only the relabelings of :func:`relabelings` with those classes
+    are considered, and the class sizes are part of the encoding.
+    Exhaustive over permutations, hence the vertex cap.
     """
     n = g.vertex_count
-    if n > vertex_cap:
-        raise CapExceededError(f"{n} vertices exceeds the canonical-form cap {vertex_cap}")
-    if g.bipartition is None:
-        perms = itertools.permutations(range(n))
-        sizes = None
-    else:
-        x, y = g.bipartition
-        xs, ys = sorted(x), sorted(y)
-        sides = [(xs, ys)]
-        if len(xs) == len(ys):
-            sides.append((ys, xs))
-        perms = []
-        for (a_side, b_side) in sides:
-            for pa in itertools.permutations(range(len(a_side))):
-                for pb in itertools.permutations(range(len(b_side))):
-                    perm = [0] * n
-                    for i, v in enumerate(a_side):
-                        perm[v] = pa[i]
-                    for i, v in enumerate(b_side):
-                        perm[v] = len(a_side) + pb[i]
-                    perms.append(perm)
-        sizes = (len(xs), len(ys))
+    if n > DEFAULT_CANONICAL_VERTEX_CAP:
+        raise CapExceededError(
+            f"{n} vertices exceeds the canonical-form cap {DEFAULT_CANONICAL_VERTEX_CAP}"
+        )
+    sizes = None if g.bipartition is None else tuple(len(c) for c in g.bipartition)
     # slot maps of the graph's own edges: edge i goes to slot pmap[i]
     edges = g.sorted_edges()
-    maps = _slot_permutations(edges, edge_slot_table(n), perms)
+    maps = _slot_permutations(edges, edge_slot_table(n), relabelings(n, g.bipartition))
     every_edge = (1 << len(edges)) - 1
     return (n, sizes, min(_apply_slot_map(every_edge, pmap) for pmap in maps))
 
 
-def all_graph_masks(n: int):
-    """Every labelled graph on n vertices, as a bitmask over K_n slots."""
-    return range(1 << (n * (n - 1) // 2))
-
-
 def _slot_permutations(slots, index, perms) -> list[list[int]]:
-    maps = []
-    for perm in perms:
-        maps.append([index[normalize_edge(perm[u], perm[v])] for (u, v) in slots])
-    return maps
+    """Per relabeling, the slot in ``index`` that each of ``slots`` goes to."""
+    both = {**index, **{(v, u): i for (u, v), i in index.items()}}
+    return [[both[perm[u], perm[v]] for (u, v) in slots] for perm in perms]
 
 
 def _apply_slot_map(mask: int, pmap) -> int:
     out = 0
-    m = mask
-    while m:
-        b = (m & -m).bit_length() - 1
-        m &= m - 1
-        out |= 1 << pmap[b]
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << pmap[low.bit_length() - 1]
     return out
 
 
-def _orbit_representatives(n_slots: int, slot_maps, masks) -> list[int]:
-    seen = bytearray(1 << n_slots)
+def orbit_representatives(slots, perms, masks) -> list[int]:
+    """The first mask of each orbit that ``masks`` meets, in the order met.
+
+    A mask selects edges of ``slots``; ``perms`` are vertex relabelings that
+    map the slot edges onto themselves and form a group, so the images of a
+    mask under them are its whole orbit.  ``masks`` may be any iterable; the
+    masks seen so far are kept in a set.
+    """
+    maps = _slot_permutations(slots, {e: i for i, e in enumerate(slots)}, perms)
+    seen: set[int] = set()
     reps = []
     for mask in masks:
-        if seen[mask]:
-            continue
-        reps.append(mask)
-        for pmap in slot_maps:
-            seen[_apply_slot_map(mask, pmap)] = 1
+        if mask not in seen:
+            reps.append(mask)
+            seen.update(_apply_slot_map(mask, pmap) for pmap in maps)
     return reps
 
 
 def graph_isomorphism_classes(n: int) -> list[Graph]:
-    """One representative per isomorphism class of graphs on n vertices.
-
-    Orbit enumeration under all vertex permutations; the representative is
-    the smallest edge bitmask of its class.
-    """
+    """One representative per isomorphism class of graphs on n vertices:
+    the smallest edge bitmask of its class."""
     slots = complete_edge_list(n)
-    index = edge_slot_table(n)
-    maps = _slot_permutations(slots, index, [list(p) for p in itertools.permutations(range(n))])
-    reps = _orbit_representatives(len(slots), maps, all_graph_masks(n))
+    reps = orbit_representatives(slots, relabelings(n, None), range(1 << len(slots)))
     return [mask_to_graph(n, m) for m in reps]
 
 
@@ -638,23 +646,11 @@ def bipartite_subgraph_classes(a: int, b: int) -> list[Graph]:
     """Representatives of subgraphs of the complete bipartite graph, up to
     relabelings preserving (or swapping, when a == b) the two classes."""
     host = Graph.complete_bipartite(a, b)
-    host_edges = host.sorted_edges()
-    index = {e: i for i, e in enumerate(host_edges)}
-    n = a + b
-    perms = []
-    for pa in itertools.permutations(range(a)):
-        for pb in itertools.permutations(range(b)):
-            perms.append([pa[i] for i in range(a)] + [a + pb[j] for j in range(b)])
-            if a == b:
-                # class-swapping relabelings exist only for equal sides
-                perms.append([a + pa[i] for i in range(a)] + [pb[j] for j in range(b)])
-    maps = _slot_permutations(host_edges, index, perms)
-    reps = _orbit_representatives(len(host_edges), maps, range(1 << len(host_edges)))
-    out = []
-    for m in reps:
-        edges = [host_edges[i] for i in range(len(host_edges)) if m >> i & 1]
-        out.append(Graph.from_edges(n, edges, host.bipartition))
-    return out
+    slots = host.sorted_edges()
+    reps = orbit_representatives(slots, relabelings(a + b, host.bipartition),
+                                 range(1 << len(slots)))
+    return [Graph.from_edges(a + b, [slots[i] for i in range(len(slots)) if m >> i & 1],
+                             host.bipartition) for m in reps]
 
 
 # ---------------------------------------------------------------------------

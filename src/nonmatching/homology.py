@@ -276,7 +276,7 @@ def _reduce(ops, columns) -> dict:
     return pivots
 
 
-def boundary_matrix(cx: SimplicialComplex, d: int, field: FieldSpec | None = None) -> np.ndarray:
+def boundary_matrix(cx: SimplicialComplex, d: int) -> np.ndarray:
     """The boundary map from d-faces to (d-1)-faces as a dense +-1 int8 array.
 
     Rows are indexed by the sorted (d-1)-face masks and columns by the sorted

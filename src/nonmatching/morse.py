@@ -244,31 +244,25 @@ def _verify_monotone(family, key_of, leq):
     for a in range(nk):
         for b in range(nk):
             leqmat[a, b] = bool(leq(keys[a], keys[b]))
-    if ms[-1] < (1 << 62):
-        arr = np.array(ms, dtype=np.uint64)
-        chunk = 2048
-        for i0 in range(0, len(ms), chunk):
-            a = arr[i0:i0 + chunk]
-            ka = kid[i0:i0 + chunk]
-            for j0 in range(0, len(ms), chunk):
-                b = arr[j0:j0 + chunk]
-                kb = kid[j0:j0 + chunk]
-                subset = (a[:, None] & ~b[None, :]) == 0
-                ok = leqmat[ka[:, None], kb[None, :]]
-                bad = subset & ~ok
-                if bad.any():
-                    i, j = map(int, np.argwhere(bad)[0])
-                    raise MonotonicityError(
-                        f"key map not monotone: {ms[i0 + i]:x} subset of {ms[j0 + j]:x} "
-                        f"but keys are not ordered"
-                    )
-    else:  # big masks: plain loops
-        for i, m in enumerate(ms):
-            for j, t in enumerate(ms):
-                if m & ~t == 0 and not leqmat[kid[i], kid[j]]:
-                    raise MonotonicityError(
-                        f"key map not monotone: {m:x} subset of {t:x} but keys are not ordered"
-                    )
+    # uint64 when every mask fits in 64 bits, Python ints otherwise; the
+    # subset filter is the same expression on both
+    arr = np.array(ms, dtype=np.uint64 if ms[-1].bit_length() <= 64 else object)
+    chunk = 2048
+    for i0 in range(0, len(ms), chunk):
+        a = arr[i0:i0 + chunk]
+        ka = kid[i0:i0 + chunk]
+        for j0 in range(0, len(ms), chunk):
+            b = arr[j0:j0 + chunk]
+            kb = kid[j0:j0 + chunk]
+            subset = (a[:, None] & ~b[None, :]) == 0
+            ok = leqmat[ka[:, None], kb[None, :]]
+            bad = subset & ~ok
+            if bad.any():
+                i, j = map(int, np.argwhere(bad)[0])
+                raise MonotonicityError(
+                    f"key map not monotone: {ms[i0 + i]:x} subset of {ms[j0 + j]:x} "
+                    f"but keys are not ordered"
+                )
 
 
 def cluster_union(family, key_fn, leq, part_pairs) -> list[Pair]:

@@ -28,6 +28,7 @@ from .graphs import (
     normalize_edge,
     nu_within,
     parse_graph,
+    relabelings,
     subset_matching_numbers,
 )
 
@@ -291,7 +292,7 @@ def canonical_instance(inst: RainbowInstance):
     reordering of the edge sets.  Equal keys mean isomorphic instances."""
     n = inst.host.vertex_count
     best = None
-    for perm in itertools.permutations(range(n)):
+    for perm in relabelings(n, None):
         host_edges = tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in inst.host.edges))
         sets = tuple(sorted(
             tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in es))

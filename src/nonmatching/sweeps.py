@@ -34,6 +34,8 @@ from .graphs import (
     is_yz_factor_critical,
     mask_to_graph,
     matching_number,
+    orbit_representatives,
+    relabelings,
     subdivided_complete_graph,
     subset_matching_numbers,
 )
@@ -270,7 +272,9 @@ def run_ge_chunk(params: dict) -> dict:
     under single-edge perturbations that stay inside the matched-or-attachment
     part, and (on a deterministic subsample) agreement with the definitional
     :func:`nonmatching.graphs.gallai_edmonds` and of the matching number with
-    the all-matchings oracle.
+    the all-matchings oracle.  Each failing mask (the first 16) is listed
+    with its cause: the property :func:`ge_violation` names, ``nu-oracle``,
+    ``definitional-oracle`` or ``perturbation``.
     """
     n = params["n"]
     host, within, touch, _ = _ge_tables(n)
@@ -278,21 +282,25 @@ def run_ge_chunk(params: dict) -> dict:
     bad = []
     for mask in range(params["lo"], params["hi"]):
         nu, d, a, c, comps = host.decompose(mask, vs)
-        ok = ge_violation(n, mask, comps, a, c) is None
+        reason = ge_violation(n, mask, comps, a, c)
         # nu against the all-matchings oracle, and the definitional operation,
         # on a subsample (both are per-graph recomputations)
-        if ok and mask % 61 == 0:
+        if reason is None and mask % 61 == 0:
             naive = max((m.bit_count() for m in _all_matchings(n) if m & ~mask == 0), default=0)
             ge = gallai_edmonds(mask_to_graph(n, mask))
-            ok = naive == nu and (ge.components, ge.a_set, ge.c_set) == (comps, a, c)
+            if naive != nu:
+                reason = "nu-oracle"
+            elif (ge.components, ge.a_set, ge.c_set) != (comps, a, c):
+                reason = "definitional-oracle"
         # adding or deleting an A-A or A-C edge keeps the decomposition
-        if ok:
+        if reason is None:
             am, cm = vertex_bits(a), vertex_bits(c)
             perturb = within[am] | (touch[am] & touch[cm] & within[am | cm])
-            ok = all(host.decompose(mask ^ (1 << b), vs)[1:] == (d, a, c, comps)
-                     for b in mask_bits(perturb))
-        if not ok:
-            bad.append(mask)
+            if any(host.decompose(mask ^ (1 << b), vs)[1:] != (d, a, c, comps)
+                   for b in mask_bits(perturb)):
+                reason = "perturbation"
+        if reason is not None:
+            bad.append([mask, reason])
     return {"passed": not bad, "checked": params["hi"] - params["lo"], "violations": bad[:16]}
 
 
@@ -503,8 +511,9 @@ def run_rainbow14_chunk(params: dict) -> dict:
         valid += 1
         if rb.find_rainbow_matching(inst) is None:
             violations += 1
+    # attempts follows every hypothesis verdict, since valid stops at the quota
     return {"passed": violations == 0 and valid >= quota, "valid_instances": valid,
-            "violations": violations}
+            "violations": violations, "attempts": attempts}
 
 
 def run_tightness(params: dict) -> dict:
@@ -805,19 +814,14 @@ def _suite_gallai_edmonds(seed: int) -> list[CaseSpec]:
 
 
 def _suite_rainbow(seed: int) -> list[CaseSpec]:
-    cases = []
-    for g in bipartite_subgraph_classes(3, 3):
-        if not g.edges:
-            continue
-        host = Graph.complete_bipartite(3, 3)
-        edges = host.sorted_edges()
-        idx = {e: i for i, e in enumerate(edges)}
-        mask = 0
-        for e in g.edges:
-            mask |= 1 << idx[e]
-        cases.append(
-            CaseSpec(f"bip-triples-host-{mask}", "rainbow13_host", {"a": 3, "b": 3, "mask": mask})
-        )
+    # the non-empty subgraphs of K3,3 up to relabeling, as host edge masks
+    host = Graph.complete_bipartite(3, 3)
+    edges = host.sorted_edges()
+    masks = orbit_representatives(edges, relabelings(6, host.bipartition), range(1, 1 << len(edges)))
+    cases = [
+        CaseSpec(f"bip-triples-host-{mask}", "rainbow13_host", {"a": 3, "b": 3, "mask": mask})
+        for mask in masks
+    ]
     for i in range(10):
         cases.append(
             CaseSpec(

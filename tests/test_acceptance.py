@@ -7,7 +7,7 @@ also appear in the captured output on failure).
 
 import pytest
 
-from nonmatching import sweeps
+from nonmatching import rainbow, sweeps
 from nonmatching.cache import digest_of
 from nonmatching.complexes import EdgeHost, build_nm_complex
 from nonmatching.graphs import subdivided_complete_graph
@@ -27,7 +27,8 @@ PINNED_DIGESTS = {
     ("morse-bounds", 0): "20cc6cca62b2e163347443b7fb216b0491ccceafece0630c3f3bbe35fe82e1c2",
     ("morse-bounds", 21): "945decebe870c924791ca614c81f2199fd5e6b08192ca67d1457a92dffa59cdf",
     ("gallai-edmonds", 0): "d277961598ee319fe85ae48fa6c5af9f7695395a3590fa4f04dcc3f656de9e9f",
-    ("rainbow", 0): "1031b94c849554b7ebea907ec7d31d5bd0414d357614fc4940afb6c3f95ead72",
+    ("rainbow", 0): "ed38d3c80bec1e3ad0c307a9f772d9dfccca3e6959330e00c9604bb325ec0960",
+    ("rainbow", 21): "1c58399505ab772b107bd6c6128496bea43e0584bc803dda16bcef2425f715f7",
     ("combinator-laws", 0): "e30990b372e90206b81d009f052c28379aea8f3127a6a2dbf36873cd1004c089",
 }
 
@@ -124,6 +125,11 @@ class TestAcceptance:
         monkeypatch.setattr(EdgeHost, "decompose", a_to_c)
         out = sweeps.run_ge_chunk({"n": 5, "lo": 0, "hi": 1 << 10})
         assert not out["passed"] and out["violations"]
+        # each failing mask names the property the mutated claim fails
+        host = sweeps._ge_tables(5)[0]
+        for mask, reason in out["violations"]:
+            _, _, a, c, comps = host.decompose(mask, range(5))
+            assert reason == sweeps.ge_violation(5, mask, comps, a, c)
 
     def test_criterion_8_rainbow(self):
         """Bipartite guarantee exhaustive at k=2; >= 10^4 seeded general
@@ -136,6 +142,26 @@ class TestAcceptance:
             not failures and valid >= 10_000 and len(witnesses) == 2,
             f"{valid} random instances, {len(witnesses)} witnesses",
         )
+
+    def test_criterion_8_follows_the_hypothesis_verdicts(self, monkeypatch):
+        """A hypothesis check that rejects some valid instances changes a
+        random chunk's result, not only its run time."""
+        params = {"seed": 5, "count": 60}
+        before = sweeps.run_rainbow14_chunk(params)
+        real = rainbow.verify_hypotheses
+        calls = []
+
+        def rejects_every_third(inst):
+            ok = real(inst)
+            if ok:
+                calls.append(inst)
+                ok = len(calls) % 3 != 0
+            return ok
+
+        monkeypatch.setattr(rainbow, "verify_hypotheses", rejects_every_third)
+        after = sweeps.run_rainbow14_chunk(params)
+        assert before["passed"] and after["passed"]
+        assert after != before and after["attempts"] > before["attempts"]
 
     def test_criterion_9_combinator_laws(self):
         """Join criticals equal the join of criticals; projection criticals
@@ -153,7 +179,7 @@ class TestAcceptance:
             f"{join_iters}+{proj_iters} configurations",
         )
 
-    @pytest.mark.parametrize("name", ["vanishing-k2", "morse-bounds"])
+    @pytest.mark.parametrize("name", ["vanishing-k2", "morse-bounds", "rainbow"])
     def test_seed_dependent_suites_at_seed_21(self, name):
         """The suites whose sampled cases follow the seed, at a second seed."""
         results, failures = run_suite(name, 21)

@@ -15,6 +15,7 @@ from nonmatching.graphs import (
     canonical_form,
     complete_edge_list,
     format_graph,
+    bipartite_subgraph_classes,
     gallai_edmonds,
     graph_isomorphism_classes,
     graph_to_mask,
@@ -26,7 +27,9 @@ from nonmatching.graphs import (
     matching_number,
     maximum_matching,
     maximum_matchings,
+    orbit_representatives,
     parse_graph,
+    relabelings,
     subdivided_complete_graph,
     subset_matching_numbers,
 )
@@ -306,6 +309,114 @@ class TestCanonicalForm:
         g1 = Graph.from_edges(4, [(0, 2)], ((0, 1), (2, 3)))
         g2 = Graph.from_edges(4, [(1, 3)], ((0, 1), (2, 3)))
         assert canonical_form(g1) == canonical_form(g2)
+
+    def test_bipartite_classes_swap_only_when_equal(self):
+        # a two-leaf star centred in X or in Y: isomorphic as graphs, and as
+        # bipartite graphs exactly when the classes may swap
+        for b in (2, 3):
+            classes = (range(2), range(2, 2 + b))
+            in_x = Graph.from_edges(2 + b, [(0, 2), (0, 3)], classes)
+            in_y = Graph.from_edges(2 + b, [(0, 2), (1, 2)], classes)
+            assert (canonical_form(in_x) == canonical_form(in_y)) == (b == 2)
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 2), (2, 3), (3, 3)])
+    def test_classes_off_the_prefix(self, a, b):
+        # X on odd vertices, Y holding vertex 0, against the same graph
+        # relabeled so that X is 0..a-1 and Y the rest, each in order
+        n = a + b
+        x = list(range(1, 2 * a, 2))
+        y = [v for v in range(n) if v not in x]
+        to_prefix = {v: i for i, v in enumerate(x + y)}
+        host = [(u, v) for u in x for v in y]
+        for mask in range(1 << len(host)):
+            edges = [e for i, e in enumerate(host) if mask >> i & 1]
+            g = Graph.from_edges(n, edges, (x, y))
+            h = Graph.from_edges(n, [(to_prefix[u], to_prefix[v]) for (u, v) in edges],
+                                 (range(a), range(a, n)))
+            assert canonical_form(g) == canonical_form(h)
+
+
+def _image(mask, slots, perm):
+    """The edge mask of a relabeled graph, by a scan of the slot list."""
+    index = {e: i for i, e in enumerate(slots)}
+    out = 0
+    for i, (u, v) in enumerate(slots):
+        if mask >> i & 1:
+            out |= 1 << index[tuple(sorted((perm[u], perm[v])))]
+    return out
+
+
+def _bipartite_group(a, b):
+    """Class-preserving relabelings of K_{a,b} (and swaps when a == b),
+    built from itertools without the package's helper."""
+    perms = []
+    for px in itertools.permutations(range(a)):
+        for py in itertools.permutations(range(a, a + b)):
+            perms.append(px + py)
+            if a == b:
+                perms.append(tuple(p + a for p in px) + tuple(p - a for p in py))
+    return perms
+
+
+class TestIsomorphismClasses:
+    def test_class_counts(self):
+        # the number of graphs on n unlabelled vertices (OEIS A000088)
+        counts = [len(graph_isomorphism_classes(n)) for n in range(7)]
+        assert counts == [1, 1, 2, 4, 11, 34, 156]
+
+    @pytest.mark.parametrize("a", range(5))
+    def test_bipartite_counts_by_burnside(self, a):
+        for b in range(5):
+            slots = [(u, v) for u in range(a) for v in range(a, a + b)]
+            group = _bipartite_group(a, b)
+            fixed = 0
+            for perm in group:
+                # a relabeling fixes 2^(its cycles on the slots) edge sets
+                cycles, left = 0, set(slots)
+                while left:
+                    e = left.pop()
+                    cycles += 1
+                    f = tuple(sorted((perm[e[0]], perm[e[1]])))
+                    while f != e:
+                        left.discard(f)
+                        f = tuple(sorted((perm[f[0]], perm[f[1]])))
+                fixed += 1 << cycles
+            assert len(bipartite_subgraph_classes(a, b)) * len(group) == fixed
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_each_representative_is_least_in_its_orbit(self, n):
+        slots = complete_edge_list(n)
+        perms = list(itertools.permutations(range(n)))
+        covered = set()
+        for g in graph_isomorphism_classes(n):
+            rep = graph_to_mask(g)
+            orbit = {_image(rep, slots, p) for p in perms}
+            assert rep == min(orbit) and not orbit & covered
+            covered |= orbit
+        assert covered == set(range(1 << len(slots)))
+
+    def test_bipartite_representatives_are_least(self):
+        for a, b in [(2, 3), (3, 3)]:
+            host = Graph.complete_bipartite(a, b)
+            slots = host.sorted_edges()
+            for g in bipartite_subgraph_classes(a, b):
+                rep = sum(1 << slots.index(e) for e in g.edges)
+                assert rep == min(_image(rep, slots, p) for p in _bipartite_group(a, b))
+
+    def test_enumerator_on_a_sparse_iterable(self):
+        slots = complete_edge_list(5)
+        three = (m for m in range(1 << len(slots)) if m.bit_count() == 3)
+        reps = orbit_representatives(slots, relabelings(5, None), three)
+        full = [graph_to_mask(g) for g in graph_isomorphism_classes(5) if g.edge_count == 3]
+        assert reps == full and len(reps) == 4
+
+    def test_relabelings_by_classes(self):
+        # X = {1, 3} goes onto {0, 1} and Y = {0, 2} onto {2, 3}, or the reverse
+        maps = relabelings(4, ({1, 3}, {0, 2}))
+        assert len(maps) == 8 and len(set(maps)) == 8
+        for p in maps:
+            assert {p[1], p[3]} in ({0, 1}, {2, 3})
+        assert len(relabelings(5, ({0, 1}, {2, 3, 4}))) == 12
 
 
 class TestEdgeListFormat:

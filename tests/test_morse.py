@@ -348,7 +348,7 @@ class TestMatchingSerialization:
 
 class TestBigMaskFallback:
     def test_cluster_union_beyond_word_size(self):
-        # faces wider than 62 bits exercise the pure-python monotonicity path
+        # faces wider than 64 bits go through an object array of Python ints
         big = 1 << 80
         fam = [0, big, big | 1, 1]
         pairs, f0, f1 = boolean_matching(fam, 0)
@@ -364,3 +364,25 @@ class TestBigMaskFallback:
         with pytest.raises(MonotonicityError):
             cluster_union(fam, lambda m: 1 if m == 0 else 0, lambda a, b: a <= b,
                           {0: [], 1: []})
+
+    # every subset of bits 60..67, so the family straddles the 64-bit word;
+    # the key counts the bits at 64 and above
+    STRADDLE = [sum(1 << (60 + i) for i in range(8) if s >> i & 1) for s in range(256)]
+
+    def test_cluster_union_across_bit_64(self):
+        key = lambda m: (m >> 64).bit_count()
+        out = cluster_union(self.STRADDLE, key, lambda a, b: a <= b, {k: [] for k in range(5)})
+        assert out == []
+
+    def test_cluster_union_across_bit_64_violation(self):
+        # reversed key: the first face pair caught is 0 below 1 << 64
+        key = lambda m: -(m >> 64).bit_count()
+        with pytest.raises(MonotonicityError, match=f"0 subset of {1 << 64:x} "):
+            cluster_union(self.STRADDLE, key, lambda a, b: a <= b, {})
+
+    @pytest.mark.parametrize("top", [63, 64])
+    def test_violation_at_the_word_edge(self, top):
+        # bit 63 still fits uint64, bit 64 does not
+        fam = [1 << top, (1 << top) | 1]
+        with pytest.raises(MonotonicityError):
+            cluster_union(fam, lambda m: -m.bit_count(), lambda a, b: a <= b, {})
