@@ -594,16 +594,26 @@ def canonical_form(g: Graph):
             f"{n} vertices exceeds the canonical-form cap {DEFAULT_CANONICAL_VERTEX_CAP}"
         )
     sizes = None if g.bipartition is None else tuple(len(c) for c in g.bipartition)
-    # slot maps of the graph's own edges: edge i goes to slot pmap[i]
+    bit = {e: 1 << i for e, i in _both_ways(edge_slot_table(n)).items()}
     edges = g.sorted_edges()
-    maps = _slot_permutations(edges, edge_slot_table(n), relabelings(n, g.bipartition))
-    every_edge = (1 << len(edges)) - 1
-    return (n, sizes, min(_apply_slot_map(every_edge, pmap) for pmap in maps))
+    best = None
+    for p in relabelings(n, g.bipartition):
+        image = 0
+        for (u, v) in edges:
+            image |= bit[p[u], p[v]]
+        if best is None or image < best:
+            best = image
+    return (n, sizes, best)
+
+
+def _both_ways(index: dict) -> dict:
+    """The slot table with each edge also keyed as (v, u)."""
+    return {**index, **{(v, u): i for (u, v), i in index.items()}}
 
 
 def _slot_permutations(slots, index, perms) -> list[list[int]]:
     """Per relabeling, the slot in ``index`` that each of ``slots`` goes to."""
-    both = {**index, **{(v, u): i for (u, v), i in index.items()}}
+    both = _both_ways(index)
     return [[both[perm[u], perm[v]] for (u, v) in slots] for perm in perms]
 
 

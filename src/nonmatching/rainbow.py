@@ -46,7 +46,9 @@ class RainbowInstance:
             if not es:
                 raise ValueError(f"edge set {i} is empty")
             for e in es:
-                if normalize_edge(*e) not in self.host.edges:
+                if normalize_edge(*e) != e:
+                    raise ValueError(f"edge {e} of set {i} is not written as {normalize_edge(*e)}")
+                if e not in self.host.edges:
                     raise ValueError(f"edge {e} of set {i} is not a host edge")
         if self.k < 1:
             raise ValueError("k must be positive")
@@ -99,38 +101,54 @@ def certificate_is_valid(inst: RainbowInstance, cert: RainbowCertificate) -> boo
     return True
 
 
-def find_rainbow_matching(inst: RainbowInstance) -> RainbowCertificate | None:
-    """Exact search for a size-k rainbow matching.
+def _rainbow_search(set_masks, slot_vertices, k: int):
+    """Exact search for k disjoint slots taken from k distinct sets.
 
-    Backtracking over source sets in increasing size order; each set either
-    contributes one edge disjoint from the current partial matching or is
-    skipped.  The absence result is exact.
+    ``set_masks[i]`` is set i as a bitmask over the slots, and
+    ``slot_vertices[b]`` is the two-vertex bitmask of slot b.  Backtracking
+    over the sets in (size, index) order; each set is first skipped, then
+    contributes each of its slots, ascending, whose ends are still unused.
+    Returns (slot bit, set index) pairs, or None when no such choice exists;
+    the absence result is exact.
     """
-    order = sorted(range(inst.m), key=lambda i: (len(inst.edge_sets[i]), i))
-    sets = [sorted(inst.edge_sets[i]) for i in order]
-    k = inst.k
+    order = sorted(range(len(set_masks)), key=lambda i: (set_masks[i].bit_count(), i))
+    sets = [set_masks[i] for i in order]
 
-    def rec(pos: int, used: frozenset[int], acc: tuple):
+    def rec(pos: int, used: int, acc: tuple):
         if len(acc) == k:
             return acc
         if len(acc) + (len(sets) - pos) < k:
             return None
-        if pos == len(sets):
-            return None
         got = rec(pos + 1, used, acc)
         if got is not None:
             return got
-        for (u, v) in sets[pos]:
-            if u not in used and v not in used:
-                got = rec(pos + 1, used | {u, v}, acc + (((u, v), order[pos]),))
+        rest = sets[pos]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ends = slot_vertices[low.bit_length() - 1]
+            if not used & ends:
+                got = rec(pos + 1, used | ends, acc + ((low, order[pos]),))
                 if got is not None:
                     return got
         return None
 
-    res = rec(0, frozenset(), ())
-    if res is None:
+    return rec(0, 0, ())
+
+
+def find_rainbow_matching(inst: RainbowInstance) -> RainbowCertificate | None:
+    """Exact search for a size-k rainbow matching.
+
+    The sets become bitmasks over the host's sorted edges, so the search
+    tries each set's edges in sorted order.  The absence result is exact.
+    """
+    slots = inst.host.sorted_edges()
+    index = {e: i for i, e in enumerate(slots)}
+    set_masks = [sum(1 << index[e] for e in es) for es in inst.edge_sets]
+    pairs = _rainbow_search(set_masks, [1 << u | 1 << v for (u, v) in slots], inst.k)
+    if pairs is None:
         return None
-    cert = RainbowCertificate(tuple(res))
+    cert = RainbowCertificate(tuple((slots[bit.bit_length() - 1], i) for (bit, i) in pairs))
     if not certificate_is_valid(inst, cert):
         raise InternalCheckError("search returned an invalid rainbow certificate")
     return cert

@@ -9,6 +9,7 @@ tests call the same runners directly.
 from __future__ import annotations
 
 import functools
+import itertools
 import random as _random
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ from .complexes import (
     submasks,
     vertex_bits,
 )
+from .errors import InternalCheckError
 from .graphs import (
     Graph,
     bipartite_edge_list,
@@ -482,35 +484,73 @@ def run_rainbow13_host(params: dict) -> dict:
     return {"passed": not violations, "checked": checked, "violations": violations[:4]}
 
 
+def _pairwise_nu_at_least(nu, set_masks, k: int) -> bool:
+    """Every union of two of the sets has matching number at least k."""
+    return all(nu[a | b] >= k for a, b in itertools.combinations(set_masks, 2))
+
+
+def _is_rainbow(pairs, set_masks, slot_vertices, k: int) -> bool:
+    """The (slot bit, set index) pairs are k disjoint slots, each from its own
+    set, and no set is used twice."""
+    used = 0
+    for bit, i in pairs:
+        ends = slot_vertices[bit.bit_length() - 1]
+        if bit.bit_count() != 1 or not set_masks[i] & bit or used & ends:
+            return False
+        used |= ends
+    return len(pairs) == k and len({i for (_, i) in pairs}) == k
+
+
 def run_rainbow14_chunk(params: dict) -> dict:
+    """Seeded general k=2 instances, four sets on subgraphs of K4-K6: every
+    one that meets the hypotheses has a rainbow 2-matching.
+
+    Hosts and sets are edge masks over the sorted edges of K_n, with no Graph
+    or RainbowInstance per draw, and the draws are those of an instance-level
+    loop over edge tuples: the same RNG calls in the same order (the vertex
+    count, one random() per edge of K_n in sorted order, then per set a size
+    and a sample).  ``random.sample`` picks positions only, so sampling slot
+    bits picks the same edges as sampling edge tuples.  Two multisets of sets
+    are equal exactly when their sorted masks are, so the dedup key (n, host
+    mask, sorted set masks) drops the same repeats as a key of edge tuples.
+    """
     rng = _random.Random(params["seed"])
     quota = params["count"]
     valid = 0
     violations = 0
     attempts = 0
     seen: set = set()
+    hosts = {}  # n -> (nu table of K_n, two-vertex mask per slot)
     while valid < quota and attempts < quota * 400:
         attempts += 1
         n = rng.randint(4, 6)
-        all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        host_edges = [e for e in all_edges if rng.random() < 0.75]
-        if len(host_edges) < 2:
+        if n not in hosts:
+            host = edge_host(GroundSet(tuple(complete_edge_list(n))))
+            hosts[n] = (host.nu, [1 << u | 1 << v for (u, v) in host.edges])
+        nu, slot_vertices = hosts[n]
+        host_bits = [1 << i for i in range(len(slot_vertices)) if rng.random() < 0.75]
+        if len(host_bits) < 2:
             continue
-        host = Graph.from_edges(n, host_edges)
+        host_mask = sum(host_bits)
         sets = []
         for _ in range(4):
-            size = rng.randint(1, len(host_edges))
-            sets.append(frozenset(rng.sample(host_edges, size)))
-        key = (n, frozenset(host_edges), tuple(sorted(tuple(sorted(s)) for s in sets)))
+            size = rng.randint(1, len(host_bits))
+            sets.append(sum(rng.sample(host_bits, size)))
+        key = (n, host_mask, tuple(sorted(sets)))
         if key in seen:
             continue
         seen.add(key)
-        inst = rb.RainbowInstance(host, tuple(sets), 2)
-        if not rb.verify_hypotheses(inst):
+        for i, s in enumerate(sets):
+            if not s or s & ~host_mask:
+                raise ValueError(f"edge set {i} is empty or leaves the host")
+        if not _pairwise_nu_at_least(nu, sets, 2):
             continue
         valid += 1
-        if rb.find_rainbow_matching(inst) is None:
+        pairs = rb._rainbow_search(sets, slot_vertices, 2)
+        if pairs is None:
             violations += 1
+        elif not _is_rainbow(pairs, sets, slot_vertices, 2):
+            raise InternalCheckError("search returned an invalid rainbow matching")
     # attempts follows every hypothesis verdict, since valid stops at the quota
     return {"passed": violations == 0 and valid >= quota, "valid_instances": valid,
             "violations": violations, "attempts": attempts}

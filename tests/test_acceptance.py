@@ -7,7 +7,7 @@ also appear in the captured output on failure).
 
 import pytest
 
-from nonmatching import rainbow, sweeps
+from nonmatching import sweeps
 from nonmatching.cache import digest_of
 from nonmatching.complexes import EdgeHost, build_nm_complex
 from nonmatching.graphs import subdivided_complete_graph
@@ -148,17 +148,17 @@ class TestAcceptance:
         random chunk's result, not only its run time."""
         params = {"seed": 5, "count": 60}
         before = sweeps.run_rainbow14_chunk(params)
-        real = rainbow.verify_hypotheses
+        real = sweeps._pairwise_nu_at_least
         calls = []
 
-        def rejects_every_third(inst):
-            ok = real(inst)
+        def rejects_every_third(nu, set_masks, k):
+            ok = real(nu, set_masks, k)
             if ok:
-                calls.append(inst)
+                calls.append(set_masks)
                 ok = len(calls) % 3 != 0
             return ok
 
-        monkeypatch.setattr(rainbow, "verify_hypotheses", rejects_every_third)
+        monkeypatch.setattr(sweeps, "_pairwise_nu_at_least", rejects_every_third)
         after = sweeps.run_rainbow14_chunk(params)
         assert before["passed"] and after["passed"]
         assert after != before and after["attempts"] > before["attempts"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nonmatching.complexes import build_nm_complex
 import nonmatching.rainbow as rainbow_module
+from nonmatching import sweeps
 from nonmatching.errors import FormatError, HypothesisError, InternalCheckError
 from nonmatching.graphs import Graph
 from nonmatching.rainbow import (
@@ -32,6 +33,64 @@ from nonmatching.rainbow import (
     verify_theorem,
     verify_topological_helly_conclusion,
 )
+
+
+def edge_tuple_search(inst: RainbowInstance):
+    """Reference: the backtracking over edge tuples that the bitmask search
+    replaced, with the same set order (size, index) and sorted edges."""
+    order = sorted(range(inst.m), key=lambda i: (len(inst.edge_sets[i]), i))
+    sets = [sorted(inst.edge_sets[i]) for i in order]
+    k = inst.k
+
+    def rec(pos: int, used: frozenset, acc: tuple):
+        if len(acc) == k:
+            return acc
+        if len(acc) + (len(sets) - pos) < k:
+            return None
+        got = rec(pos + 1, used, acc)
+        if got is not None:
+            return got
+        for (u, v) in sets[pos]:
+            if u not in used and v not in used:
+                got = rec(pos + 1, used | {u, v}, acc + (((u, v), order[pos]),))
+                if got is not None:
+                    return got
+        return None
+
+    res = rec(0, frozenset(), ())
+    return None if res is None else RainbowCertificate(res)
+
+
+def chunk_by_instances(params: dict) -> dict:
+    """Reference for the general k=2 chunk: a Graph and a RainbowInstance per
+    draw, the hypotheses through verify_hypotheses and the verdict through
+    the brute-force oracle."""
+    rng = random.Random(params["seed"])
+    quota = params["count"]
+    valid = violations = attempts = 0
+    seen = set()
+    while valid < quota and attempts < quota * 400:
+        attempts += 1
+        n = rng.randint(4, 6)
+        all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        host_edges = [e for e in all_edges if rng.random() < 0.75]
+        if len(host_edges) < 2:
+            continue
+        sets = []
+        for _ in range(4):
+            size = rng.randint(1, len(host_edges))
+            sets.append(frozenset(rng.sample(host_edges, size)))
+        key = (n, frozenset(host_edges), tuple(sorted(tuple(sorted(s)) for s in sets)))
+        if key in seen:
+            continue
+        seen.add(key)
+        inst = RainbowInstance(Graph.from_edges(n, host_edges), tuple(sets), 2)
+        if not verify_hypotheses(inst):
+            continue
+        valid += 1
+        violations += not rainbow_brute_force(inst)
+    return {"passed": violations == 0 and valid >= quota, "valid_instances": valid,
+            "violations": violations, "attempts": attempts}
 
 
 def c4_host() -> Graph:
@@ -80,6 +139,54 @@ class TestFindRainbow:
         k = data.draw(st.integers(1, 3))
         inst = RainbowInstance(host, tuple(sets), k)
         assert (find_rainbow_matching(inst) is not None) == rainbow_brute_force(inst)
+
+    def test_same_certificates_as_edge_tuple_search(self):
+        # seeded general and bipartite hosts on 4..6 vertices, k = 1..3 and
+        # 1..5 sets of at most 6 edges each
+        rng = random.Random(11)
+        found = 0
+        for trial in range(600):
+            n = rng.randint(4, 6)
+            if trial % 2:
+                a = rng.randint(1, n - 1)
+                pool = Graph.complete_bipartite(a, n - a).sorted_edges()
+                classes = (range(a), range(a, n))
+            else:
+                pool = Graph.complete(n).sorted_edges()
+                classes = None
+            host_edges = rng.sample(pool, rng.randint(1, len(pool)))
+            host = Graph.from_edges(n, host_edges, classes)
+            sets = [rng.sample(host_edges, rng.randint(1, min(6, len(host_edges))))
+                    for _ in range(rng.randint(1, 5))]
+            inst = RainbowInstance.make(host, sets, rng.randint(1, 3))
+            cert = find_rainbow_matching(inst)
+            assert cert == edge_tuple_search(inst), inst
+            assert (cert is not None) == rainbow_brute_force(inst), inst
+            found += cert is not None
+        assert 0 < found < 600
+
+    def test_reversed_edge_rejected(self):
+        with pytest.raises(ValueError, match="not written as"):
+            RainbowInstance(Graph.complete(4), (frozenset({(3, 1)}),), 1)
+        inst = RainbowInstance.make(Graph.complete(4), [[(3, 1)]], 1)
+        assert find_rainbow_matching(inst) == RainbowCertificate((((1, 3), 0),))
+
+
+class TestGeneralChunk:
+    # the full-size chunk at seed 2 draws repeats, one of them with its sets
+    # in another order, so it checks the dedup key; the small ones draw none
+    @pytest.mark.parametrize("seed, count", [(0, 80), (3, 80), (21, 80), (77, 80), (7919, 80),
+                                             (2, 1050)])
+    def test_matches_instance_level_loop(self, seed, count):
+        params = {"seed": seed, "count": count}
+        assert sweeps.run_rainbow14_chunk(params) == chunk_by_instances(params)
+
+    def test_invalid_matching_raises(self, monkeypatch):
+        # the search hands back two edges of one set
+        monkeypatch.setattr(rainbow_module, "_rainbow_search",
+                            lambda sets, ends, k: ((sets[0] & -sets[0], 0),) * k)
+        with pytest.raises(InternalCheckError):
+            sweeps.run_rainbow14_chunk({"seed": 0, "count": 5})
 
 
 class TestHypothesesAndTheorem:
