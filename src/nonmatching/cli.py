@@ -137,7 +137,7 @@ def cmd_rainbow(args) -> int:
             return EXIT_FAIL
         return EXIT_PASS
     # tightness search
-    inst = search_tightness(args.k, not args.general, args.m, seed=args.seed)
+    inst = search_tightness(args.k, not args.general, args.m)
     if inst is None:
         print(json.dumps({"witness": None, "k": args.k, "m": args.m}, sort_keys=True))
         return EXIT_FAIL
@@ -292,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--general", action="store_true", help="search general hosts")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_rainbow)
 
     p = sub.add_parser("sweep", parents=[common], help="run a registered verification suite")

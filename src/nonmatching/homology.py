@@ -342,17 +342,10 @@ def reduced_betti(
     {empty}) up to the complex dimension.  Boundary maps are reduced from
     the top dimension down, and a d-face that is a pivot row of bd_{d+1} is
     skipped as a column of bd_d (clearing).
-    The alternating sum is checked against the reduced Euler characteristic.
     """
     if cx.is_void():
         return BettiTable(field, {})
-    by_size = _faces_by_size(cx)
-    betti = _betti_of_sizes(by_size, field, -1, cap)
-    euler_faces = sum((-1) ** (size - 1) * len(faces) for size, faces in enumerate(by_size))
-    euler_betti = sum((-1) ** d * b for d, b in betti.items())
-    if euler_faces != euler_betti:  # pragma: no cover - rank bug guard
-        raise InternalCheckError("Euler characteristic mismatch")
-    return BettiTable(field, betti)
+    return BettiTable(field, _betti_of_sizes(_faces_by_size(cx), field, -1, cap))
 
 
 def vanishing_from(

@@ -3,7 +3,10 @@
 A rainbow matching for edge sets E_1..E_m is a matching in their union using
 each chosen edge from a distinct set.  The guarantees verified here: with
 pairwise-union matching number at least k, 2k-1 sets suffice on a bipartite
-host and 3k-2 sets on a general host; 2k-2 bipartite sets do not.  The
+host and 3k-2 sets on a general host; 2k-2 bipartite sets and 3k-3 general
+sets do not.  At k=2 one exhaustive scan, :func:`k2_counterexamples`, lists
+every counterexample on a host: the sweeps run it on each K3,3 host class
+and on all of K6, and it gives the k=2 tightness witnesses.  The
 labelled complex and the partition matroid connect these statements to the
 vanishing results, and an exhaustive desk-scale check confirms the
 topological Helly-type conclusion on concrete instances.
@@ -13,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import json
-import random as _random
 from dataclasses import dataclass
 
-from .complexes import GroundSet, SimplicialComplex
+from .complexes import GroundSet, SimplicialComplex, edge_host
 from .errors import CapExceededError, FormatError, HypothesisError, InternalCheckError
 from .graphs import (
     DEFAULT_SUBSET_CAP,
@@ -237,59 +239,88 @@ def verify_theorem(inst: RainbowInstance) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Tightness search
+# The exhaustive k=2 scan and the tightness search
 # ---------------------------------------------------------------------------
 
 
-def search_tightness(
-    k: int,
-    bipartite: bool = True,
-    m: int | None = None,
-    seed: int = 0,
-    attempts: int = 20000,
-) -> RainbowInstance | None:
-    """Search for hypothesis-satisfying instances with no rainbow matching.
+def k2_counterexamples(slots, host_mask: int, m: int, lo: int = 1, hi: int | None = None):
+    """Every multiset of m edge sets on a host with pairwise-union matching
+    number at least 2 and no rainbow 2-matching.
 
-    With one set fewer than the guarantee needs, witnesses exist on the
-    bipartite side; the searcher scans the even cycle with 2k vertices,
-    exhaustively over all subset tuples for k=2 and over the alternating
-    perfect-matching families for larger k, then falls back to seeded random
-    search.  Returns a verified witness or None.
+    Edge sets are non-empty submasks of ``host_mask`` over ``slots`` (edges),
+    listed as ascending tuples E1 <= ... <= Em of ints with E1 in [lo, hi).
+    A rainbow 2-matching is two disjoint edges from two distinct sets, so each
+    E_(i+1) is drawn from the edges meeting every edge of E1..Ei, and it is
+    kept only when nu(E_j | E_(i+1)) >= 2 for every j <= i.  Both conditions
+    pass to every sub-tuple, so the pruning loses no counterexample.
+    Returns (checked, counterexamples): the number of kept prefixes, full
+    tuples included, and the full tuples in ascending order.
+    """
+    if m < 1:
+        raise ValueError("m must be positive")
+    slots = tuple(slots)
+    if host_mask < 0 or host_mask >> len(slots):
+        raise ValueError("host mask has bits outside the slots")
+    nu = edge_host(GroundSet(slots)).nu
+    ends = [1 << u | 1 << v for (u, v) in slots]
+    disjoint = [sum(1 << j for j, f in enumerate(ends) if not e & f) for e in ends]
+    found = []
+    checked = 0
+
+    def extend(prefix: tuple, allowed: int, floor: int, ceiling: int):
+        nonlocal checked
+        s = floor
+        if s & ~allowed:  # step up to the least submask of allowed above floor
+            s |= (1 << (s & ~allowed).bit_length()) - 1
+            s = ((s | ~allowed) + 1) & allowed
+        while s and s < ceiling:
+            if all(nu[p | s] >= 2 for p in prefix):
+                checked += 1
+                if len(prefix) + 1 == m:
+                    found.append(prefix + (s,))
+                else:
+                    rest, reach = s, 0
+                    while rest:
+                        low = rest & -rest
+                        rest ^= low
+                        reach |= disjoint[low.bit_length() - 1]
+                    extend(prefix + (s,), allowed & ~reach, s, allowed + 1)
+            s = ((s | ~allowed) + 1) & allowed  # the next submask, ascending
+
+    extend((), host_mask, max(lo, 1), host_mask + 1 if hi is None else hi)
+    return checked, found
+
+
+def search_tightness(k: int, bipartite: bool = True, m: int | None = None) -> RainbowInstance | None:
+    """A hypothesis-satisfying instance with no rainbow matching, or None.
+
+    ``m`` defaults to one set fewer than the guarantee needs.  At k=2 the
+    witness is the first counterexample of :func:`k2_counterexamples` on the
+    even cycle with 4 vertices (bipartite) or on K4 (general), and None means
+    that host has none.  For larger k on bipartite hosts the search runs
+    over tuples of subsets of the two alternating perfect matchings of the
+    even cycle with 2k vertices.  For larger k on general hosts nothing is
+    searched and the result is None.
     """
     if m is None:
         m = required_set_count(k, bipartite) - 1
     if m <= 0:
         return None
-    if bipartite:
-        host, pm1, pm2 = _even_cycle_host(k)
-        edges = sorted(host.edges)
-        if k == 2:
-            candidates = [frozenset(c) for r in range(1, len(edges) + 1)
-                          for c in itertools.combinations(edges, r)]
-        else:
-            candidates = []
-            for base in (pm1, pm2):
-                for r in range(1, len(base) + 1):
-                    candidates.extend(frozenset(c) for c in itertools.combinations(sorted(base), r))
-        for combo in itertools.product(candidates, repeat=m):
-            inst = RainbowInstance(host, tuple(combo), k)
-            if verify_hypotheses(inst) and find_rainbow_matching(inst) is None:
-                return inst
+    if k == 2:
+        host = _even_cycle_host(2)[0] if bipartite else Graph.complete(4)
+        slots = host.sorted_edges()
+        _, found = k2_counterexamples(slots, (1 << len(slots)) - 1, m)
+        if not found:
+            return None
+        sets = (frozenset(e for b, e in enumerate(slots) if mask >> b & 1) for mask in found[0])
+        return RainbowInstance(host, tuple(sets), k)
+    if not bipartite:
         return None
-    # general hosts: seeded random search (no witness is promised here)
-    rng = _random.Random(seed)
-    n = 2 * k
-    all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for _ in range(attempts):
-        host_edges = [e for e in all_edges if rng.random() < 0.7]
-        if not host_edges:
-            continue
-        host = Graph.from_edges(n, host_edges)
-        sets = []
-        for _ in range(m):
-            size = rng.randint(1, len(host_edges))
-            sets.append(frozenset(rng.sample(host_edges, size)))
-        inst = RainbowInstance(host, tuple(sets), k)
+    host, pm1, pm2 = _even_cycle_host(k)
+    candidates = [frozenset(c) for base in (pm1, pm2)
+                  for r in range(1, len(base) + 1) for c in itertools.combinations(sorted(base), r)]
+    for combo in itertools.product(candidates, repeat=m):
+        inst = RainbowInstance(host, tuple(combo), k)
         if verify_hypotheses(inst) and find_rainbow_matching(inst) is None:
             return inst
     return None

@@ -9,7 +9,6 @@ tests call the same runners directly.
 from __future__ import annotations
 
 import functools
-import itertools
 import random as _random
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ from .complexes import (
     submasks,
     vertex_bits,
 )
-from .errors import InternalCheckError
 from .graphs import (
     Graph,
     bipartite_edge_list,
@@ -39,7 +37,6 @@ from .graphs import (
     orbit_representatives,
     relabelings,
     subdivided_complete_graph,
-    subset_matching_numbers,
 )
 from .homology import GF2, GFP, LARGE_PRIME, check_near_leray, parse_field, reduced_betti, vanishing_from
 from .morse import JoinPart, boolean_matching, check_matching, join_matching, morse_inequality_details, projection_matching
@@ -423,137 +420,21 @@ def ge_violation(n: int, mask: int, comps, a_set, c_set) -> str | None:
 
 
 def run_rainbow13_host(params: dict) -> dict:
-    """Exhaustive triple scan over one bipartite host: zero violations.
-
-    Triples with a disjoint pair of edges from two distinct sets have a
-    rainbow matching outright, so the scan enumerates only triples whose
-    cross pairs all intersect, then tests the hypotheses.  Any survivor
-    would be a counterexample.
-    """
-    a, b = params["a"], params["b"]
-    host_mask = params["mask"]
-    host = Graph.complete_bipartite(a, b)
-    all_edges = host.sorted_edges()
-    edges = [all_edges[i] for i in range(len(all_edges)) if host_mask >> i & 1]
-    m = len(edges)
-    if m == 0:
-        return {"passed": True, "checked": 0}
-    nu = subset_matching_numbers(edges)
-    disj = []
-    for i, (u1, v1) in enumerate(edges):
-        d = 0
-        for j, (u2, v2) in enumerate(edges):
-            if not {u1, v1} & {u2, v2}:
-                d |= 1 << j
-        disj.append(d)
-    full = (1 << m) - 1
-
-    def reach(mask):
-        r = 0
-        mm = mask
-        while mm:
-            bidx = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            r |= disj[bidx]
-        return r
-
-    violations = []
-    checked = 0
-    for m1 in range(1, full + 1):
-        comp1 = full & ~reach(m1)
-        m2 = comp1
-        while True:  # submask enumeration, descending
-            if m2 and m2 >= m1:
-                comp2 = comp1 & ~reach(m2)
-                m3 = comp2
-                while True:
-                    if m3 and m3 >= m2:
-                        checked += 1
-                        if (
-                            int(nu[m1 | m2]) >= 2
-                            and int(nu[m1 | m3]) >= 2
-                            and int(nu[m2 | m3]) >= 2
-                        ):
-                            violations.append((m1, m2, m3))
-                    if m3 == 0:
-                        break
-                    m3 = (m3 - 1) & comp2
-            if m2 == 0:
-                break
-            m2 = (m2 - 1) & comp1
-    return {"passed": not violations, "checked": checked, "violations": violations[:4]}
-
-
-def _pairwise_nu_at_least(nu, set_masks, k: int) -> bool:
-    """Every union of two of the sets has matching number at least k."""
-    return all(nu[a | b] >= k for a, b in itertools.combinations(set_masks, 2))
-
-
-def _is_rainbow(pairs, set_masks, slot_vertices, k: int) -> bool:
-    """The (slot bit, set index) pairs are k disjoint slots, each from its own
-    set, and no set is used twice."""
-    used = 0
-    for bit, i in pairs:
-        ends = slot_vertices[bit.bit_length() - 1]
-        if bit.bit_count() != 1 or not set_masks[i] & bit or used & ends:
-            return False
-        used |= ends
-    return len(pairs) == k and len({i for (_, i) in pairs}) == k
+    """Every triple of edge sets of one bipartite host that meets the k=2
+    hypotheses has a rainbow matching: the scan finds no counterexample."""
+    slots = Graph.complete_bipartite(params["a"], params["b"]).sorted_edges()
+    checked, found = rb.k2_counterexamples(slots, params["mask"], 3)
+    return {"passed": not found, "checked": checked, "violations": found[:4]}
 
 
 def run_rainbow14_chunk(params: dict) -> dict:
-    """Seeded general k=2 instances, four sets on subgraphs of K4-K6: every
-    one that meets the hypotheses has a rainbow 2-matching.
-
-    Hosts and sets are edge masks over the sorted edges of K_n, with no Graph
-    or RainbowInstance per draw, and the draws are those of an instance-level
-    loop over edge tuples: the same RNG calls in the same order (the vertex
-    count, one random() per edge of K_n in sorted order, then per set a size
-    and a sample).  ``random.sample`` picks positions only, so sampling slot
-    bits picks the same edges as sampling edge tuples.  Two multisets of sets
-    are equal exactly when their sorted masks are, so the dedup key (n, host
-    mask, sorted set masks) drops the same repeats as a key of edge tuples.
-    """
-    rng = _random.Random(params["seed"])
-    quota = params["count"]
-    valid = 0
-    violations = 0
-    attempts = 0
-    seen: set = set()
-    hosts = {}  # n -> (nu table of K_n, two-vertex mask per slot)
-    while valid < quota and attempts < quota * 400:
-        attempts += 1
-        n = rng.randint(4, 6)
-        if n not in hosts:
-            host = edge_host(GroundSet(tuple(complete_edge_list(n))))
-            hosts[n] = (host.nu, [1 << u | 1 << v for (u, v) in host.edges])
-        nu, slot_vertices = hosts[n]
-        host_bits = [1 << i for i in range(len(slot_vertices)) if rng.random() < 0.75]
-        if len(host_bits) < 2:
-            continue
-        host_mask = sum(host_bits)
-        sets = []
-        for _ in range(4):
-            size = rng.randint(1, len(host_bits))
-            sets.append(sum(rng.sample(host_bits, size)))
-        key = (n, host_mask, tuple(sorted(sets)))
-        if key in seen:
-            continue
-        seen.add(key)
-        for i, s in enumerate(sets):
-            if not s or s & ~host_mask:
-                raise ValueError(f"edge set {i} is empty or leaves the host")
-        if not _pairwise_nu_at_least(nu, sets, 2):
-            continue
-        valid += 1
-        pairs = rb._rainbow_search(sets, slot_vertices, 2)
-        if pairs is None:
-            violations += 1
-        elif not _is_rainbow(pairs, sets, slot_vertices, 2):
-            raise InternalCheckError("search returned an invalid rainbow matching")
-    # attempts follows every hypothesis verdict, since valid stops at the quota
-    return {"passed": violations == 0 and valid >= quota, "valid_instances": valid,
-            "violations": violations, "attempts": attempts}
+    """Every four edge sets of K_n, the first in [lo, hi), that meet the k=2
+    hypotheses have a rainbow matching: the scan finds no counterexample.
+    Sets range over all edges of K_n, so this covers every graph on at most
+    n vertices."""
+    slots = complete_edge_list(params["n"])
+    checked, found = rb.k2_counterexamples(slots, (1 << len(slots)) - 1, 4, params["lo"], params["hi"])
+    return {"passed": not found, "checked": checked, "violations": found[:4]}
 
 
 def run_tightness(params: dict) -> dict:
@@ -862,13 +743,12 @@ def _suite_rainbow(seed: int) -> list[CaseSpec]:
         CaseSpec(f"bip-triples-host-{mask}", "rainbow13_host", {"a": 3, "b": 3, "mask": mask})
         for mask in masks
     ]
+    total = 1 << 15  # edge masks of K6
+    step = -(-total // 10)
     for i in range(10):
+        lo = 1 + i * step
         cases.append(
-            CaseSpec(
-                f"general-k2-chunk-{i}",
-                "rainbow14_chunk",
-                {"seed": seed * 7919 + i, "count": 1050},
-            )
+            CaseSpec(f"general-k2-chunk-{i}", "rainbow14_chunk", {"n": 6, "lo": lo, "hi": min(lo + step, total)})
         )
     cases.append(CaseSpec("tight-k2-m2", "tightness", {"k": 2, "m": 2}))
     cases.append(CaseSpec("tight-k3-m4", "tightness", {"k": 3, "m": 4}))

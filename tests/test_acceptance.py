@@ -16,7 +16,8 @@ from nonmatching.homology import GF2, GFP, LARGE_PRIME, reduced_betti
 
 # Result digests by (suite, seed), as printed by `nonmatching sweep <suite>
 # --seed <seed> --no-cache`; a change to any case result of a suite changes
-# its digest.  Seed 21 is pinned for the suites whose cases depend on the seed.
+# its digest.  Seed 21 is pinned for the suites whose cases depend on the seed,
+# and for rainbow, whose exhaustive cases do not: both its pins are equal.
 PINNED_DIGESTS = {
     ("figure1", 0): "ea35d24117d7fc376cdc5a444e03335bbf648d17aac92bafb3fb34d7a4ae4dbb",
     ("vanishing-k2", 0): "b367477cca3765205b5fdd9899390f9c3f28e9eeb273be27f6d08110c853c28b",
@@ -27,8 +28,8 @@ PINNED_DIGESTS = {
     ("morse-bounds", 0): "20cc6cca62b2e163347443b7fb216b0491ccceafece0630c3f3bbe35fe82e1c2",
     ("morse-bounds", 21): "945decebe870c924791ca614c81f2199fd5e6b08192ca67d1457a92dffa59cdf",
     ("gallai-edmonds", 0): "d277961598ee319fe85ae48fa6c5af9f7695395a3590fa4f04dcc3f656de9e9f",
-    ("rainbow", 0): "ed38d3c80bec1e3ad0c307a9f772d9dfccca3e6959330e00c9604bb325ec0960",
-    ("rainbow", 21): "1c58399505ab772b107bd6c6128496bea43e0584bc803dda16bcef2425f715f7",
+    ("rainbow", 0): "34c67b09def3de913080d3053ee1c2ff5820c3531837e9652706316b5fb99d75",
+    ("rainbow", 21): "34c67b09def3de913080d3053ee1c2ff5820c3531837e9652706316b5fb99d75",
     ("combinator-laws", 0): "e30990b372e90206b81d009f052c28379aea8f3127a6a2dbf36873cd1004c089",
 }
 
@@ -132,36 +133,18 @@ class TestAcceptance:
             assert reason == sweeps.ge_violation(5, mask, comps, a, c)
 
     def test_criterion_8_rainbow(self):
-        """Bipartite guarantee exhaustive at k=2; >= 10^4 seeded general
-        instances; tightness witnesses at (2,2) and (3,4)."""
+        """No k=2 counterexample: three sets on every K3,3 host class, and
+        four sets on every graph with at most 6 vertices (the general chunks
+        scan all of K6); tightness witnesses at (2,2) and (3,4)."""
         results, failures = run_suite("rainbow")
-        valid = sum(r.details.get("valid_instances", 0) for r in results)
+        found = sum(len(r.details.get("violations", ())) for r in results)
+        general = sum(r.details["checked"] for r in results if r.case_id.startswith("general"))
         witnesses = [r for r in results if r.case_id.startswith("tight")]
         report(
             "8 rainbow",
-            not failures and valid >= 10_000 and len(witnesses) == 2,
-            f"{valid} random instances, {len(witnesses)} witnesses",
+            not failures and found == 0 and general == 41_812 and len(witnesses) == 2,
+            f"{found} counterexamples, {general} general prefixes, {len(witnesses)} witnesses",
         )
-
-    def test_criterion_8_follows_the_hypothesis_verdicts(self, monkeypatch):
-        """A hypothesis check that rejects some valid instances changes a
-        random chunk's result, not only its run time."""
-        params = {"seed": 5, "count": 60}
-        before = sweeps.run_rainbow14_chunk(params)
-        real = sweeps._pairwise_nu_at_least
-        calls = []
-
-        def rejects_every_third(nu, set_masks, k):
-            ok = real(nu, set_masks, k)
-            if ok:
-                calls.append(set_masks)
-                ok = len(calls) % 3 != 0
-            return ok
-
-        monkeypatch.setattr(sweeps, "_pairwise_nu_at_least", rejects_every_third)
-        after = sweeps.run_rainbow14_chunk(params)
-        assert before["passed"] and after["passed"]
-        assert after != before and after["attempts"] > before["attempts"]
 
     def test_criterion_9_combinator_laws(self):
         """Join criticals equal the join of criticals; projection criticals
@@ -181,6 +164,7 @@ class TestAcceptance:
 
     @pytest.mark.parametrize("name", ["vanishing-k2", "morse-bounds", "rainbow"])
     def test_seed_dependent_suites_at_seed_21(self, name):
-        """The suites whose sampled cases follow the seed, at a second seed."""
+        """The suites whose sampled cases follow the seed, at a second seed,
+        and rainbow, which must give its seed-0 digest there."""
         results, failures = run_suite(name, 21)
         report(f"{name} seed 21", not failures, f"{len(results)} cases")

@@ -21,6 +21,7 @@ from nonmatching.rainbow import (
     format_instance,
     free_matroid_oracle,
     graphic_matroid_oracle,
+    k2_counterexamples,
     labelled_nm_complex,
     matroid_rainbow_check,
     parse_instance,
@@ -59,38 +60,6 @@ def edge_tuple_search(inst: RainbowInstance):
 
     res = rec(0, frozenset(), ())
     return None if res is None else RainbowCertificate(res)
-
-
-def chunk_by_instances(params: dict) -> dict:
-    """Reference for the general k=2 chunk: a Graph and a RainbowInstance per
-    draw, the hypotheses through verify_hypotheses and the verdict through
-    the brute-force oracle."""
-    rng = random.Random(params["seed"])
-    quota = params["count"]
-    valid = violations = attempts = 0
-    seen = set()
-    while valid < quota and attempts < quota * 400:
-        attempts += 1
-        n = rng.randint(4, 6)
-        all_edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        host_edges = [e for e in all_edges if rng.random() < 0.75]
-        if len(host_edges) < 2:
-            continue
-        sets = []
-        for _ in range(4):
-            size = rng.randint(1, len(host_edges))
-            sets.append(frozenset(rng.sample(host_edges, size)))
-        key = (n, frozenset(host_edges), tuple(sorted(tuple(sorted(s)) for s in sets)))
-        if key in seen:
-            continue
-        seen.add(key)
-        inst = RainbowInstance(Graph.from_edges(n, host_edges), tuple(sets), 2)
-        if not verify_hypotheses(inst):
-            continue
-        valid += 1
-        violations += not rainbow_brute_force(inst)
-    return {"passed": violations == 0 and valid >= quota, "valid_instances": valid,
-            "violations": violations, "attempts": attempts}
 
 
 def c4_host() -> Graph:
@@ -172,21 +141,52 @@ class TestFindRainbow:
         assert find_rainbow_matching(inst) == RainbowCertificate((((1, 3), 0),))
 
 
-class TestGeneralChunk:
-    # the full-size chunk at seed 2 draws repeats, one of them with its sets
-    # in another order, so it checks the dedup key; the small ones draw none
-    @pytest.mark.parametrize("seed, count", [(0, 80), (3, 80), (21, 80), (77, 80), (7919, 80),
-                                             (2, 1050)])
-    def test_matches_instance_level_loop(self, seed, count):
-        params = {"seed": seed, "count": count}
-        assert sweeps.run_rainbow14_chunk(params) == chunk_by_instances(params)
+def oracle_counterexamples(host: Graph, m: int) -> list[tuple[int, ...]]:
+    """Every multiset of m non-empty edge sets of the host, as ascending
+    tuples of masks over its sorted edges, that meets the k=2 hypotheses and
+    has no rainbow 2-matching, by verify_hypotheses and the brute force."""
+    slots = host.sorted_edges()
+    out = []
+    for masks in itertools.combinations_with_replacement(range(1, 1 << len(slots)), m):
+        sets = [[e for b, e in enumerate(slots) if mask >> b & 1] for mask in masks]
+        inst = RainbowInstance.make(host, sets, 2)
+        if verify_hypotheses(inst) and not rainbow_brute_force(inst):
+            out.append(masks)
+    return out
 
-    def test_invalid_matching_raises(self, monkeypatch):
-        # the search hands back two edges of one set
-        monkeypatch.setattr(rainbow_module, "_rainbow_search",
-                            lambda sets, ends, k: ((sets[0] & -sets[0], 0),) * k)
-        with pytest.raises(InternalCheckError):
-            sweeps.run_rainbow14_chunk({"seed": 0, "count": 5})
+
+class TestK2Scan:
+    @pytest.mark.parametrize("host, m, count", [
+        (Graph.complete(4), 3, 25),
+        (Graph.complete_bipartite(2, 3), 2, 39),
+        (Graph.complete_bipartite(2, 3), 3, 0),
+    ], ids=["K4-3", "K2,3-2", "K2,3-3"])
+    def test_matches_brute_force(self, host, m, count):
+        slots = host.sorted_edges()
+        _, found = k2_counterexamples(slots, (1 << len(slots)) - 1, m)
+        assert found == oracle_counterexamples(host, m)
+        assert len(found) == count
+
+    @pytest.mark.parametrize("n, count", [(5, 125), (6, 375)])
+    def test_three_sets_on_complete_hosts(self, n, count):
+        slots = Graph.complete(n).sorted_edges()
+        assert len(k2_counterexamples(slots, (1 << len(slots)) - 1, 3)[1]) == count
+
+    def test_rejects_bad_arguments(self):
+        slots = Graph.complete(4).sorted_edges()
+        with pytest.raises(ValueError, match="m must be positive"):
+            k2_counterexamples(slots, 63, 0)
+        with pytest.raises(ValueError, match="outside the slots"):
+            k2_counterexamples(slots, 64, 2)
+        with pytest.raises(ValueError, match="outside the slots"):
+            k2_counterexamples(slots, -1, 2)
+
+    def test_general_chunks_partition_the_masks_of_k6(self):
+        chunks = [spec.params for spec in sweeps.expand_suite("rainbow")
+                  if spec.runner == "rainbow14_chunk"]
+        assert len(chunks) == 10 and all(c["n"] == 6 for c in chunks)
+        covered = [x for c in chunks for x in range(c["lo"], c["hi"])]
+        assert covered == list(range(1, 1 << 15))
 
 
 class TestHypothesesAndTheorem:
@@ -261,6 +261,16 @@ class TestTightness:
 
     def test_k1_m0_vacuous(self):
         assert search_tightness(1, True, 0) is None
+
+    def test_k2_general_witness(self):
+        inst = search_tightness(2, False)
+        assert inst == search_tightness(2, False)
+        assert [sorted(es) for es in inst.edge_sets] == [[(0, 1)], [(0, 3), (1, 2)], [(0, 2), (1, 3)]]
+        assert verify_hypotheses(inst)
+        assert not rainbow_brute_force(inst)
+
+    def test_general_above_k2_not_searched(self):
+        assert search_tightness(3, False) is None
 
 
 class TestLabelledComplex:
