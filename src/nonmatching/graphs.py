@@ -24,16 +24,21 @@ decomposition has the structural properties is checked at mask level, by
 :func:`nonmatching.sweeps.ge_violation`.
 
 Symmetry has one path.  :func:`relabelings` lists the vertex relabelings
-(all of them, or those keeping or swapping two classes), a relabeling acts
-on edge masks through its slot map, and :func:`orbit_representatives` keeps
-the first mask of each orbit met in any iterable of masks.
-:func:`canonical_form`, :func:`graph_isomorphism_classes`,
+(all of them, or those keeping or swapping two classes).  Their action on
+edge masks is one table per (slots, relabelings): row p, column i holds
+``1 << j`` for the slot j that relabeling p sends slot i to, so the images
+of a mask under the whole group are one OR-reduction of the columns of its
+set bits, with no loop over relabelings in Python.
+:func:`orbit_representatives` keeps the first mask of each orbit met in any
+iterable of masks, and :func:`canonical_form` takes the least image, from a
+table memoised per (n, classes).  :func:`graph_isomorphism_classes`,
 :func:`bipartite_subgraph_classes` and the rainbow instance key build on
 these.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -580,6 +585,44 @@ def relabelings(n: int, classes) -> list[tuple[int, ...]]:
     return out
 
 
+def _slot_images(slots, perms) -> np.ndarray:
+    """The relabelings' action on edge masks over ``slots``, as one table.
+
+    Row p, column i holds ``1 << j`` for the slot j that relabeling
+    ``perms[p]`` sends slot i to, so the images of a mask under every
+    relabeling are the OR of the columns of its set bits.  The table is
+    ``uint64`` when there are at most 64 slots and ``object`` (Python ints)
+    otherwise; the shift that fills it is the same expression on both.
+    """
+    labels = np.array(perms, dtype=np.intp).reshape(len(perms), -1)
+    n = labels.shape[1]
+    index = np.full((n, n), -1, dtype=np.int64)
+    for i, (u, v) in enumerate(slots):
+        index[u, v] = index[v, u] = i
+    ends = np.array(slots, dtype=np.intp).reshape(len(slots), 2)
+    images = index[labels[:, ends[:, 0]], labels[:, ends[:, 1]]]
+    if (images < 0).any():
+        raise ValueError("a relabeling sends a slot edge outside the slots")
+    dtype = np.uint64 if len(slots) <= 64 else object
+    return np.left_shift(np.ones_like(images, dtype=dtype), images.astype(dtype))
+
+
+def _orbit(table: np.ndarray, mask: int) -> np.ndarray:
+    """The images of ``mask`` under every row of a :func:`_slot_images` table."""
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    return np.bitwise_or.reduce(table[:, bits], axis=1)
+
+
+@functools.lru_cache(maxsize=16)
+def _canonical_table(n: int, classes) -> np.ndarray:
+    """The :func:`_slot_images` table of K_n's slots under the relabelings of
+    ``classes``, built once per (n, classes) and read-only, since every
+    caller shares it."""
+    table = _slot_images(complete_edge_list(n), relabelings(n, classes))
+    table.flags.writeable = False
+    return table
+
+
 def canonical_form(g: Graph):
     """Minimum edge-bitmask over all vertex relabelings.
 
@@ -594,36 +637,8 @@ def canonical_form(g: Graph):
             f"{n} vertices exceeds the canonical-form cap {DEFAULT_CANONICAL_VERTEX_CAP}"
         )
     sizes = None if g.bipartition is None else tuple(len(c) for c in g.bipartition)
-    bit = {e: 1 << i for e, i in _both_ways(edge_slot_table(n)).items()}
-    edges = g.sorted_edges()
-    best = None
-    for p in relabelings(n, g.bipartition):
-        image = 0
-        for (u, v) in edges:
-            image |= bit[p[u], p[v]]
-        if best is None or image < best:
-            best = image
-    return (n, sizes, best)
-
-
-def _both_ways(index: dict) -> dict:
-    """The slot table with each edge also keyed as (v, u)."""
-    return {**index, **{(v, u): i for (u, v), i in index.items()}}
-
-
-def _slot_permutations(slots, index, perms) -> list[list[int]]:
-    """Per relabeling, the slot in ``index`` that each of ``slots`` goes to."""
-    both = _both_ways(index)
-    return [[both[perm[u], perm[v]] for (u, v) in slots] for perm in perms]
-
-
-def _apply_slot_map(mask: int, pmap) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << pmap[low.bit_length() - 1]
-    return out
+    images = _orbit(_canonical_table(n, g.bipartition), graph_to_mask(g))
+    return (n, sizes, int(images.min()))
 
 
 def orbit_representatives(slots, perms, masks) -> list[int]:
@@ -634,22 +649,31 @@ def orbit_representatives(slots, perms, masks) -> list[int]:
     mask under them are its whole orbit.  ``masks`` may be any iterable; the
     masks seen so far are kept in a set.
     """
-    maps = _slot_permutations(slots, {e: i for i, e in enumerate(slots)}, perms)
+    table = _slot_images(slots, perms)
     seen: set[int] = set()
     reps = []
     for mask in masks:
         if mask not in seen:
             reps.append(mask)
-            seen.update(_apply_slot_map(mask, pmap) for pmap in maps)
+            seen.update(_orbit(table, mask).tolist())
     return reps
+
+
+def _subgraph_classes(slots, n: int, classes) -> list[int]:
+    """Orbit representatives of every edge mask over ``slots`` under the
+    relabelings of ``classes``; refused before any enumeration when the
+    2^|slots| masks exceed the subset cap."""
+    if (1 << len(slots)) > DEFAULT_SUBSET_CAP:
+        raise CapExceededError(
+            f"2^{len(slots)} subgraphs exceeds the enumeration cap {DEFAULT_SUBSET_CAP}"
+        )
+    return orbit_representatives(slots, relabelings(n, classes), range(1 << len(slots)))
 
 
 def graph_isomorphism_classes(n: int) -> list[Graph]:
     """One representative per isomorphism class of graphs on n vertices:
     the smallest edge bitmask of its class."""
-    slots = complete_edge_list(n)
-    reps = orbit_representatives(slots, relabelings(n, None), range(1 << len(slots)))
-    return [mask_to_graph(n, m) for m in reps]
+    return [mask_to_graph(n, m) for m in _subgraph_classes(complete_edge_list(n), n, None)]
 
 
 def bipartite_subgraph_classes(a: int, b: int) -> list[Graph]:
@@ -657,8 +681,7 @@ def bipartite_subgraph_classes(a: int, b: int) -> list[Graph]:
     relabelings preserving (or swapping, when a == b) the two classes."""
     host = Graph.complete_bipartite(a, b)
     slots = host.sorted_edges()
-    reps = orbit_representatives(slots, relabelings(a + b, host.bipartition),
-                                 range(1 << len(slots)))
+    reps = _subgraph_classes(slots, a + b, host.bipartition)
     return [Graph.from_edges(a + b, [slots[i] for i in range(len(slots)) if m >> i & 1],
                              host.bipartition) for m in reps]
 

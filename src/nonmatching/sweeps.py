@@ -28,6 +28,7 @@ from .graphs import (
     bipartite_edge_list,
     bipartite_subgraph_classes,
     complete_edge_list,
+    edge_slot_table,
     gallai_edmonds,
     graph_isomorphism_classes,
     graph_to_mask,
@@ -227,17 +228,25 @@ def run_morse_family(params: dict) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _all_matchings(n: int) -> tuple[int, ...]:
-    """Every matching of the complete graph on n vertices, as edge masks.
+    """Every matching of the complete graph on n vertices, as edge masks in
+    ascending order.
 
-    The naive side of the decomposition checks, kept apart from the nu table.
+    Generated directly: the least vertex left is either unmatched or matched
+    to a later one.  The naive side of the decomposition checks, kept apart
+    from the nu table.
     """
-    edges = complete_edge_list(n)
+    slot = edge_slot_table(n)
 
-    def is_matching(m: int) -> bool:
-        ends = [v for b in mask_bits(m) for v in edges[b]]
-        return len(ends) == len(set(ends))
+    def extend(left: tuple[int, ...], mask: int):
+        if not left:
+            yield mask
+            return
+        v, rest = left[0], left[1:]
+        yield from extend(rest, mask)
+        for i, u in enumerate(rest):
+            yield from extend(rest[:i] + rest[i + 1:], mask | 1 << slot[v, u])
 
-    return tuple(m for m in range(1 << len(edges)) if is_matching(m))
+    return tuple(sorted(extend(tuple(range(n)), 0)))
 
 
 @functools.lru_cache(maxsize=None)

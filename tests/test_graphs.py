@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonmatching.graphs as graphs_module
+import nonmatching.sweeps as sweeps_module
 from nonmatching.errors import CapExceededError, FormatError, InternalCheckError
 from nonmatching.graphs import (
     Graph,
@@ -335,6 +336,29 @@ class TestCanonicalForm:
                                  (range(a), range(a, n)))
             assert canonical_form(g) == canonical_form(h)
 
+    @pytest.mark.parametrize("n,count", [(7, 6), (8, 2)])
+    def test_least_image_on_random_graphs(self, n, count):
+        slots = complete_edge_list(n)
+        perms = list(itertools.permutations(range(n)))
+        rng = random.Random(n)
+        for _ in range(count):
+            mask = rng.getrandbits(len(slots))
+            want = min(_image(mask, slots, p) for p in perms)
+            assert canonical_form(mask_to_graph(n, mask)) == (n, None, want)
+
+    @pytest.mark.parametrize("a,b", [(3, 3), (4, 4), (2, 4), (3, 5)])
+    def test_least_image_on_random_bipartite_graphs(self, a, b):
+        n = a + b
+        slots = complete_edge_list(n)
+        host = [(u, v) for u in range(a) for v in range(a, n)]
+        group = _bipartite_group(a, b)
+        rng = random.Random(10 * a + b)
+        for _ in range(4):
+            g = Graph.from_edges(n, [e for e in host if rng.random() < 0.5],
+                                 (range(a), range(a, n)))
+            want = min(_image(graph_to_mask(g), slots, p) for p in group)
+            assert canonical_form(g) == (n, (a, b), want)
+
 
 def _image(mask, slots, perm):
     """The edge mask of a relabeled graph, by a scan of the slot list."""
@@ -410,6 +434,43 @@ class TestIsomorphismClasses:
         full = [graph_to_mask(g) for g in graph_isomorphism_classes(5) if g.edge_count == 3]
         assert reps == full and len(reps) == 4
 
+    def test_enumerator_past_64_slots(self):
+        # the 66 slots of K12 under the identity and the transposition (0 1):
+        # masks wider than 64 bits go through the table of Python ints
+        slots = complete_edge_list(12)
+        group = [tuple(range(12)), (1, 0) + tuple(range(2, 12))]
+        rng = random.Random(66)
+        masks = [1 << 65, 0]
+        for _ in range(20):
+            m = rng.getrandbits(66) | 1 << 65
+            masks += [m, _image(m, slots, group[1]), m]
+        seen, want = set(), []
+        for m in masks:
+            if m not in seen:
+                want.append(m)
+                seen |= {_image(m, slots, p) for p in group}
+        assert orbit_representatives(slots, group, masks) == want
+        assert len(want) < len(set(masks))
+        assert graphs_module._slot_images(slots, group).dtype == object
+
+    def test_relabeling_off_the_slots_is_refused(self):
+        # swapping 0 and 1 sends the slot (0, 2) of K_{1,2} to (1, 2)
+        with pytest.raises(ValueError):
+            orbit_representatives([(0, 1), (0, 2)], [(0, 1, 2), (1, 0, 2)], range(4))
+
+    def test_class_enumeration_cap(self, monkeypatch):
+        # 2^28 graphs on 8 vertices and 2^25 subgraphs of K5,5 exceed the
+        # subset cap, and are refused before any relabeling or enumeration
+        def never(*args):
+            raise AssertionError("enumeration started past the cap")
+
+        monkeypatch.setattr(graphs_module, "relabelings", never)
+        monkeypatch.setattr(graphs_module, "orbit_representatives", never)
+        with pytest.raises(CapExceededError):
+            graph_isomorphism_classes(8)
+        with pytest.raises(CapExceededError):
+            bipartite_subgraph_classes(5, 5)
+
     def test_relabelings_by_classes(self):
         # X = {1, 3} goes onto {0, 1} and Y = {0, 2} onto {2, 3}, or the reverse
         maps = relabelings(4, ({1, 3}, {0, 2}))
@@ -417,6 +478,20 @@ class TestIsomorphismClasses:
         for p in maps:
             assert {p[1], p[3]} in ({0, 1}, {2, 3})
         assert len(relabelings(5, ({0, 1}, {2, 3, 4}))) == 12
+
+
+def test_all_matchings_of_complete_graphs():
+    # matchings of K_n are the involutions of n points (OEIS A000085)
+    counts = []
+    for n in range(7):
+        edges = complete_edge_list(n)
+        found = sweeps_module._all_matchings(n)
+        counts.append(len(found))
+        assert list(found) == sorted(set(found))
+        for m in found:
+            ends = [v for i, e in enumerate(edges) if m >> i & 1 for v in e]
+            assert len(ends) == len(set(ends))
+    assert counts == [1, 1, 2, 4, 10, 26, 76]
 
 
 class TestEdgeListFormat:
