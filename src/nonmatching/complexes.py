@@ -3,13 +3,16 @@
 Faces are stored explicitly, each as an integer bitmask over the positions of
 an ordered :class:`GroundSet`.  Ground-set order is fixed for the lifetime of
 a complex: it is the orientation convention every boundary matrix uses.
-Links and induced subcomplexes are enumerated from their base face upward
-through the faces above it, not by a scan of the whole face set.
 
-The special graph families (PM, FC, BFC and the two link families) have one
-membership filter each, on the edge masks of a shared :class:`EdgeHost`:
-the Morse builders in :mod:`nonmatching.constructions` and the public
-:func:`enumerate_family` both call them.
+One walk, :func:`_faces_between`, enumerates every hereditary family from a
+base face upward, visiting faces only.  Its face test is membership in a
+stored face set (links, induced subcomplexes) or a predicate: nu below k for
+the two link families and, of the label-erased image, for
+:func:`nonmatching.rainbow.labelled_nm_complex`; strict comparability for
+:func:`order_complex`.
+The other special graph families (PM, FC, BFC) are closed upward, so they
+are filters over the submasks above h.  All five work on the edge masks of a
+shared :class:`EdgeHost`, for the Morse builders and :func:`enumerate_family`.
 """
 
 from __future__ import annotations
@@ -226,8 +229,8 @@ def edge_host(ground: GroundSet) -> EdgeHost:
 
 
 # ---------------------------------------------------------------------------
-# The special families as mask filters on a host: the members containing
-# ``h_mask``, ascending.  The builders and :func:`enumerate_family` share them.
+# The special families on a host: the members containing ``h_mask``,
+# ascending.  The builders and :func:`enumerate_family` share them.
 # ---------------------------------------------------------------------------
 
 
@@ -258,9 +261,10 @@ def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
 
 
 def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
-    """Subgraphs of the edges ``within`` with matching number below ``k``."""
-    members = (h_mask | s for s in submasks(within & ~h_mask))
-    return [m for m in members if host.nu_of(m) < k]
+    """Subgraphs of the edges ``within`` with matching number below ``k``:
+    the walk up from ``h_mask`` in NM_k of the host."""
+    nu = host.nu
+    return sorted(_faces_between(_FaceTest(lambda m: nu[m] < k), h_mask, within & ~h_mask))
 
 
 @dataclass(frozen=True)
@@ -340,26 +344,38 @@ class SimplicialComplex:
         return sorted(out)
 
 
-def _faces_between(cx: SimplicialComplex, base: int, allowed: int) -> SimplicialComplex:
-    """The faces f with base <= f <= base | allowed, each as f minus base
-    re-indexed onto the ground elements at the bits of ``allowed``.
+class _FaceTest:
+    """A family given by a test on masks, answering ``mask in family``."""
+
+    def __init__(self, test):
+        self.test = test
+
+    def __contains__(self, mask: int) -> bool:
+        return self.test(mask)
+
+
+def _faces_between(faces, base: int, allowed: int, reindex: bool = False) -> list[int]:
+    """Every face f with base <= f <= base | allowed of a hereditary family,
+    each exactly once; none when ``base`` is not a face.  ``faces`` answers
+    ``mask in faces``: a stored face set, or a :class:`_FaceTest`.  Each face
+    comes out as f, or with ``reindex`` as f minus base re-indexed onto the
+    bits of ``allowed`` (its i-th bit becomes bit i).
 
     The walk starts at ``base`` and adds bits of ``allowed`` in ascending
     order.  Heredity makes it exact: each chain of additions up to a face
     passes through faces only, so a face need only be extended by the later
     bits that still give a face, and those are among the bits that extended
-    the face it came from.  Each face is produced once.
+    the face it came from.
     """
-    keep = list(mask_bits(allowed))
-    new_ground = GroundSet(tuple(cx.ground.elements[i] for i in keep))
-    faces = cx.faces
     if base not in faces:
-        return SimplicialComplex.void(new_ground)
-    new_bit = {1 << old: 1 << new for new, old in enumerate(keep)}
-    out = [0]
+        return []
+    keep = [1 << b for b in mask_bits(allowed)]
+    new_bit = {b: 1 << i for i, b in enumerate(keep)} if reindex else {b: b for b in keep}
+    start = 0 if reindex else base
+    out = [start]
     emit = out.append
-    # (face, its re-indexed mask, the later bits that each extend it to a face)
-    stack = [(base, 0, [b for b in new_bit if base | b in faces])]
+    # (face, its output mask, the later bits that each extend it to a face)
+    stack = [(base, start, [b for b in keep if base | b in faces])]
     while stack:
         face, new, cands = stack.pop()
         for i, b in enumerate(cands, 1):
@@ -368,14 +384,21 @@ def _faces_between(cx: SimplicialComplex, base: int, allowed: int) -> Simplicial
             rest = [c for c in cands[i:] if above | c in faces]
             if rest:
                 stack.append((above, new_above, rest))
-    return SimplicialComplex(new_ground, frozenset(out))
+    return out
+
+
+def _faces_within(cx: SimplicialComplex, base: int, allowed: int) -> SimplicialComplex:
+    """The walk's faces from ``base`` within ``allowed``, re-indexed, as a
+    complex on the ground elements at the bits of ``allowed``."""
+    ground = GroundSet(tuple(cx.ground.elements[i] for i in mask_bits(allowed)))
+    return SimplicialComplex(ground, frozenset(_faces_between(cx.faces, base, allowed, True)))
 
 
 def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
     """The link of a face: sets disjoint from sigma whose union with it is a face.
 
     The link of the empty face is the complex itself (on the same ground).
-    The link is enumerated from sigma upward, never by a scan of the whole
+    The link is walked from sigma upward, never by a scan of the whole
     complex, so it relies on heredity (every subset of a face is a face):
     on a face set that is not hereditary it can miss faces.
     """
@@ -384,13 +407,13 @@ def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
         raise ValueError("sigma is not a face of the complex")
     if smask == 0:
         return cx
-    return _faces_between(cx, smask, ((1 << len(cx.ground)) - 1) & ~smask)
+    return _faces_within(cx, smask, ((1 << len(cx.ground)) - 1) & ~smask)
 
 
 def induced_subcomplex(cx: SimplicialComplex, subset) -> SimplicialComplex:
     """Faces of the complex contained in the given subset of the ground."""
     smask = subset if isinstance(subset, int) else cx.ground.mask_of(subset)
-    return _faces_between(cx, 0, smask & ((1 << len(cx.ground)) - 1))
+    return _faces_within(cx, 0, smask & ((1 << len(cx.ground)) - 1))
 
 
 def join_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
@@ -439,7 +462,7 @@ def build_nm_complex(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> Simplic
 
 
 # ---------------------------------------------------------------------------
-# The special families as Graphs: a public front on the mask filters above
+# The special families as Graphs: a public front on the mask families above
 # ---------------------------------------------------------------------------
 
 FAMILY_KINDS = ("PM", "FC", "BFC", "NMLINK_COMPLETE", "NMLINK_BIPARTITE")
@@ -501,7 +524,7 @@ class FamilySpec:
 def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Graph]:
     """Member graphs of the family, sorted by edge mask over the host ground.
 
-    The members come from the same mask filters the Morse builders use, on
+    The members come from the same mask families the Morse builders use, on
     the shared host of ``spec.host_edges()``.  Conventions: PM over the empty
     vertex set, FC over a single vertex, and BFC with an empty side each
     yield exactly the empty graph; FC over an even vertex set is empty, and
@@ -539,21 +562,20 @@ def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Gr
 def order_complex(members: list[int]) -> SimplicialComplex:
     """The complex of chains of a family of sets ordered by inclusion.
 
-    Ground elements are the member indices in the given order.
+    Ground elements are the member indices in the given order.  Equal
+    members are incomparable.  The chains are the walk from the empty chain
+    with the test "pairwise strictly comparable".
     """
     ms = list(members)
-    ground = GroundSet(tuple(range(len(ms))))
-    leq = [[(ms[i] & ~ms[j]) == 0 and ms[i] != ms[j] for j in range(len(ms))] for i in range(len(ms))]
-    chains = {0}
+    # above_or_below[i]: the members strictly comparable with member i
+    above_or_below = [sum(1 << j for j, b in enumerate(ms) if a != b and (a & b) in (a, b))
+                      for a in ms]
 
-    def extend(chain_mask: int, top: int):
-        chains.add(chain_mask)
-        for j in range(len(ms)):
-            if (top < 0 or leq[top][j]) and not chain_mask >> j & 1:
-                extend(chain_mask | (1 << j), j)
+    def is_chain(f: int) -> bool:
+        return all(f & ~above_or_below[i] == 1 << i for i in mask_bits(f))
 
-    extend(0, -1)
-    return SimplicialComplex(ground, frozenset(chains))
+    faces = _faces_between(_FaceTest(is_chain), 0, (1 << len(ms)) - 1)
+    return SimplicialComplex(GroundSet(tuple(range(len(ms)))), frozenset(faces))
 
 
 # ---------------------------------------------------------------------------

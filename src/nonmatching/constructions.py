@@ -5,8 +5,8 @@ critical graphs (FC), bipartite two-level factor critical graphs (BFC), and
 the two "link" families of bounded-matching-number supergraphs of a fixed
 subgraph, over a complete or complete bipartite host.
 
-Each builder materialises its family explicitly, through the membership
-filters it shares with :func:`nonmatching.complexes.enumerate_family`
+Each builder materialises its family explicitly, through the member lists
+it shares with :func:`nonmatching.complexes.enumerate_family`
 (``_pm_masks``, ``_fc_masks``, ``_bfc_masks`` and ``_nmlink_masks``, next to
 :class:`nonmatching.complexes.EdgeHost`), and runs one shared
 recursion, :func:`_peel_cluster_lift`: a first-stage matching peels most of

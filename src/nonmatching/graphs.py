@@ -617,7 +617,11 @@ def _orbit(table: np.ndarray, mask: int) -> np.ndarray:
 def _canonical_table(n: int, classes) -> np.ndarray:
     """The :func:`_slot_images` table of K_n's slots under the relabelings of
     ``classes``, built once per (n, classes) and read-only, since every
-    caller shares it."""
+    caller shares it.  Exhaustive over relabelings, hence the vertex cap."""
+    if n > DEFAULT_CANONICAL_VERTEX_CAP:
+        raise CapExceededError(
+            f"{n} vertices exceeds the canonical-form cap {DEFAULT_CANONICAL_VERTEX_CAP}"
+        )
     table = _slot_images(complete_edge_list(n), relabelings(n, classes))
     table.flags.writeable = False
     return table
@@ -632,10 +636,6 @@ def canonical_form(g: Graph):
     Exhaustive over permutations, hence the vertex cap.
     """
     n = g.vertex_count
-    if n > DEFAULT_CANONICAL_VERTEX_CAP:
-        raise CapExceededError(
-            f"{n} vertices exceeds the canonical-form cap {DEFAULT_CANONICAL_VERTEX_CAP}"
-        )
     sizes = None if g.bipartition is None else tuple(len(c) for c in g.bipartition)
     images = _orbit(_canonical_table(n, g.bipartition), graph_to_mask(g))
     return (n, sizes, int(images.min()))

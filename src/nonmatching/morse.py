@@ -314,13 +314,15 @@ class JoinPart:
 
 
 @dataclass(frozen=True)
-class JoinResult:
+class FamilyMatching:
+    """A family, an acyclic matching on it, and its critical faces."""
+
     family: tuple[int, ...]
     pairs: tuple[Pair, ...]
     criticals: tuple[int, ...]
 
 
-def join_matching(parts) -> JoinResult:
+def join_matching(parts) -> FamilyMatching:
     """Acyclic matching on a join of families over disjoint ground parts.
 
     Parts are processed sorted by critical-set size; a pair of the combined
@@ -381,14 +383,7 @@ def join_matching(parts) -> JoinResult:
     actual = tuple(sorted(set(family) - matched))
     if actual != criticals:
         raise InternalCheckError("join criticals differ from the join of part criticals")
-    return JoinResult(family, tuple(pairs), criticals)
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    family: tuple[int, ...]
-    pairs: tuple[Pair, ...]
-    criticals: tuple[int, ...]
+    return FamilyMatching(family, tuple(pairs), criticals)
 
 
 def _part_choices(part_mask: int, tau: int) -> list[int]:
@@ -400,7 +395,7 @@ def _part_choices(part_mask: int, tau: int) -> list[int]:
     return [base | s for s in submasks(free)]
 
 
-def projection_matching(part_masks, tau: int, q_family, q_pairs) -> ProjectionResult:
+def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatching:
     """Lift a matching through the partition projection map.
 
     The ground splits into the given parts; pi(sigma) is the set of part
@@ -514,7 +509,7 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> ProjectionRe
     ok, _ = is_acyclic(family, pairs)
     if not ok:
         raise InternalCheckError("projection lift came out cyclic")
-    return ProjectionResult(tuple(sorted(family)), tuple(pairs), tuple(sorted(criticals)))
+    return FamilyMatching(tuple(sorted(family)), tuple(pairs), tuple(sorted(criticals)))
 
 
 # ---------------------------------------------------------------------------

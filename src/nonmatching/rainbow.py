@@ -7,9 +7,9 @@ host and 3k-2 sets on a general host; 2k-2 bipartite sets and 3k-3 general
 sets do not.  At k=2 one exhaustive scan, :func:`k2_counterexamples`, lists
 every counterexample on a host: the sweeps run it on each K3,3 host class
 and on all of K6, and it gives the k=2 tightness witnesses.  The
-labelled complex and the partition matroid connect these statements to the
-vanishing results, and an exhaustive desk-scale check confirms the
-topological Helly-type conclusion on concrete instances.
+labelled complex, walked face by face like every hereditary family, and the
+partition matroid connect these statements to the vanishing results, and an
+exhaustive desk-scale check confirms the topological Helly-type conclusion.
 """
 
 from __future__ import annotations
@@ -18,19 +18,23 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .complexes import GroundSet, SimplicialComplex, edge_host
+import numpy as np
+
+from .complexes import GroundSet, SimplicialComplex, _faces_between, _FaceTest, edge_host, mask_bits
 from .errors import CapExceededError, FormatError, HypothesisError, InternalCheckError
 from .graphs import (
     DEFAULT_SUBSET_CAP,
     Graph,
     Matching,
+    _canonical_table,
+    _orbit,
     adjacency_masks,
+    edge_slot_table,
     format_graph,
     matching_number,
     normalize_edge,
     nu_within,
     parse_graph,
-    relabelings,
     subset_matching_numbers,
 )
 
@@ -326,6 +330,14 @@ def search_tightness(k: int, bipartite: bool = True, m: int | None = None) -> Ra
     return None
 
 
+def is_tightness_witness(inst: RainbowInstance) -> bool:
+    """The instance meets the hypotheses and has no rainbow matching, by the
+    search and by the brute-force oracle both."""
+    return (verify_hypotheses(inst)
+            and find_rainbow_matching(inst) is None
+            and not rainbow_brute_force(inst))
+
+
 def _even_cycle_host(k: int) -> tuple[Graph, frozenset, frozenset]:
     """The cycle with 2k vertices, classes 0..k-1 and k..2k-1, plus its two
     alternating perfect matchings."""
@@ -338,19 +350,18 @@ def _even_cycle_host(k: int) -> tuple[Graph, frozenset, frozenset]:
 
 def canonical_instance(inst: RainbowInstance):
     """Isomorphism key: vertex relabelings of the host combined with
-    reordering of the edge sets.  Equal keys mean isomorphic instances."""
+    reordering of the edge sets.  Equal keys mean isomorphic instances: the
+    least (host mask, sorted set masks) over the relabeling table of
+    :func:`graphs.canonical_form`, under its vertex cap."""
     n = inst.host.vertex_count
-    best = None
-    for perm in relabelings(n, None):
-        host_edges = tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in inst.host.edges))
-        sets = tuple(sorted(
-            tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in es))
-            for es in inst.edge_sets
-        ))
-        cand = (host_edges, sets)
-        if best is None or cand < best:
-            best = cand
-    return (n, inst.k, best)
+    table, slots = _canonical_table(n, None), edge_slot_table(n)
+    host_images, *set_images = (_orbit(table, sum(1 << slots[e] for e in es))
+                                for es in (inst.host.edges, *inst.edge_sets))
+    # one column per relabeling: its host image, then its set images ascending
+    sets = np.sort(np.array(set_images, dtype=table.dtype).reshape(inst.m, len(table)), axis=0)
+    images = np.vstack([host_images, sets])
+    least = images[:, np.lexsort(images[::-1])[0]]
+    return (n, inst.k, int(least[0]), tuple(int(m) for m in least[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +382,23 @@ def labelled_nm_complex(inst: RainbowInstance, cap: int = DEFAULT_SUBSET_CAP) ->
 
     Labelled copies of one edge under different labels are distinct ground
     elements; erasure de-duplicates before the matching number is taken.
+    Erasure and nu are monotone, so the test is hereditary and the faces are
+    its walk.  The cap bounds 2^L, the face count at worst.
     """
     ground = labelled_ground(inst)
     if (1 << len(ground)) > cap:
         raise CapExceededError(f"2^{len(ground)} labelled subsets exceeds the cap {cap}")
     union = sorted(inst.union_edges())
-    pos = {e: i for i, e in enumerate(union)}
-    nu = subset_matching_numbers(union, cap)
-    proj = [1 << pos[e] for (e, _) in ground.elements]
-    faces = []
-    for m in range(1 << len(ground)):
+    nu = subset_matching_numbers(union, cap).tobytes()
+    erased = [1 << union.index(e) for (e, _) in ground.elements]
+
+    def erasure_below_k(mask: int) -> bool:
         p = 0
-        mm = m
-        while mm:
-            b = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            p |= proj[b]
-        if int(nu[p]) < inst.k:
-            faces.append(m)
+        for b in mask_bits(mask):
+            p |= erased[b]
+        return nu[p] < inst.k
+
+    faces = _faces_between(_FaceTest(erasure_below_k), 0, (1 << len(ground)) - 1)
     return SimplicialComplex(ground, frozenset(faces))
 
 
@@ -429,19 +439,12 @@ def verify_topological_helly_conclusion(inst: RainbowInstance, d: int) -> HellyR
     if find_rainbow_matching(inst) is not None:
         raise HypothesisError("a rainbow matching exists; the matroid is not a subcomplex")
     cx = labelled_nm_complex(inst)
-    elements = cx.ground.elements
-    best = None
+    full = (1 << len(cx.ground)) - 1
     for m in sorted(cx.faces):
-        labels_left = set()
-        for i, el in enumerate(elements):
-            if not m >> i & 1:
-                labels_left.add(el[1])
-        if len(labels_left) <= d:
-            best = (cx.ground.decode(m), len(labels_left))
-            break
-    if best is None:
-        return HellyReport(False, d, None, None)
-    return HellyReport(True, d, best[0], best[1])
+        rank_left = partition_rank(inst, cx.ground.decode(full & ~m))
+        if rank_left <= d:
+            return HellyReport(True, d, cx.ground.decode(m), rank_left)
+    return HellyReport(False, d, None, None)
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,27 @@ class TestSweepCommand:
         d2 = [l for l in out2.splitlines() if l.startswith("result digest")]
         assert d1 == d2
 
+    def test_two_jobs_match_one_job(self, capsys, tmp_path, monkeypatch):
+        # the process-pool branch: same output, digest included, and the same
+        # case cache files, byte for byte, as the serial run
+        import concurrent.futures
+
+        pools, real_pool = [], concurrent.futures.ProcessPoolExecutor
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda **kw: pools.append(kw) or real_pool(**kw))
+        outs, files = [], []
+        for jobs in ("1", "2"):
+            cache = tmp_path / f"jobs{jobs}"
+            code, out, _ = run_cli(capsys, cache, "sweep", "leray-k2", "--jobs", jobs)
+            assert code == 0 and "6 passed" in out
+            outs.append(out)
+            files.append({p.name: p.read_bytes() for p in cache.glob("*.json")
+                          if not p.name.startswith("manifest-")})
+        assert outs[0] == outs[1]
+        assert "result digest ca27157de536544da05fb0ad53b4c1d67a0ff0e4310839161f745498712795e3" in outs[0]
+        assert len(files[0]) == 6 and files[0] == files[1]
+        assert pools == [{"max_workers": 2}]
+
     def test_manifest_written(self, capsys, cache_dir):
         run_cli(capsys, cache_dir, "sweep", "concentration")
         manifests = list(cache_dir.glob("manifest-*.json"))

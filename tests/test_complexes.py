@@ -325,6 +325,25 @@ class TestFamilies:
         for g in fam:
             assert has_perfect_matching(g, range(4))
 
+    @pytest.mark.parametrize("edges", [
+        complete_edge_list(5),
+        bipartite_edge_list((0, 1, 2), (3, 4, 5)),
+    ], ids=["K5", "K3,3"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_nmlink_walk_against_submask_filter(self, edges, k):
+        # every h in the host, inside the whole host and inside a seeded
+        # random edge set: the walk up from h against the filter of all
+        # submasks through the nu table, which the walk replaced
+        host = edge_host(GroundSet(tuple(edges)))
+        full = (1 << len(edges)) - 1
+        rng = random.Random(k)
+        for h in range(full + 1):
+            for within in (full, h | rng.getrandbits(len(edges))):
+                free = within & ~h
+                want = sorted(h | s for s in range(free + 1)
+                              if s & ~free == 0 and host.nu_of(h | s) < k)
+                assert complexes_module._nmlink_masks(host, within, h, k) == want, (h, within)
+
 
 class TestEdgeHost:
     def test_decompose_matches_definition_on_k33(self):
@@ -422,3 +441,20 @@ class TestOrderComplex:
     def test_duplicates_incomparable(self):
         cx = order_complex([0b1, 0b1])
         assert cx.face_count == 1 + 2
+
+    def test_against_brute_force_chains(self):
+        # seeded families of up to 9 subsets of a 4-set, duplicates and the
+        # empty set included: the faces are the index sets whose members,
+        # taken pairwise, are distinct and one contains the other
+        rng = random.Random(11)
+        for _ in range(150):
+            ms = [rng.getrandbits(4) for _ in range(rng.randint(0, 9))]
+            want = set()
+            for f in range(1 << len(ms)):
+                idx = [i for i in range(len(ms)) if f >> i & 1]
+                if all(ms[i] != ms[j] and (ms[i] & ms[j]) in (ms[i], ms[j])
+                       for i, j in itertools.combinations(idx, 2)):
+                    want.add(f)
+            cx = order_complex(ms)
+            assert cx.faces == want, ms
+            assert cx.ground.elements == tuple(range(len(ms)))

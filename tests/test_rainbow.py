@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from nonmatching.complexes import build_nm_complex
 import nonmatching.rainbow as rainbow_module
 from nonmatching import sweeps
-from nonmatching.errors import FormatError, HypothesisError, InternalCheckError
-from nonmatching.graphs import Graph
+from nonmatching.errors import CapExceededError, FormatError, HypothesisError, InternalCheckError
+from nonmatching.graphs import Graph, matching_number, normalize_edge
 from nonmatching.rainbow import (
     RainbowCertificate,
     RainbowInstance,
@@ -21,6 +21,7 @@ from nonmatching.rainbow import (
     format_instance,
     free_matroid_oracle,
     graphic_matroid_oracle,
+    is_tightness_witness,
     k2_counterexamples,
     labelled_nm_complex,
     matroid_rainbow_check,
@@ -272,6 +273,13 @@ class TestTightness:
     def test_general_above_k2_not_searched(self):
         assert search_tightness(3, False) is None
 
+    def test_witness_check(self):
+        # the k=2 witness passes; the same sets at k=1, where one edge is a
+        # rainbow matching, do not
+        inst = search_tightness(2, True, 2)
+        assert is_tightness_witness(inst)
+        assert not is_tightness_witness(RainbowInstance(inst.host, inst.edge_sets, 1))
+
 
 class TestLabelledComplex:
     def test_single_set_isomorphic_to_nm(self):
@@ -288,6 +296,35 @@ class TestLabelledComplex:
         lcx = labelled_nm_complex(inst)
         assert ((0, 2), 0) in lcx.ground.elements
         assert ((0, 2), 1) in lcx.ground.elements
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_face_count_by_erased_images(self, seed):
+        # the faces erasing to one edge set S are the choices of a non-empty
+        # label set for each edge of S, so the face count is the sum over
+        # the S in the union with nu(S) < k of prod over e in S of
+        # 2^mult(e) - 1; on K5 at k=2 and K6 at k=3
+        rng = random.Random(seed)
+        n, k = (5, 2) if seed % 2 == 0 else (6, 3)
+        host = Graph.complete(n)
+        edges = host.sorted_edges()
+        inst = RainbowInstance.make(host, [rng.sample(edges, rng.randint(3, 5)) for _ in range(3)], k)
+        union = sorted(inst.union_edges())
+        mult = {e: sum(e in es for es in inst.edge_sets) for e in union}
+        want = 0
+        for r in range(len(union) + 1):
+            for sub in itertools.combinations(union, r):
+                if matching_number(Graph.from_edges(n, sub)) < k:
+                    term = 1
+                    for e in sub:
+                        term *= 2 ** mult[e] - 1
+                    want += term
+        assert labelled_nm_complex(inst).face_count == want
+
+    def test_cap_bounds_the_labelled_elements(self):
+        inst = RainbowInstance.make(c4_host(), [sorted(c4_host().edges)] * 2, 2)
+        assert len(labelled_nm_complex(inst, cap=1 << 8).ground) == 8
+        with pytest.raises(CapExceededError):
+            labelled_nm_complex(inst, cap=(1 << 8) - 1)
 
     def test_faces_project_to_low_nu(self):
         inst = c4_pm_pair()
@@ -441,3 +478,41 @@ class TestCanonicalInstance:
         a = RainbowInstance.make(host, [[(0, 1)], [(2, 3)]], 2)
         c = RainbowInstance.make(host, [[(0, 1), (2, 3)], [(2, 3)]], 2)
         assert canonical_instance(a) != canonical_instance(c)
+
+    def test_against_brute_force_key_on_5_vertices(self):
+        # seeded instances on sparse 5-vertex hosts, each with a relabeled
+        # copy whose sets are reversed: two keys agree exactly when the
+        # least (host edges, sorted sets) over all 120 relabelings agree
+        from nonmatching.rainbow import canonical_instance
+
+        def brute_key(inst):
+            def image(perm, es):
+                return tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in es))
+            return min((image(p, inst.host.edges), tuple(sorted(image(p, es) for es in inst.edge_sets)))
+                       for p in itertools.permutations(range(5)))
+
+        rng = random.Random(5)
+        all_edges = Graph.complete(5).sorted_edges()
+        insts = []
+        for _ in range(30):
+            edges = rng.sample(all_edges, rng.randint(2, 4))
+            sets = [rng.sample(edges, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+            insts.append(RainbowInstance.make(Graph.from_edges(5, edges), sets, 2))
+            perm = rng.sample(range(5), 5)
+            moved = [[(perm[u], perm[v]) for (u, v) in es] for es in reversed(sets)]
+            insts.append(RainbowInstance.make(
+                Graph.from_edges(5, [(perm[u], perm[v]) for (u, v) in edges]), moved, 2))
+        keys = [canonical_instance(inst) for inst in insts]
+        brute = [brute_key(inst) for inst in insts]
+        same = 0
+        for i, j in itertools.combinations(range(len(insts)), 2):
+            assert (keys[i] == keys[j]) == (brute[i] == brute[j]), (insts[i], insts[j])
+            same += brute[i] == brute[j]
+        assert same > 30  # isomorphic pairs beyond the 30 relabeled copies
+
+    def test_vertex_cap(self):
+        from nonmatching.rainbow import canonical_instance
+
+        inst = RainbowInstance.make(Graph.path(9), [[(0, 1)]], 1)
+        with pytest.raises(CapExceededError):
+            canonical_instance(inst)
