@@ -22,8 +22,11 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CapExceededError, FormatError, InternalCheckError
 from .graphs import (
+    DEFAULT_FACE_CAP,
     DEFAULT_SUBSET_CAP,
     Graph,
     bipartite_edge_list,
@@ -442,23 +445,76 @@ def delete_vertex(cx: SimplicialComplex, element) -> SimplicialComplex:
 # ---------------------------------------------------------------------------
 
 
-def build_nm_complex(g: Graph, k: int, cap: int = DEFAULT_SUBSET_CAP) -> SimplicialComplex:
+_WALK_BLOCK = 1 << 16  # candidate faces tested per numpy pass of the NM walk
+
+
+def build_nm_complex(g: Graph, k: int, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """The complex of subgraphs of g with matching number strictly below k.
 
     When nu(g) < k the condition is vacuous and the result is the full
-    simplex on the edge set.
+    simplex on the edge set.  The faces come from :func:`_nm_faces`, so the
+    cost follows the face count; more than ``cap`` faces raise
+    :class:`CapExceededError` as soon as the walk finds them.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     edges = g.sorted_edges()
-    if (1 << len(edges)) > cap:
-        raise CapExceededError(f"2^{len(edges)} subsets exceeds the enumeration cap {cap}")
-    ground = GroundSet(tuple(edges))
-    nu = subset_matching_numbers(edges, cap)
-    import numpy as np
+    if len(edges) > 63:
+        raise CapExceededError(f"{len(edges)} edges exceeds the 63 bits of a face mask")
+    faces = _nm_faces(edges, k, cap)
+    return SimplicialComplex(GroundSet(tuple(edges)), frozenset(faces.tolist()))
 
-    faces = frozenset(int(m) for m in np.nonzero(nu < k)[0])
-    return SimplicialComplex(ground, faces)
+
+def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> np.ndarray:
+    """The edge masks with matching number below k, ascending, walked up one
+    size at a time from the empty face with nu memoised per face.
+
+    A face f of one size is extended only by the edges e above its highest
+    bit, so each face is found once; the faces below 2^e are exactly those,
+    a prefix of the sorted level.  Taking e or not gives
+
+        nu(f + e) = max(nu(f), 1 + nu(f - N[e])),
+
+    where N[e] is the edges sharing an end with e.  f - N[e] is a subset of
+    f, so it is a face already found, and its nu is one ``searchsorted`` in
+    the sorted array of every face so far.  The candidates of a level are
+    taken in blocks ordered by e and then by f, which is the ascending order
+    of f + e, so the new level comes out sorted and a refused input holds at
+    most ``cap`` faces plus one block.
+    """
+    at: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        at[u] = at.get(u, 0) | 1 << i
+        at[v] = at.get(v, 0) | 1 << i
+    apart = np.array([~(at[u] | at[v]) for u, v in edges], dtype=np.int64)  # edges off N[e]
+    bits = np.left_shift(1, np.arange(len(edges), dtype=np.int64))
+    faces, nu = np.zeros(1, np.int64), np.zeros(1, np.uint8)  # every face so far, ascending
+    level, level_nu = faces, nu
+    for size in itertools.count(1):
+        parents = level.searchsorted(bits)  # per edge e: the faces below 2^e
+        ends = parents.cumsum()
+        total = int(ends[-1]) if len(ends) else 0
+        if not total:
+            return faces
+        starts = ends - parents
+        found, found_nu, count = [], [], len(faces)
+        for lo in range(0, total, _WALK_BLOCK):
+            slot = np.arange(lo, min(lo + _WALK_BLOCK, total))
+            e = ends.searchsorted(slot, side="right")
+            parent = slot - starts[e]
+            f = level[parent]
+            up_nu = np.maximum(level_nu[parent], nu[faces.searchsorted(f & apart[e])] + 1)
+            keep = up_nu < k
+            found.append((f | bits[e])[keep])
+            found_nu.append(up_nu[keep])
+            count += len(found[-1])
+            if count > cap:
+                raise CapExceededError(
+                    f"NM_{k} has more than {cap} faces (the cap), passed at size {size}")
+        level, level_nu = np.concatenate(found), np.concatenate(found_nu)
+        faces = np.concatenate((faces, level))
+        order = faces.argsort(kind="stable")  # merges the two sorted runs
+        faces, nu = faces[order], np.concatenate((nu, level_nu))[order]
 
 
 # ---------------------------------------------------------------------------

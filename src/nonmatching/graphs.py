@@ -47,6 +47,7 @@ import numpy as np
 from .errors import CapExceededError, FormatError, InternalCheckError
 
 DEFAULT_SUBSET_CAP = 1 << 22
+DEFAULT_FACE_CAP = 1 << 20
 DEFAULT_CANONICAL_VERTEX_CAP = 8
 DEFAULT_ENUMERATION_EDGE_CAP = 30
 

@@ -36,8 +36,8 @@ import numpy as np
 
 from .complexes import SimplicialComplex, induced_subcomplex, link
 from .errors import CapExceededError, InternalCheckError
+from .graphs import DEFAULT_FACE_CAP
 
-DEFAULT_FACE_CAP = 1 << 20
 LARGE_PRIME = 65521
 
 

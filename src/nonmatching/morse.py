@@ -247,7 +247,7 @@ def _verify_monotone(family, key_of, leq):
     # uint64 when every mask fits in 64 bits, Python ints otherwise; the
     # subset filter is the same expression on both
     arr = np.array(ms, dtype=np.uint64 if ms[-1].bit_length() <= 64 else object)
-    chunk = 2048
+    chunk = 512
     for i0 in range(0, len(ms), chunk):
         a = arr[i0:i0 + chunk]
         ka = kid[i0:i0 + chunk]

@@ -254,21 +254,13 @@ def _ge_tables(n: int):
     """Per host size n: the shared host of K_n, the edges within and
     touching each vertex subset (indexed by vertex mask), and the matchings
     of :func:`_all_matchings` grouped by size."""
-    edges = complete_edge_list(n)
-    within, touch = [], []
-    for s in range(1 << n):
-        w = t = 0
-        for i, (u, v) in enumerate(edges):
-            if s >> u & 1 or s >> v & 1:
-                t |= 1 << i
-                if s >> u & 1 and s >> v & 1:
-                    w |= 1 << i
-        within.append(w)
-        touch.append(t)
+    host = edge_host(GroundSet(tuple(complete_edge_list(n))))
+    within = [host._within(s) for s in range(1 << n)]
+    touch = [host._touch(s) for s in range(1 << n)]
     by_size: list[list[int]] = [[] for _ in range(n // 2 + 1)]
     for m in _all_matchings(n):
         by_size[m.bit_count()].append(m)
-    return edge_host(GroundSet(tuple(edges))), within, touch, by_size
+    return host, within, touch, by_size
 
 
 def run_ge_chunk(params: dict) -> dict:

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -67,9 +68,17 @@ class TestHomologyCommand:
         assert code == 2 and err
 
     def test_cap_exit_3(self, tmp_path, capsys, cache_dir):
-        path = write_graph(tmp_path, Graph.complete(8))  # 28 edges > 2^22 subsets
-        code, _, err = run_cli(capsys, cache_dir, "homology", path, "--k", "3")
+        # NM_3(K9) has 1,253,680 faces, over the 2^20 face cap; the walk
+        # refuses it as soon as the faces found pass the cap
+        path = write_graph(tmp_path, Graph.complete(9))
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, cache_dir, "homology", path, "--k", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 3 and "cap" in err.lower()
+        assert peak < 200 << 20
 
     def test_cache_hit_identical(self, tmp_path, capsys, cache_dir):
         path = write_graph(tmp_path, Graph.complete(4))

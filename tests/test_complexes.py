@@ -1,8 +1,11 @@
 """Simplicial complexes over edge grounds and the special families."""
 
 import itertools
+import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from nonmatching.complexes import (
@@ -24,6 +27,7 @@ from nonmatching.complexes import (
 import nonmatching.complexes as complexes_module
 from nonmatching.errors import CapExceededError, InternalCheckError
 from nonmatching.graphs import (
+    DEFAULT_FACE_CAP,
     Graph,
     bipartite_edge_list,
     complete_edge_list,
@@ -34,6 +38,8 @@ from nonmatching.graphs import (
     has_perfect_matching,
     matching_number,
     mask_to_graph,
+    subdivided_complete_graph,
+    subset_matching_numbers,
 )
 
 
@@ -83,14 +89,95 @@ class TestBuildNM:
         assert len(facets) == 8 and len(triangles) == 4 and len(stars) == 4
 
     def test_cap(self):
+        # the cap counts faces: NM_3(K7) has 46,936 of them, the empty face included
         with pytest.raises(CapExceededError):
-            build_nm_complex(Graph.complete(7), 3, cap=1 << 20)
+            build_nm_complex(Graph.complete(7), 3, cap=46935)
+        assert build_nm_complex(Graph.complete(7), 3, cap=46936).face_count == 46936
 
     def test_hereditary(self):
         for n in (3, 4):
             for mask in range(0, 1 << (n * (n - 1) // 2), 7):
                 cx = build_nm_complex(mask_to_graph(n, mask), 2)
                 assert cx.is_hereditary()
+
+
+def table_faces(g: Graph, k: int) -> frozenset[int]:
+    """Oracle: the edge masks whose entry in the all-subsets nu table is below k."""
+    nu = subset_matching_numbers(g.sorted_edges())
+    return frozenset(np.nonzero(nu < k)[0].tolist())
+
+
+def walk_inputs():
+    """The benchmark's hosts, seeded 14-edge subgraphs of K7, and 20 seeded
+    random graphs, general and bipartite."""
+    rng = random.Random(15)
+    k7 = complete_edge_list(7)
+    out = [Graph.complete(4), Graph.complete(5), Graph.complete(7),
+           Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3),
+           Graph.complete_bipartite(4, 4), subdivided_complete_graph(6), Graph.cycle(5)]
+    out += [Graph.from_edges(7, rng.sample(k7, 14)) for _ in range(2)]
+    for i in range(20):
+        if i % 2:
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            edges = bipartite_edge_list(range(a), range(a, a + b))
+            n = a + b
+        else:
+            n = rng.randint(2, 7)
+            edges = complete_edge_list(n)
+        out.append(Graph.from_edges(n, rng.sample(edges, rng.randint(0, min(len(edges), 16)))))
+    return out
+
+
+class TestNMWalk:
+    def test_equals_the_table(self):
+        for g in walk_inputs():
+            for k in (1, 2, 3, 4):
+                if k > matching_number(g) and 1 << g.edge_count > DEFAULT_FACE_CAP:
+                    continue  # the full simplex, over the face cap (K7 at k=4)
+                faces = build_nm_complex(g, k).faces
+                assert faces == table_faces(g, k), (g.sorted_edges(), k)
+                if k == 1:
+                    assert faces == {0}
+                if k > matching_number(g):
+                    assert len(faces) == 1 << g.edge_count
+
+    def test_k8_face_counts(self):
+        counts = build_nm_complex(Graph.complete(8), 3).face_counts()
+        by_size = [counts[d] for d in range(-1, max(counts) + 1)]
+        assert by_size == [1, 28, 378, 2856, 12810, 34860, 58254, 61664, 44268, 22540,
+                           8344, 2184, 364, 28]
+        # closed forms: every set of at most 2 edges is a face, and a 3-set
+        # is one unless it is one of the 28 * 15 * 6 / 3! perfect 3-matchings
+        assert by_size[:4] == [1, 28, math.comb(28, 2), math.comb(28, 3) - 28 * 15 * 6 // 6]
+        # Erdos-Gallai: at most max(C(2k-1, 2), C(k-1, 2) + (k-1)(n-k+1)) = 13
+        # edges with nu < 3 on 8 vertices, reached only by the C(8, 2) graphs of
+        # all edges at two vertices
+        assert len(by_size) - 1 == max(math.comb(5, 2), math.comb(2, 2) + 2 * 6) == 13
+        assert by_size[-1] == math.comb(8, 2)
+
+    @pytest.mark.parametrize("n, k", [(9, 3), (8, 4)])
+    def test_small_cap_stops_the_walk(self, n, k):
+        # 1 + C(n, 2) + C(C(n, 2), 2) faces up to size 2 fit in 1,000; the
+        # walk stops in size 3, long before the complex
+        with pytest.raises(CapExceededError, match="passed at size 3"):
+            build_nm_complex(Graph.complete(n), k, cap=1000)
+
+    def test_refused_input_holds_the_cap_and_one_block(self):
+        # NM_3(K9) passes the 2^20 face cap at size 9; the faces found so far
+        # (9 bytes each, twice while a level is merged in) and one block of
+        # candidates stay far below the ~75 MiB of one unblocked level
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceededError, match="passed at size 9"):
+                build_nm_complex(Graph.complete(9), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 << 20
+
+    def test_too_many_edges_for_a_mask(self):
+        with pytest.raises(CapExceededError):
+            build_nm_complex(Graph.complete(12), 1)
 
 
 class TestLink:

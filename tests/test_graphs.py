@@ -494,6 +494,18 @@ def test_all_matchings_of_complete_graphs():
     assert counts == [1, 1, 2, 4, 10, 26, 76]
 
 
+def test_ge_tables_within_and_touch():
+    # the host's per-vertex edge bits against one loop over every edge of K_n
+    for n in range(7):
+        _, within, touch, _ = sweeps_module._ge_tables(n)
+        edges = complete_edge_list(n)
+        assert len(within) == len(touch) == 1 << n
+        for s in range(1 << n):
+            ends = [(s >> u & 1) + (s >> v & 1) for u, v in edges]
+            assert within[s] == sum(1 << i for i, c in enumerate(ends) if c == 2)
+            assert touch[s] == sum(1 << i for i, c in enumerate(ends) if c >= 1)
+
+
 class TestEdgeListFormat:
     def test_roundtrip_plain(self):
         g = Graph.cycle(5)
