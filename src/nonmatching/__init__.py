@@ -20,6 +20,7 @@ from .graphs import (
     GallaiEdmondsDecomposition,
     Graph,
     Matching,
+    automorphisms,
     canonical_form,
     gallai_edmonds,
     graph_isomorphism_classes,

@@ -1,12 +1,15 @@
 """Flat-file result cache and run manifests for the command-line front end.
 
 Results are JSON files in one directory, keyed by a digest of the inputs
-that determine them (command, parameters, seed, caps).  Timestamps live only
-in manifests, never in result payloads, so reruns are byte-identical.
+that determine them (command, parameters, seed, caps) and of the code that
+computed them (:func:`code_fingerprint`), so a cached result never outlives
+that code.  Timestamps live only in manifests, never in result payloads, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -16,6 +19,20 @@ from pathlib import Path
 
 ENV_VAR = "NONMATCHING_CACHE_DIR"
 CAPS_VERSION = "caps-v1"
+
+
+@functools.cache
+def code_fingerprint() -> str:
+    """The package version and a sha256 of the package's module sources,
+    computed once per process."""
+    from . import __version__
+
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        h.update(f"{path.name}\0{len(source)}\0".encode())
+        h.update(source)
+    return f"{__version__}+{h.hexdigest()}"
 
 
 def default_cache_dir() -> Path:

@@ -21,10 +21,11 @@ import traceback
 from pathlib import Path
 
 from . import sweeps
-from .cache import CAPS_VERSION, ResultCache, RunManifest, canonical_json, digest_of, now
+from .cache import (CAPS_VERSION, ResultCache, RunManifest, canonical_json, code_fingerprint,
+                    digest_of, now)
 from .complexes import build_nm_complex, complex_digest
 from .errors import CapExceededError, FormatError, HypothesisError, NonmatchingError
-from .graphs import load_graph
+from .graphs import DEFAULT_CANONICAL_VERTEX_CAP, automorphisms, load_graph
 from .homology import check_leray, check_near_leray, parse_field, reduced_betti
 from .rainbow import is_tightness_witness, parse_instance, search_tightness, verify_theorem
 
@@ -44,7 +45,8 @@ def cmd_homology(args) -> int:
     cx = build_nm_complex(g, args.k)
     cache = ResultCache(args.cache_dir)
     key = digest_of(
-        {"op": "homology", "complex": complex_digest(cx), "field": field.label()}
+        {"op": "homology", "complex": complex_digest(cx), "field": field.label(),
+         "code": code_fingerprint()}
     )
     cached = cache.get(key)
     if cached is not None and not args.no_cache:
@@ -79,15 +81,22 @@ def cmd_leray(args) -> int:
     g = load_graph(args.graph_file)
     field = parse_field(args.field)
     cx = build_nm_complex(g, args.k)
+    # one link per Aut(G)-orbit on the exhaustive checks when G has a
+    # non-trivial automorphism; a sample stays per face, since each sampled
+    # face would pay an orbit of |Aut(G)| images
+    symmetry = None
+    if not (args.sample or args.induced) and g.vertex_count <= DEFAULT_CANONICAL_VERTEX_CAP:
+        symmetry = automorphisms(g)
+        if len(symmetry) == 1:
+            symmetry = None
     if args.near:
         policy = "SAMPLED" if args.sample else "EXHAUSTIVE"
-        report = check_near_leray(
-            cx, args.d0, field, policy, sample_count=args.sample or 0, seed=args.seed
-        )
+        report = check_near_leray(cx, args.d0, field, policy, sample_count=args.sample or 0,
+                                  seed=args.seed, symmetry=symmetry)
     elif args.induced:
         report = check_leray(cx, args.d0, field, "INDUCED")
     else:
-        report = check_leray(cx, args.d0, field, "LINKS")
+        report = check_leray(cx, args.d0, field, "LINKS", symmetry=symmetry)
     print(report.to_json())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -149,6 +158,7 @@ def _case_key(suite: str, seed: int, spec: sweeps.CaseSpec) -> str:
             "params": spec.params,
             "seed": seed,
             "caps": CAPS_VERSION,
+            "code": code_fingerprint(),
         }
     )
 

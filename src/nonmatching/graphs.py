@@ -642,22 +642,73 @@ def canonical_form(g: Graph):
     return (n, sizes, int(images.min()))
 
 
-def orbit_representatives(slots, perms, masks) -> list[int]:
-    """The first mask of each orbit that ``masks`` meets, in the order met.
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """The vertex relabelings that map the edges of g onto themselves.
+
+    Each relabeling of :func:`relabelings` is tried at once, as one row of
+    an array: it is kept when it sends every edge of g to an edge of g.
+    With a bipartition laid out as :func:`parse_graph` gives it
+    (X = 0..|X|-1), only the relabelings keeping or swapping the sides are
+    tried, a subgroup of Aut(g); with any other bipartition, or none, every
+    permutation is.  Either way the result is a group that contains the
+    identity.  Exhaustive over relabelings, hence the vertex cap.
+    """
+    n = g.vertex_count
+    if n > DEFAULT_CANONICAL_VERTEX_CAP:
+        raise CapExceededError(
+            f"{n} vertices exceeds the canonical-form cap {DEFAULT_CANONICAL_VERTEX_CAP}"
+        )
+    classes = g.bipartition
+    if classes is not None and classes[0] != frozenset(range(len(classes[0]))):
+        classes = None
+    adjacent = np.zeros((n, n), dtype=bool)
+    ends = np.array(g.sorted_edges(), dtype=np.intp).reshape(-1, 2)
+    adjacent[ends[:, 0], ends[:, 1]] = adjacent[ends[:, 1], ends[:, 0]] = True
+    labels = relabelings(n, classes)
+    perms = np.array(labels, dtype=np.uint8).reshape(len(labels), n)
+    kept = adjacent[perms[:, ends[:, 0]], perms[:, ends[:, 1]]].all(axis=1)
+    return list(map(tuple, perms[kept].tolist()))
+
+
+def orbit_partition(slots, perms, masks) -> tuple[list[int], dict[int, int]]:
+    """The first mask of each orbit that ``masks`` meets, in the order met,
+    and a map from every mask of those orbits to its orbit's first mask.
 
     A mask selects edges of ``slots``; ``perms`` are vertex relabelings that
-    map the slot edges onto themselves and form a group, so the images of a
-    mask under them are its whole orbit.  ``masks`` may be any iterable; the
-    masks seen so far are kept in a set.
+    map the slot edges onto themselves and must form a group, so the images
+    of a mask under them are its whole orbit.  Two signs that they do not
+    raise ``InternalCheckError``: a first mask missing from its own images,
+    and an image already met in an earlier orbit.  ``masks`` may be any
+    iterable; each mask costs one dict lookup, each orbit one OR-reduction.
     """
     table = _slot_images(slots, perms)
-    seen: set[int] = set()
+    owner: dict[int, int] = {}
     reps = []
     for mask in masks:
-        if mask not in seen:
-            reps.append(mask)
-            seen.update(_orbit(table, mask).tolist())
-    return reps
+        if mask in owner:
+            continue
+        images = dict.fromkeys(_orbit(table, mask).tolist(), mask)
+        met = len(owner)
+        owner.update(images)
+        if len(owner) != met + len(images):
+            raise InternalCheckError(
+                f"the orbit of {_edges_of(slots, mask)} meets an earlier orbit: "
+                "the relabelings are not a group"
+            )
+        if owner.get(mask) != mask:
+            raise InternalCheckError(f"{_edges_of(slots, mask)} is not in its own orbit")
+        reps.append(mask)
+    return reps, owner
+
+
+def orbit_representatives(slots, perms, masks) -> list[int]:
+    """The first mask of each orbit that ``masks`` meets, in the order met
+    (:func:`orbit_partition`)."""
+    return orbit_partition(slots, perms, masks)[0]
+
+
+def _edges_of(slots, mask: int) -> list:
+    return [slots[i] for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _subgraph_classes(slots, n: int, classes) -> list[int]:

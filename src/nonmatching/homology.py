@@ -22,6 +22,13 @@ faces of size >= d0.  Those are tau - sigma for the faces tau containing
 sigma with |tau| >= |sigma| + d0.  So the checks gather the large faces of
 the complex once, and each sigma costs one vectorised subset filter over
 them; no link complex is built unless a link fails.
+
+Given a group of vertex relabelings that are automorphisms of the complex
+(Aut(G) acts simplicially on NM_k(G)), the checks rank one link per orbit:
+lk(g sigma) = g lk(sigma), so the representative's verdict and Betti table
+hold for every face of its orbit.  The orbits come from one slot-image
+table walked once (:func:`nonmatching.graphs.orbit_partition`), and the
+loop over every face stays as the oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import numpy as np
 
 from .complexes import SimplicialComplex, induced_subcomplex, link
 from .errors import CapExceededError, InternalCheckError
-from .graphs import DEFAULT_FACE_CAP
+from .graphs import DEFAULT_FACE_CAP, orbit_partition
 
 LARGE_PRIME = 65521
 
@@ -372,12 +379,17 @@ class FaceViolation:
 
 @dataclass(frozen=True)
 class LerayReport:
+    """The verdict of a Leray check.  ``checked`` counts the faces (or
+    induced subcomplexes) decided and ``ranked`` the homology tests run for
+    them: one per face, or one per orbit when a symmetry is given."""
+
     passed: bool
     d0: int
     field: FieldSpec
     mode: str
     checked: int
     violations: tuple[FaceViolation, ...]
+    ranked: int
 
     def to_json(self) -> str:
         return json.dumps(
@@ -387,6 +399,7 @@ class LerayReport:
                 "field": self.field.label(),
                 "mode": self.mode,
                 "checked": self.checked,
+                "ranked": self.ranked,
                 "violations": [
                     {"face": [list(e) if isinstance(e, tuple) else e for e in v.face],
                      "betti": {str(d): b for d, b in sorted(v.betti.betti.items())}}
@@ -433,19 +446,46 @@ class _FacesAbove:
         return not any(_betti_of_sizes(by_size, field, d0, cap).values())
 
 
-def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: FieldSpec,
-                     cap: int) -> tuple[FaceViolation, ...]:
-    """The faces among ``sigmas`` whose link has homology in a dimension >= d0.
+def _orbit_cover(cx: SimplicialComplex, sigmas: list[int], symmetry) -> tuple[list[int], dict]:
+    """One representative per orbit of ``sigmas`` under the vertex
+    relabelings ``symmetry``, and a map from every face of those orbits to
+    its representative (:func:`nonmatching.graphs.orbit_partition`,
+    which refuses a set that is not a group).  An image that is not a face of
+    the complex, so that ``symmetry`` is not a group of its automorphisms,
+    raises ``InternalCheckError``.
+    """
+    reps, owner = orbit_partition(cx.ground.elements, symmetry, sigmas)
+    if not cx.faces.issuperset(owner):
+        off = next(m for m in owner if m not in cx.faces)
+        raise InternalCheckError(
+            f"the image {cx.ground.decode(off)} of {cx.ground.decode(owner[off])} "
+            "under the symmetry is not a face"
+        )
+    return reps, owner
 
-    Each failing face is reported with the full Betti table of its link,
-    which must show that homology: a table that does not is a fault of the
-    fast test, raised as ``InternalCheckError``.
+
+def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: FieldSpec,
+                     cap: int, symmetry=None) -> tuple[tuple[FaceViolation, ...], int]:
+    """The faces among ``sigmas`` (ascending) whose link has homology in a
+    dimension >= d0, and the number of links ranked.
+
+    With ``symmetry`` None every link is ranked.  Otherwise ``symmetry`` is
+    a group of vertex relabelings acting on the ground's edges, and one link
+    per orbit is ranked (:func:`_orbit_cover`): lk(g sigma) = g lk(sigma),
+    so the orbit's faces share the verdict and the Betti table of their
+    representative.  Each failing representative is reported with the full
+    Betti table of its link, which must show that homology: a table that
+    does not is a fault of the fast test, raised as ``InternalCheckError``.
     """
     if not sigmas:
-        return ()
-    above = _FacesAbove(cx, min(m.bit_count() for m in sigmas) + d0)
-    violations = []
-    for m in sigmas:
+        return (), 0
+    if symmetry is None:
+        reps, owner = sigmas, {}
+    else:
+        reps, owner = _orbit_cover(cx, sigmas, symmetry)
+    above = _FacesAbove(cx, min(m.bit_count() for m in reps) + d0)
+    tables = {}
+    for m in reps:
         if above.link_vanishes(m, d0, field, cap):
             continue
         table = reduced_betti(link(cx, m), field, cap)
@@ -454,8 +494,10 @@ def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: F
                 f"the link of {cx.ground.decode(m)} failed to vanish from {d0}, "
                 f"but its Betti table {table.betti} does"
             )
-        violations.append(FaceViolation(cx.ground.decode(m), table))
-    return tuple(violations)
+        tables[m] = table
+    violations = tuple(FaceViolation(cx.ground.decode(m), tables[r])
+                       for m in sigmas if (r := owner.get(m, m)) in tables)
+    return violations, len(reps)
 
 
 def check_near_leray(
@@ -466,6 +508,7 @@ def check_near_leray(
     sample_count: int = 0,
     seed: int = 0,
     cap: int = DEFAULT_FACE_CAP,
+    symmetry=None,
 ) -> LerayReport:
     """Vanishing of link homology from dimension d0 on, for non-empty faces.
 
@@ -474,6 +517,11 @@ def check_near_leray(
     the faces of the complex at least d0 above the face, so no link complex
     is built; ``cap`` limits the faces one link hands to the rank engine.  A
     failing face is reported with the full Betti table of its link.
+
+    ``symmetry``, a group of vertex relabelings that are automorphisms of
+    the complex (such as :func:`nonmatching.graphs.automorphisms` of the
+    host), ranks one link per orbit of the faces checked; None ranks every
+    link.  The report is the same either way, apart from ``ranked``.
     """
     faces = sorted(m for m in cx.faces if m != 0)
     if policy == "SAMPLED":
@@ -485,8 +533,8 @@ def check_near_leray(
         label = "EXHAUSTIVE"
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    violations = _link_violations(cx, faces, d0, field, cap)
-    return LerayReport(not violations, d0, field, f"NEAR/{label}", len(faces), violations)
+    violations, ranked = _link_violations(cx, faces, d0, field, cap, symmetry)
+    return LerayReport(not violations, d0, field, f"NEAR/{label}", len(faces), violations, ranked)
 
 
 def check_leray(
@@ -495,13 +543,15 @@ def check_leray(
     field: FieldSpec = GF2,
     mode: str = "LINKS",
     cap: int = DEFAULT_FACE_CAP,
+    symmetry=None,
 ) -> LerayReport:
     """Decide d0-Lerayness.
 
     LINKS mode checks vanishing of every link, the empty face included, so it
     subsumes a plain vanishing check of the complex itself; like
     :func:`check_near_leray` it reads only the faces at least d0 above each
-    face.  INDUCED mode checks every induced subcomplex; it is exponential in
+    face, and ranks one link per orbit of ``symmetry`` when one is given.
+    INDUCED mode checks every induced subcomplex; it is exponential in
     the ground size and exists to cross-validate LINKS on tiny grounds.
     """
     violations = []
@@ -509,8 +559,10 @@ def check_leray(
     if mode == "LINKS":
         faces = sorted(cx.faces)
         checked = len(faces)
-        violations = list(_link_violations(cx, faces, d0, field, cap))
+        violations, ranked = _link_violations(cx, faces, d0, field, cap, symmetry)
     elif mode == "INDUCED":
+        if symmetry is not None:
+            raise ValueError("a symmetry applies to LINKS mode only")
         ne = len(cx.ground)
         if ne > 20:
             raise CapExceededError(f"INDUCED mode over {ne} ground elements is not desk scale")
@@ -521,6 +573,7 @@ def check_leray(
                 violations.append(
                     FaceViolation(cx.ground.decode(smask), reduced_betti(sub, field, cap))
                 )
+        ranked = checked
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return LerayReport(not violations, d0, field, mode, checked, tuple(violations))
+    return LerayReport(not violations, d0, field, mode, checked, tuple(violations), ranked)

@@ -113,7 +113,39 @@ class TestLerayCommand:
         path = write_graph(tmp_path, Graph.complete(5))
         code, out, _ = run_cli(capsys, cache_dir, "leray", path, "--k", "2",
                                "--d0", "2", "--near", "--sample", "5", "--seed", "1")
-        assert code == 0 and json.loads(out)["checked"] == 5
+        assert code == 0 and json.loads(out)["checked"] == json.loads(out)["ranked"] == 5
+
+    @pytest.mark.parametrize("flags, checked, ranked", [
+        (("--near",), 7864, 364), ((), 7865, 365), (("--near", "--sample", "40"), 40, 40)])
+    def test_exhaustive_checks_rank_one_link_per_orbit(self, tmp_path, capsys, cache_dir,
+                                                       flags, checked, ranked):
+        # subdivided K6 has 48 automorphisms and its NM_3 364 orbits of
+        # non-empty faces; a sample is checked face by face
+        path = write_graph(tmp_path, subdivided_complete_graph(6))
+        _, out, _ = run_cli(capsys, cache_dir, "leray", path, "--k", "3", "--d0", "5", *flags)
+        payload = json.loads(out)
+        assert (payload["checked"], payload["ranked"]) == (checked, ranked)
+
+    @pytest.mark.parametrize("edges, ranked", [
+        # no automorphism but the identity: every link ranked
+        ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 4), (1, 5), (1, 6), (2, 4),
+          (3, 4), (3, 6), (4, 5)], 2501),
+        # two automorphisms: the 5,230 faces fall into 2,651 orbits
+        ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 4), (2, 3), (2, 4),
+          (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)], 2651)])
+    def test_orbits_only_for_a_nontrivial_group(self, tmp_path, capsys, cache_dir, edges,
+                                                 ranked, monkeypatch):
+        import nonmatching.homology as homology_mod
+
+        covers = []
+        real = homology_mod._orbit_cover
+        monkeypatch.setattr(homology_mod, "_orbit_cover",
+                            lambda *a: covers.append(len(a[2])) or real(*a))
+        path = write_graph(tmp_path, Graph.from_edges(7, edges))
+        _, out, _ = run_cli(capsys, cache_dir, "leray", path, "--k", "3", "--d0", "5", "--near")
+        payload = json.loads(out)
+        assert payload["passed"] and payload["ranked"] == ranked
+        assert covers == ([] if ranked == payload["checked"] else [2])
 
     @pytest.mark.parametrize("flags", [("--sample", "5"), ("--induced", "--near")])
     def test_ignored_flags_are_usage_errors(self, tmp_path, capsys, cache_dir, flags):
@@ -238,6 +270,38 @@ class TestSweepCommand:
         monkeypatch.setattr(sweeps_mod, "run_case", real)
         code, out, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
         assert code == 0 and "4 passed" in out and "3 cached" in out
+
+
+class TestCodeFingerprint:
+    def test_version_and_module_sources(self):
+        import hashlib
+        from pathlib import Path
+
+        import nonmatching
+        from nonmatching.cache import code_fingerprint
+
+        h = hashlib.sha256()
+        for path in sorted(Path(nonmatching.__file__).parent.glob("*.py")):
+            source = path.read_bytes()
+            h.update(f"{path.name}\0{len(source)}\0".encode() + source)
+        assert code_fingerprint() == f"{nonmatching.__version__}+{h.hexdigest()}"
+
+    def test_changed_fingerprint_misses(self, tmp_path, capsys, cache_dir, monkeypatch):
+        import nonmatching.cli as cli_mod
+
+        code, out, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert code == 0 and "0 cached" in out
+        code, out, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert code == 0 and "4 cached" in out  # two sweeps in one process hit
+        path = write_graph(tmp_path, Graph.complete(4))
+        run_cli(capsys, cache_dir, "homology", path, "--k", "2")
+        entries = len(list(cache_dir.glob("*.json")))
+        monkeypatch.setattr(cli_mod, "code_fingerprint", lambda: "0.1.0+other")
+        code, out, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert code == 0 and "0 cached" in out
+        run_cli(capsys, cache_dir, "homology", path, "--k", "2")
+        # four case results and one homology result more, under the new keys
+        assert len(list(cache_dir.glob("*.json"))) == entries + 5
 
 
 class TestResultCache:

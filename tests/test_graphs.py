@@ -13,6 +13,7 @@ from nonmatching.errors import CapExceededError, FormatError, InternalCheckError
 from nonmatching.graphs import (
     Graph,
     Matching,
+    automorphisms,
     canonical_form,
     complete_edge_list,
     format_graph,
@@ -453,6 +454,25 @@ class TestIsomorphismClasses:
         assert len(want) < len(set(masks))
         assert graphs_module._slot_images(slots, group).dtype == object
 
+    def test_partition_maps_every_orbit_member_to_its_first(self):
+        slots = complete_edge_list(4)
+        group = relabelings(4, None)
+        reps, owner = graphs_module.orbit_partition(slots, group, range(1 << len(slots)))
+        assert reps == orbit_representatives(slots, group, range(1 << len(slots)))
+        assert sorted(owner) == list(range(1 << len(slots)))
+        assert set(owner.values()) == set(reps)
+        for m, rep in owner.items():
+            assert rep in {_image(m, slots, p) for p in group}
+
+    def test_partition_refuses_a_set_that_is_not_a_group(self):
+        slots = complete_edge_list(4)
+        # the identity and a 3-cycle: the orbit of (0, 2) meets that of (0, 1)
+        with pytest.raises(InternalCheckError, match="not a group"):
+            graphs_module.orbit_partition(slots, [(0, 1, 2, 3), (1, 2, 0, 3)], [1, 2])
+        # a transposition alone moves the edge (0, 2), which is then not among its images
+        with pytest.raises(InternalCheckError, match="not in its own orbit"):
+            graphs_module.orbit_partition(slots, [(1, 0, 2, 3)], [2])
+
     def test_relabeling_off_the_slots_is_refused(self):
         # swapping 0 and 1 sends the slot (0, 2) of K_{1,2} to (1, 2)
         with pytest.raises(ValueError):
@@ -478,6 +498,46 @@ class TestIsomorphismClasses:
         for p in maps:
             assert {p[1], p[3]} in ({0, 1}, {2, 3})
         assert len(relabelings(5, ({0, 1}, {2, 3, 4}))) == 12
+
+
+class TestAutomorphisms:
+    @staticmethod
+    def brute_force(g, classes):
+        return {p for p in relabelings(g.vertex_count, classes)
+                if {tuple(sorted((p[u], p[v]))) for (u, v) in g.edges} == g.edges}
+
+    @pytest.mark.parametrize("g, order", [
+        *[(Graph.complete(n), [1, 1, 2, 6, 24, 120, 720][n]) for n in range(7)],
+        (Graph.complete_bipartite(3, 3), 72),
+        (Graph.complete_bipartite(2, 3), 12),
+        (Graph.complete_bipartite(4, 4), 1152),
+        (subdivided_complete_graph(6), 48),
+        (Graph.cycle(6), 12),
+        (Graph.path(5), 2),
+        (Graph.empty(4), 24),
+    ], ids=lambda x: str(x) if isinstance(x, int) else f"n{x.vertex_count}e{x.edge_count}")
+    def test_against_a_filter_of_relabelings(self, g, order):
+        auts = automorphisms(g)
+        assert len(auts) == len(set(auts)) == order
+        assert set(auts) == self.brute_force(g, g.bipartition)
+        # a group: the identity, and closed under composition
+        group = set(auts)
+        assert tuple(range(g.vertex_count)) in group
+        if order <= 72:
+            assert all(tuple(p[q[v]] for v in range(g.vertex_count)) in group
+                       for p in auts for q in auts)
+
+    def test_bipartition_not_laid_out_first(self):
+        # X = {0, 2} is not 0..|X|-1, so every permutation is tried: the two
+        # disjoint edges (0, 1) and (2, 3) have 8 automorphisms, among them
+        # the identity and maps that mix the sides
+        g = Graph.from_edges(4, [(0, 1), (2, 3)], ({0, 2}, {1, 3}))
+        assert set(automorphisms(g)) == self.brute_force(g, None)
+        assert len(automorphisms(g)) == 8 and (0, 1, 2, 3) in automorphisms(g)
+
+    def test_vertex_cap(self):
+        with pytest.raises(CapExceededError):
+            automorphisms(Graph.path(9))
 
 
 def test_all_matchings_of_complete_graphs():

@@ -19,7 +19,7 @@ from nonmatching.complexes import (
     link,
 )
 from nonmatching.errors import CapExceededError, InternalCheckError
-from nonmatching.graphs import Graph, subdivided_complete_graph
+from nonmatching.graphs import Graph, automorphisms, subdivided_complete_graph
 from nonmatching.homology import (
     GF2,
     GFP,
@@ -335,31 +335,39 @@ def random_complexes(seed: int = 11) -> list[SimplicialComplex]:
 
 ALL_FIELDS = (GF2, GFP(LARGE_PRIME), RATIONAL)
 ALL_D0 = (-1, 0, 1, 2, 3)
-# name -> (complexes, [(fields, d0 values)]).  K4,4 at k=3 has 3,017 faces,
-# and its full grid takes about 11 s (every link built and ranked over each
-# field at low d0), so the other two fields run there only from d0 = 2, where
-# violations remain.
+
+
+def nm_with_group(g: Graph, k: int) -> list:
+    return [(build_nm_complex(g, k), automorphisms(g))]
+
+
+# name -> ([(complex, symmetry or None)], [(fields, d0 values)]).  K4,4 at
+# k=3 has 3,017 faces, and its full grid takes about 11 s (every link built
+# and ranked over each field at low d0), so the other two fields run there
+# only from d0 = 2, where violations remain.
 LINK_ORACLE_INPUTS = {
-    "K5,k=2": (lambda: [build_nm_complex(Graph.complete(5), 2)], [(ALL_FIELDS, ALL_D0)]),
-    "K2,3,k=2": (lambda: [build_nm_complex(Graph.complete_bipartite(2, 3), 2)],
+    "K5,k=2": (lambda: nm_with_group(Graph.complete(5), 2), [(ALL_FIELDS, ALL_D0)]),
+    "K2,3,k=2": (lambda: nm_with_group(Graph.complete_bipartite(2, 3), 2),
                  [(ALL_FIELDS, ALL_D0)]),
-    "K3,3,k=2": (lambda: [build_nm_complex(Graph.complete_bipartite(3, 3), 2)],
+    "K3,3,k=2": (lambda: nm_with_group(Graph.complete_bipartite(3, 3), 2),
                  [(ALL_FIELDS, ALL_D0)]),
-    "K4,4,k=3": (lambda: [build_nm_complex(Graph.complete_bipartite(4, 4), 3)],
+    "K4,4,k=3": (lambda: nm_with_group(Graph.complete_bipartite(4, 4), 3),
                  [((GF2,), ALL_D0), (ALL_FIELDS[1:], (2, 3))]),
-    "random": (random_complexes, [(ALL_FIELDS, ALL_D0)]),
+    "random": (lambda: [(cx, None) for cx in random_complexes()], [(ALL_FIELDS, ALL_D0)]),
 }
 
 
 class TestLinkChecksAgainstLinks:
     """The link checks against the definition: build each link, ask
-    ``vanishing_from`` of it, and compare the sets of failing faces."""
+    ``vanishing_from`` of it, and compare the sets of failing faces.  On the
+    non-matching complexes the checks also run by Aut(G)-orbit, and must
+    give the same report as the per-face loop."""
 
     @pytest.mark.parametrize("name", sorted(LINK_ORACLE_INPUTS))
     def test_violations_match_link_walk(self, name):
         build, grid = LINK_ORACLE_INPUTS[name]
         verdicts = {True: 0, False: 0}
-        for cx in build():
+        for cx, symmetry in build():
             links = {m: link(cx, m) for m in cx.faces}
             near = sorted(m for m in cx.faces if m)
             sample = sorted(random.Random(5).sample(near, min(len(near), 25)))
@@ -376,7 +384,20 @@ class TestLinkChecksAgainstLinks:
                     for report, faces in reports:
                         want = [cx.ground.decode(m) for m in faces if m in failing]
                         assert [v.face for v in report.violations] == want, (name, field, d0)
-                        assert report.checked == len(faces) and report.passed == (not want)
+                        assert report.checked == report.ranked == len(faces)
+                        assert report.passed == (not want)
+                    if symmetry is None:
+                        continue
+                    by_orbit = [
+                        check_leray(cx, d0, field, "LINKS", symmetry=symmetry),
+                        check_near_leray(cx, d0, field, "EXHAUSTIVE", symmetry=symmetry),
+                        check_near_leray(cx, d0, field, "SAMPLED", 25, 5, symmetry=symmetry),
+                    ]
+                    for (report, _), orbit_report in zip(reports, by_orbit):
+                        assert orbit_report.violations == report.violations, (name, field, d0)
+                        assert (orbit_report.checked, orbit_report.passed) == (
+                            report.checked, report.passed)
+                        assert orbit_report.ranked < report.ranked
         assert verdicts[True] and verdicts[False], verdicts
 
     def test_uint64_and_object_filters_agree(self):
@@ -388,6 +409,97 @@ class TestLinkChecksAgainstLinks:
         for m in sorted(cx.faces):
             for d0 in (0, 1, 2):
                 assert narrow.link_vanishes(m, d0, GF2, 1 << 20) == big.link_vanishes(m, d0, GF2, 1 << 20)
+
+
+class TestLinkChecksByOrbit:
+    """One rank per Aut(G)-orbit against the per-face loop, and the guards
+    that refuse a symmetry the complex does not have."""
+
+    def test_subdivided_k6_pins(self):
+        # 7,864 non-empty faces in 364 orbits of the 48 automorphisms
+        g = subdivided_complete_graph(6)
+        cx = build_nm_complex(g, 3)
+        symmetry = automorphisms(g)
+        for d0, want in ((2, 468), (3, 129), (4, 14), (5, 0)):
+            per_face = check_near_leray(cx, d0, GF2)
+            by_orbit = check_near_leray(cx, d0, GF2, symmetry=symmetry)
+            assert len(by_orbit.violations) == want
+            assert by_orbit.violations == per_face.violations  # faces and Betti tables
+            assert (by_orbit.checked, by_orbit.ranked, per_face.ranked) == (7864, 364, 7864)
+            assert by_orbit.to_json().replace('"ranked": 364', '"ranked": 7864') == per_face.to_json()
+
+    @pytest.mark.parametrize("k, d0s", [(2, (0, 1, 2)), (3, (4, 5))])
+    def test_k6_matches_per_face(self, k, d0s):
+        g = Graph.complete(6)
+        cx = build_nm_complex(g, k)
+        for d0 in d0s:
+            for check in (check_near_leray, check_leray):
+                per_face = check(cx, d0, GF2)
+                by_orbit = check(cx, d0, GF2, symmetry=automorphisms(g))
+                assert by_orbit.violations == per_face.violations, (k, d0, check)
+                assert by_orbit.checked == per_face.checked and by_orbit.ranked < per_face.ranked
+
+    def test_ground_past_64_elements(self):
+        # NM_2(K5) over a ground with 60 more edges, on vertices the group
+        # fixes: masks wider than 64 bits go through arrays of Python ints
+        cx = build_nm_complex(Graph.complete(5), 2)
+        extra = tuple((5 + 2 * j, 6 + 2 * j) for j in range(60))
+        wide = SimplicialComplex(GroundSet(cx.ground.elements + extra), cx.faces)
+        symmetry = [p + tuple(range(5, 125)) for p in automorphisms(Graph.complete(5))]
+        for d0 in (0, 1, 2):
+            for check in (check_near_leray, check_leray):
+                per_face = check(wide, d0, GF2)
+                by_orbit = check(wide, d0, GF2, symmetry=symmetry)
+                assert by_orbit.violations == per_face.violations, (check, d0)
+                assert by_orbit.checked == per_face.checked and by_orbit.ranked < per_face.ranked
+        assert check_near_leray(wide, 0, GF2, symmetry=symmetry).violations
+
+    def test_image_off_the_complex(self):
+        # NM_2(K5) without the faces containing (0, 1) is not invariant under
+        # Aut(K5): the image (0, 1) of the face (0, 2) is missing
+        g = Graph.complete(5)
+        cx = build_nm_complex(g, 2)
+        bit = cx.ground.index()[(0, 1)]
+        cut = SimplicialComplex(cx.ground, frozenset(m for m in cx.faces if not m >> bit & 1))
+        assert check_near_leray(cut, 1).checked == 57  # the per-face loop takes it
+        for report in (lambda s: check_near_leray(cut, 1, symmetry=s),
+                       lambda s: check_leray(cut, 1, symmetry=s)):
+            with pytest.raises(InternalCheckError, match="not a face"):
+                report(automorphisms(g))
+
+    def test_set_without_the_identity(self):
+        # the single edge (0, 1) of P5 is moved by the reversal, its only
+        # non-trivial automorphism, so it is not in its own orbit under it
+        g = Graph.path(5)
+        cx = build_nm_complex(g, 2)
+        assert len(automorphisms(g)) == 2
+        assert check_near_leray(cx, 1, symmetry=automorphisms(g)).violations == \
+            check_near_leray(cx, 1).violations
+        with pytest.raises(InternalCheckError, match="not in its own orbit"):
+            check_near_leray(cx, 1, symmetry=[(4, 3, 2, 1, 0)])
+        g = subdivided_complete_graph(6)
+        without = [p for p in automorphisms(g) if p != tuple(range(7))]
+        with pytest.raises(InternalCheckError, match="not in its own orbit"):
+            check_near_leray(build_nm_complex(g, 3), 5, symmetry=without)
+
+    def test_overlapping_orbits(self):
+        # the identity and a 3-cycle are automorphisms of K5 but not a group:
+        # the orbit of the face (1, 2) meets that of (0, 1)
+        cx = build_nm_complex(Graph.complete(5), 2)
+        with pytest.raises(InternalCheckError, match="not a group"):
+            check_near_leray(cx, 1, symmetry=[(0, 1, 2, 3, 4), (1, 2, 0, 3, 4)])
+
+    def test_relabeling_off_the_ground(self):
+        # swapping vertex 0 of subdivided K6 with the subdivision vertex 6
+        # sends the edge (0, 2) to (2, 6), which is not in the ground
+        cx = build_nm_complex(subdivided_complete_graph(6), 3)
+        with pytest.raises(ValueError, match="outside the slots"):
+            check_near_leray(cx, 5, symmetry=[tuple(range(7)), (6, 1, 2, 3, 4, 5, 0)])
+
+    def test_induced_mode_takes_no_symmetry(self):
+        cx = build_nm_complex(Graph.complete(4), 2)
+        with pytest.raises(ValueError, match="LINKS"):
+            check_leray(cx, 2, GF2, "INDUCED", symmetry=automorphisms(Graph.complete(4)))
 
 
 class TestRankGuards:
