@@ -16,6 +16,16 @@ with a twist", 2011): a d-face that is the lowest row of a reduced column of
 bd_{d+1} is the lowest entry of a d-cycle, so its column of bd_d lies in the
 span of the columns before it and is skipped.
 
+Columns are built only when the reduction needs them, as in Ripser's
+emergent pairs (Bauer, "Ripser: efficient computation of Vietoris-Rips
+persistence barcodes", 2021).  The lowest row of a face's boundary column is
+its largest facet, the face without its least element, with coefficient +1,
+so the column is already a pivot scaled to lowest entry 1 in every field.
+A face whose lowest row is new is kept as a deferred pivot, by its mask
+alone; only a face whose lowest row is taken has its column built and
+reduced, and a deferred pivot is built when it is first needed to
+eliminate.  On NM_3(K7) that builds 2,638 of 23,500 columns.
+
 Link checks read only the top of each link.  For d >= d0, the homology
 H_d(lk sigma) involves bd_d and bd_{d+1}, whose rows and columns are link
 faces of size >= d0.  Those are tau - sigma for the faces tau containing
@@ -170,24 +180,20 @@ def _faces_by_size(cx: SimplicialComplex) -> list[list[int]]:
     return by_size
 
 
-def _boundary_columns(faces: list[int], rows: list[int], cleared=()):
-    """Columns of the boundary map from ``faces`` to the sorted ``rows``.
-
-    Yields ``(j, positions)`` for each face index j not in ``cleared``, where
-    ``positions`` lists the rows of the facets in the order of the dropped
+def _facet_positions(m: int, row_index: dict[int, int]) -> list[int]:
+    """The rows of the facets of face ``m``, in the order of the dropped
     element; dropping the i-th smallest element has sign (-1)^i.
+
+    The first is the facet without the least element, the largest facet
+    mask, so it is the column's lowest row, with coefficient +1.
     """
-    row_index = {m: i for i, m in enumerate(rows)}
-    for j, m in enumerate(faces):
-        if j in cleared:
-            continue
-        positions = []
-        rest = m
-        while rest:
-            low = rest & -rest
-            positions.append(row_index[m ^ low])
-            rest ^= low
-        yield j, positions
+    positions = []
+    rest = m
+    while rest:
+        low = rest & -rest
+        positions.append(row_index[m ^ low])
+        rest ^= low
+    return positions
 
 
 class _PackedGF2:
@@ -267,20 +273,39 @@ def _field_ops(field: FieldSpec):
     return _SparseField(field.p if field.kind == "GFP" else 0)
 
 
-def _reduce(ops, columns) -> dict:
-    """Lowest-row column reduction; returns the pivot columns keyed by pivot row."""
-    pivots: dict = {}
-    column, low, pivot, eliminate = ops.column, ops.low, ops.pivot, ops.eliminate
-    for _, positions in columns:
-        col = column(positions)
-        while col:
-            r = low(col)
-            piv = pivots.get(r)
+def _reduce(ops, columns, build) -> tuple[dict, dict]:
+    """Lowest-row column reduction that builds a column only when needed.
+
+    ``columns`` yields ``(key, low)`` for each column, where ``low`` is its
+    lowest nonzero row, and ``build(key)`` returns the column in the form of
+    ``ops``.  A column whose lowest row no pivot holds yet becomes a deferred
+    pivot, recorded by its key alone; only a column whose lowest row is taken
+    is built and reduced, and a deferred pivot is built the first time it is
+    needed to eliminate.  Returns the pivot rows, each with the key of the
+    column that reached it, and the pivot columns built, scaled to lowest
+    entry 1, keyed by pivot row.
+    """
+    lows: dict = {}
+    built: dict = {}
+    low, pivot, eliminate = ops.low, ops.pivot, ops.eliminate
+    for key, r in columns:
+        if r not in lows:
+            lows[r] = key
+            continue
+        col = build(key)
+        while True:
+            piv = built.get(r)
             if piv is None:
-                pivots[r] = pivot(col, r)
-                break
+                piv = built[r] = pivot(build(lows[r]), r)
             col = eliminate(col, piv, r)
-    return pivots
+            if not col:
+                break
+            r = low(col)
+            if r not in lows:
+                lows[r] = key
+                built[r] = pivot(col, r)
+                break
+    return lows, built
 
 
 def boundary_matrix(cx: SimplicialComplex, d: int) -> np.ndarray:
@@ -298,7 +323,9 @@ def boundary_matrix(cx: SimplicialComplex, d: int) -> np.ndarray:
     rows = by_size[d] if d >= 0 else []
     cols = by_size[d + 1] if d + 1 < len(by_size) else []
     mat = np.zeros((len(rows), len(cols)), dtype=np.int8)
-    for j, positions in _boundary_columns(cols, rows):
+    row_index = {m: i for i, m in enumerate(rows)}
+    for j, m in enumerate(cols):
+        positions = _facet_positions(m, row_index)
         mat[positions, j] = [(-1) ** i for i in range(len(positions))]
     return mat
 
@@ -324,10 +351,13 @@ def _betti_of_sizes(by_size: list[list[int]], field: FieldSpec, lo: int, cap: in
     if total > cap:
         raise CapExceededError(f"{total} faces exceeds the linear-algebra cap {cap}")
     ops = _field_ops(field)
+    column = ops.column
     ranks: dict[int, int] = {}
-    cleared: set[int] = set()
+    cleared: dict = {}
     for d in range(dim, max(lo, 0) - 1, -1):
-        cleared = set(_reduce(ops, _boundary_columns(by_size[d + 1], by_size[d], cleared)))
+        row_index = {m: i for i, m in enumerate(by_size[d])}
+        lows = ((m, row_index[m ^ (m & -m)]) for j, m in enumerate(by_size[d + 1]) if j not in cleared)
+        cleared, _ = _reduce(ops, lows, lambda m: column(_facet_positions(m, row_index)))
         ranks[d] = len(cleared)
     betti = {}
     for d in range(lo, dim + 1):
@@ -419,10 +449,11 @@ class _FacesAbove:
     """
 
     def __init__(self, cx: SimplicialComplex, floor: int):
-        big = sorted((m for m in cx.faces if m.bit_count() >= floor),
-                     key=lambda m: (-m.bit_count(), m))
+        by_size = _faces_by_size(cx)
+        sizes = range(len(by_size) - 1, max(floor, 0) - 1, -1)
+        big = [m for size in sizes for m in by_size[size]]
         self.masks = np.array(big, dtype=np.uint64 if len(cx.ground) <= 64 else object)
-        self.sizes = np.array([m.bit_count() for m in big], dtype=np.int64)
+        self.sizes = np.repeat(np.array(sizes, dtype=np.int64), [len(by_size[size]) for size in sizes])
         self._neg_sizes = (-self.sizes).tolist()
 
     def link_vanishes(self, sigma: int, d0: int, field: FieldSpec, cap: int) -> bool:

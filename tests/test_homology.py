@@ -32,10 +32,11 @@ from nonmatching.homology import (
     parse_field,
     reduced_betti,
     vanishing_from,
-    _boundary_columns,
     _FacesAbove,
     _faces_by_size,
+    _facet_positions,
     _field_ops,
+    _PackedGF2,
     _reduce,
 )
 from nonmatching import homology
@@ -101,15 +102,16 @@ class TestBoundaryMatrix:
         assert d0.shape == (1, 1) and d0[0, 0] == 1
 
     def test_dd_zero(self):
-        # composes the columns the rank engine assembles: bd_d . bd_{d+1} = 0
+        # composes the columns the rank engine builds: bd_d . bd_{d+1} = 0
         cx = build_nm_complex(Graph.complete(4), 2)
         by_size = _faces_by_size(cx)
         for d in range(0, cx.dim()):
-            lower = dict(_boundary_columns(by_size[d + 1], by_size[d]))
-            upper = _boundary_columns(by_size[d + 2], by_size[d + 1])
-            for _, positions in upper:
+            lower_rows = {m: i for i, m in enumerate(by_size[d])}
+            upper_rows = {m: i for i, m in enumerate(by_size[d + 1])}
+            lower = [_facet_positions(m, lower_rows) for m in by_size[d + 1]]
+            for m in by_size[d + 2]:
                 total: dict[int, int] = {}
-                for i, r in enumerate(positions):
+                for i, r in enumerate(_facet_positions(m, upper_rows)):
                     for jj, rr in enumerate(lower[r]):
                         total[rr] = total.get(rr, 0) + (-1) ** (i + jj)
                 assert not any(total.values())
@@ -179,27 +181,25 @@ class TestReducedBetti:
 
     def test_rational_column_reduction(self):
         # the boundary of a hollow triangle's three edges has rank 2 over Q
-        cols = [(0, [0, 1]), (1, [1, 2]), (2, [0, 2])]
-        assert len(_reduce(_field_ops(RATIONAL), cols)) == 2
+        ops = _field_ops(RATIONAL)
+        cols = {0: [0, 1], 1: [1, 2], 2: [0, 2]}
+        lows, _ = _reduce(ops, [(j, max(rows)) for j, rows in cols.items()], lambda j: ops.column(cols[j]))
+        assert len(lows) == 2
 
     def test_rational_non_unit_pivot(self):
         # integer columns whose lowest entries are not +-1 (2 on the very
         # first column) take the Fraction path; ranks against numpy, and
         # every stored pivot must end in 1
         ops = _field_ops(RATIONAL)
-
-        class IntColumns(type(ops)):
-            def column(self, entries):
-                return dict(entries)
-
         rng = random.Random(3)
         mats = [np.array([[1, 1, 2, 0], [2, 0, 4, 2], [0, -3, 0, -3]])]
         mats += [np.array([[rng.randint(-2, 2) for _ in range(5)] for _ in range(4)]) for _ in range(40)]
         fractions = 0
         for mat in mats:
-            cols = [(j, {r: int(x) for r, x in enumerate(mat[:, j]) if x}) for j in range(mat.shape[1])]
-            pivots = _reduce(IntColumns(0), cols)
-            assert len(pivots) == np.linalg.matrix_rank(mat.astype(float)), mat
+            cols = {j: {r: int(x) for r, x in enumerate(mat[:, j]) if x} for j in range(mat.shape[1])}
+            lows, pivots = _reduce(ops, [(j, max(col)) for j, col in cols.items() if col],
+                                   lambda j: dict(cols[j]))
+            assert len(lows) == np.linalg.matrix_rank(mat.astype(float)), mat
             assert all(piv[r] == 1 for r, piv in pivots.items())
             fractions += any(type(v) is not int for piv in pivots.values() for v in piv.values())
         assert fractions
@@ -238,6 +238,95 @@ class TestReducedBetti:
                 for d in range(cx.dim(), -1, -1):
                     ranks[d] = above = counts[d] - table.get(d) - above
                 assert ranks == oracle, (field, sorted(cx.faces))
+
+
+def rank_mod(mat: np.ndarray, p: int) -> int:
+    """Rank of a small integer matrix over GF(p), by dense row reduction."""
+    a = mat.astype(np.int64) % p
+    rank = 0
+    for c in range(a.shape[1]):
+        nonzero_rows = rank + np.flatnonzero(a[rank:, c])
+        if not len(nonzero_rows):
+            continue
+        a[[rank, nonzero_rows[0]]] = a[[nonzero_rows[0], rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), -1, p) % p
+        below = rank + 1 + np.flatnonzero(a[rank + 1:, c])
+        a[below] = (a[below] - np.outer(a[below, c], a[rank])) % p
+        rank += 1
+    return rank
+
+
+def dense_ranks(cx: SimplicialComplex, field: FieldSpec) -> list[int]:
+    """Ranks of bd_d for d = dim down to 0 from the dense boundary matrices:
+    float matrix_rank over Q, row reduction mod p over GF(p)."""
+    ranks = []
+    for d in range(cx.dim(), -1, -1):
+        mat = boundary_matrix(cx, d)
+        if field.kind == "RATIONAL":
+            ranks.append(int(np.linalg.matrix_rank(mat.astype(float))))
+        else:
+            ranks.append(rank_mod(mat, 2 if field.kind == "GF2" else field.p))
+    return ranks
+
+
+def seeded_random_complexes() -> list[SimplicialComplex]:
+    rng = random.Random(17)
+    return [from_facets(8, [rng.sample(range(8), rng.randint(2, 5)) for _ in range(rng.randint(4, 10))])
+            for _ in range(12)]
+
+
+# float matrix_rank of boundary_matrix(cx, d), d = 9 down to 0, for NM_3 of
+# K6 with one edge subdivided: about 4.5 s to recompute, so pinned.  The
+# complex has no torsion (its table is {4: 4, 5: 5} over every field here),
+# so these are its ranks over GF(2) and GF(LARGE_PRIME) too.
+SUBDIVIDED_K6_RANKS = [3, 45, 300, 862, 1236, 948, 413, 105, 15, 1]
+
+
+class TestDeferredColumns:
+    """The engine builds a boundary column only when its lowest row (its
+    largest facet) is already a pivot row, and a deferred pivot only when it
+    is first needed to eliminate.  Each case records the reductions the
+    engine runs, checks their ranks against the dense oracle, and asks that
+    both deferred branches fire: a collision that builds a deferred pivot,
+    and a reduced column that lands on a new lowest row."""
+
+    @pytest.mark.parametrize("field", [GF2, GFP(LARGE_PRIME), RATIONAL], ids=["gf2", "gfp", "q"])
+    @pytest.mark.parametrize("family", ["rp2", "nm3_subdivided_k6", "random"])
+    def test_deferred_branches_against_dense_ranks(self, monkeypatch, field, family):
+        if family == "rp2":
+            complexes = [rp2_complex()]
+        elif family == "nm3_subdivided_k6":
+            complexes = [build_nm_complex(subdivided_complete_graph(6), 3)]
+        else:
+            complexes = seeded_random_complexes()
+        real = homology._reduce
+        ops = _field_ops(field)
+        runs = []
+
+        def recording(ops, columns, build):
+            columns = list(columns)
+            lows, pivots = real(ops, columns, build)
+            runs.append((dict(columns), lows, pivots))
+            return lows, pivots
+
+        monkeypatch.setattr(homology, "_reduce", recording)
+        deferred_built = reached_new_low = 0
+        for cx in complexes:
+            runs.clear()
+            reduced_betti(cx, field)
+            if family == "nm3_subdivided_k6":
+                assert [len(lows) for _, lows, _ in runs] == SUBDIVIDED_K6_RANKS
+            else:
+                assert [len(lows) for _, lows, _ in runs] == dense_ranks(cx, field), sorted(cx.faces)
+            for first_low, lows, pivots in runs:
+                assert set(pivots) <= set(lows)
+                for r, piv in pivots.items():
+                    assert ops.low(piv) == r
+                    assert ops is _PackedGF2 or piv[r] == 1
+                    if first_low[lows[r]] == r:
+                        deferred_built += 1
+                reached_new_low += sum(first_low[key] != r for r, key in lows.items())
+        assert deferred_built and reached_new_low
 
 
 class TestVanishing:
@@ -506,10 +595,10 @@ class TestRankGuards:
     def test_extra_pivot_trips_negative_betti(self, monkeypatch):
         real = homology._reduce
 
-        def one_too_many(ops, columns):
-            pivots = real(ops, columns)
-            pivots[-1] = None  # a pivot row that no column has
-            return pivots
+        def one_too_many(*args):
+            lows, pivots = real(*args)
+            lows[-1] = None  # a pivot row that no column has
+            return lows, pivots
 
         monkeypatch.setattr(homology, "_reduce", one_too_many)
         cx = build_nm_complex(Graph.complete(4), 2)
