@@ -1,4 +1,4 @@
-"""Rainbow matchings: guarantees, tight examples, and the matroid view.
+"""Rainbow matchings: guarantees, tight examples, and the labelled complex.
 
 Given edge sets E_1..E_m with every pairwise union containing k disjoint
 edges, a rainbow matching picks k disjoint edges from k distinct sets.
@@ -10,9 +10,7 @@ from nonmatching import Graph
 from nonmatching.rainbow import (
     RainbowInstance,
     find_rainbow_matching,
-    free_matroid_oracle,
     labelled_nm_complex,
-    matroid_rainbow_check,
     partition_rank,
     search_tightness,
     verify_hypotheses,
@@ -52,8 +50,3 @@ print("partition rank of the whole ground:", partition_rank(tiny, cx.ground.elem
 report = verify_topological_helly_conclusion(tiny, 1)
 print("Helly-type conclusion face:", report.face, "residual rank:", report.residual_rank)
 
-print()
-print("-- matroid rank-oracle variant --")
-edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
-verdict = matroid_rainbow_check(edges, free_matroid_oracle(sorted(edges)), 2)
-print("free matroid on four disjoint edges:", verdict.status, verdict.details)

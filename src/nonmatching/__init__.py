@@ -77,10 +77,8 @@ from .constructions import (
 from .rainbow import (
     RainbowCertificate,
     RainbowInstance,
-    RankOracle,
     find_rainbow_matching,
     labelled_nm_complex,
-    matroid_rainbow_check,
     search_tightness,
     verify_hypotheses,
     verify_theorem,

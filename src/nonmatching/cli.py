@@ -26,7 +26,7 @@ from .cache import (CAPS_VERSION, ResultCache, RunManifest, canonical_json, code
 from .complexes import build_nm_complex, complex_digest
 from .errors import CapExceededError, FormatError, HypothesisError, NonmatchingError
 from .graphs import DEFAULT_CANONICAL_VERTEX_CAP, automorphisms, load_graph
-from .homology import check_leray, check_near_leray, parse_field, reduced_betti
+from .homology import BettiTable, check_leray, check_near_leray, parse_field, reduced_betti
 from .rainbow import is_tightness_witness, parse_instance, search_tightness, verify_theorem
 
 EXIT_PASS = 0
@@ -57,9 +57,7 @@ def cmd_homology(args) -> int:
         cache.put(key, {"betti": {str(d): b for d, b in betti.items()}})
     bound = _vanishing_bound(g, args.k)
     if args.format == "csv":
-        print("dim,betti")
-        for d in sorted(betti):
-            print(f"{d},{betti[d]}")
+        print(BettiTable(field, betti).to_csv(), end="")
         print(f"# vanishing guaranteed from dimension {bound}")
     else:
         print(
@@ -266,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0", type=int, required=True)
     p.add_argument("--near", action="store_true", help="non-empty faces only")
     p.add_argument("--induced", action="store_true", help="all induced subcomplexes (not with --near)")
-    p.add_argument("--exhaustive", action="store_true", help="default policy")
     p.add_argument("--sample", type=int, default=0, help="sample this many faces (with --near)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field", default="gf2")

@@ -7,9 +7,10 @@ a complex: it is the orientation convention every boundary matrix uses.
 One walk, :func:`_faces_between`, enumerates every hereditary family from a
 base face upward, visiting faces only.  Its face test is membership in a
 stored face set (links, induced subcomplexes) or a predicate: nu below k for
-the two link families and, of the label-erased image, for
-:func:`nonmatching.rainbow.labelled_nm_complex`; strict comparability for
-:func:`order_complex`.
+the two link families, strict comparability for :func:`order_complex`.
+Every non-matching complex, the labelled one of
+:func:`nonmatching.rainbow.labelled_nm_complex` included, comes from the
+level walk :func:`_nm_faces` with nu memoised per face.
 The other special graph families (PM, FC, BFC) are closed upward, so they
 are filters over the submasks above h.  All five work on the edge masks of a
 shared :class:`EdgeHost`, for the Morse builders and :func:`enumerate_family`.
@@ -45,10 +46,6 @@ class GroundSet:
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
             raise ValueError("ground elements must be distinct")
-
-    @classmethod
-    def lex(cls, elements) -> "GroundSet":
-        return cls(tuple(sorted(elements)))
 
     def __len__(self):
         return len(self.elements)
@@ -292,10 +289,6 @@ class SimplicialComplex:
         return cx
 
     @classmethod
-    def from_faces(cls, ground: GroundSet, face_subsets) -> "SimplicialComplex":
-        return cls.from_masks(ground, (ground.mask_of(f) for f in face_subsets))
-
-    @classmethod
     def full_simplex(cls, ground: GroundSet, cap: int = DEFAULT_SUBSET_CAP) -> "SimplicialComplex":
         if (1 << len(ground)) > cap:
             raise CapExceededError(f"2^{len(ground)} faces exceeds the cap {cap}")
@@ -459,10 +452,21 @@ def build_nm_complex(g: Graph, k: int, cap: int = DEFAULT_FACE_CAP) -> Simplicia
     if k < 1:
         raise ValueError("k must be a positive integer")
     edges = g.sorted_edges()
+    return _nm_complex(GroundSet(tuple(edges)), edges, k, cap)
+
+
+def _nm_complex(ground: GroundSet, edges: list[tuple[int, int]], k: int, cap: int) -> SimplicialComplex:
+    """The subsets of ``ground`` whose edges have matching number below k,
+    where ground element i is the edge ``edges[i]``.
+
+    Equal entries of ``edges`` are parallel copies of one edge, so a subset
+    holding several of them has the nu of its distinct edges.  A face mask
+    is a 64-bit integer, so more than 63 elements raise
+    :class:`CapExceededError`, as do more than ``cap`` faces.
+    """
     if len(edges) > 63:
         raise CapExceededError(f"{len(edges)} edges exceeds the 63 bits of a face mask")
-    faces = _nm_faces(edges, k, cap)
-    return SimplicialComplex(GroundSet(tuple(edges)), frozenset(faces.tolist()))
+    return SimplicialComplex(ground, frozenset(_nm_faces(edges, k, cap).tolist()))
 
 
 def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> np.ndarray:
@@ -475,12 +479,13 @@ def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> np.ndarray:
 
         nu(f + e) = max(nu(f), 1 + nu(f - N[e])),
 
-    where N[e] is the edges sharing an end with e.  f - N[e] is a subset of
-    f, so it is a face already found, and its nu is one ``searchsorted`` in
-    the sorted array of every face so far.  The candidates of a level are
-    taken in blocks ordered by e and then by f, which is the ascending order
-    of f + e, so the new level comes out sorted and a refused input holds at
-    most ``cap`` faces plus one block.
+    where N[e] is the edges sharing an end with e, e and any parallel copy
+    of it included, so the recurrence holds with parallel edges too.  f - N[e]
+    is a subset of f, so it is a face already found, and its nu is one
+    ``searchsorted`` in the sorted array of every face so far.  The
+    candidates of a level are taken in blocks ordered by e and then by f,
+    which is the ascending order of f + e, so the new level comes out sorted
+    and a refused input holds at most ``cap`` faces plus one block.
     """
     at: dict[int, int] = {}
     for i, (u, v) in enumerate(edges):

@@ -72,18 +72,6 @@ class MatchingReport:
     witness_cycle: tuple[int, ...] | None = None
     problems: tuple[str, ...] = ()
 
-    def to_dict(self, ground: GroundSet | None = None) -> dict:
-        crit = [list(ground.decode(m)) if ground else m for m in self.critical]
-        return {
-            "valid": self.valid,
-            "acyclic": self.acyclic,
-            "critical_count": len(self.critical),
-            "critical": crit if len(crit) <= 64 else crit[:64],
-            "max_critical_size": self.max_critical_size,
-            "witness_cycle": list(self.witness_cycle) if self.witness_cycle else None,
-            "problems": list(self.problems),
-        }
-
 
 def validate_matching(family, pairs) -> MatchingReport:
     """Definition-level validation: pair shape and single-use, plus criticals.

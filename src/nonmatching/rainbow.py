@@ -1,4 +1,4 @@
-"""Rainbow matchings: search, theorem verification, and matroid variants.
+"""Rainbow matchings: search, theorem verification, and the labelled complex.
 
 A rainbow matching for edge sets E_1..E_m is a matching in their union using
 each chosen edge from a distinct set.  The guarantees verified here: with
@@ -7,9 +7,10 @@ host and 3k-2 sets on a general host; 2k-2 bipartite sets and 3k-3 general
 sets do not.  At k=2 one exhaustive scan, :func:`k2_counterexamples`, lists
 every counterexample on a host: the sweeps run it on each K3,3 host class
 and on all of K6, and it gives the k=2 tightness witnesses.  The
-labelled complex, walked face by face like every hereditary family, and the
-partition matroid connect these statements to the vanishing results, and an
-exhaustive desk-scale check confirms the topological Helly-type conclusion.
+labelled complex, built by the same walk as every non-matching complex, and
+the partition matroid on the labels connect these statements to the
+vanishing results, and an exhaustive desk-scale check confirms the
+topological Helly-type conclusion.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import GroundSet, SimplicialComplex, _faces_between, _FaceTest, edge_host, mask_bits
-from .errors import CapExceededError, FormatError, HypothesisError, InternalCheckError
+from .complexes import GroundSet, SimplicialComplex, _nm_complex, edge_host
+from .errors import FormatError, HypothesisError, InternalCheckError
 from .graphs import (
-    DEFAULT_SUBSET_CAP,
+    DEFAULT_FACE_CAP,
     Graph,
     Matching,
     _canonical_table,
@@ -31,11 +32,9 @@ from .graphs import (
     adjacency_masks,
     edge_slot_table,
     format_graph,
-    matching_number,
     normalize_edge,
     nu_within,
     parse_graph,
-    subset_matching_numbers,
 )
 
 
@@ -377,29 +376,16 @@ def labelled_ground(inst: RainbowInstance) -> GroundSet:
     return GroundSet(tuple(elements))
 
 
-def labelled_nm_complex(inst: RainbowInstance, cap: int = DEFAULT_SUBSET_CAP) -> SimplicialComplex:
+def labelled_nm_complex(inst: RainbowInstance, cap: int = DEFAULT_FACE_CAP) -> SimplicialComplex:
     """Complex of labelled edge subsets whose label-erased image has nu < k.
 
     Labelled copies of one edge under different labels are distinct ground
-    elements; erasure de-duplicates before the matching number is taken.
-    Erasure and nu are monotone, so the test is hereditary and the faces are
-    its walk.  The cap bounds 2^L, the face count at worst.
+    elements, walked as parallel copies of that edge, so a face's nu is that
+    of its erased image.  More than 63 labelled edges or ``cap`` faces raise
+    :class:`CapExceededError`, as in :func:`complexes.build_nm_complex`.
     """
     ground = labelled_ground(inst)
-    if (1 << len(ground)) > cap:
-        raise CapExceededError(f"2^{len(ground)} labelled subsets exceeds the cap {cap}")
-    union = sorted(inst.union_edges())
-    nu = subset_matching_numbers(union, cap).tobytes()
-    erased = [1 << union.index(e) for (e, _) in ground.elements]
-
-    def erasure_below_k(mask: int) -> bool:
-        p = 0
-        for b in mask_bits(mask):
-            p |= erased[b]
-        return nu[p] < inst.k
-
-    faces = _faces_between(_FaceTest(erasure_below_k), 0, (1 << len(ground)) - 1)
-    return SimplicialComplex(ground, frozenset(faces))
+    return _nm_complex(ground, [e for (e, _) in ground.elements], inst.k, cap)
 
 
 def partition_rank(inst: RainbowInstance, labelled_subset) -> int:
@@ -445,131 +431,6 @@ def verify_topological_helly_conclusion(inst: RainbowInstance, d: int) -> HellyR
         if rank_left <= d:
             return HellyReport(True, d, cx.ground.decode(m), rank_left)
     return HellyReport(False, d, None, None)
-
-
-# ---------------------------------------------------------------------------
-# Matroid rank oracles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RankOracle:
-    """A matroid rank function over an explicit ground tuple."""
-
-    ground: tuple
-    rank_fn: object  # callable: frozenset -> int
-
-    def rank(self, subset) -> int:
-        return self.rank_fn(frozenset(subset))
-
-    def full_rank(self) -> int:
-        return self.rank(self.ground)
-
-
-def validate_rank_oracle(oracle: RankOracle, cap: int = 12) -> None:
-    """Exhaustively check the matroid rank axioms on a small ground.
-
-    Normalisation, unit increments, monotonicity, and the local exchange
-    form of submodularity r(S+e) + r(S+f) >= r(S+e+f) + r(S).
-    """
-    n = len(oracle.ground)
-    if n > cap:
-        raise CapExceededError(f"oracle ground {n} exceeds the validation cap {cap}")
-    elems = list(oracle.ground)
-    table = {}
-    for mask in range(1 << n):
-        sub = frozenset(elems[i] for i in range(n) if mask >> i & 1)
-        table[mask] = oracle.rank(sub)
-    if table[0] != 0:
-        raise ValueError("rank of the empty set must be 0")
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            up = table[mask | (1 << i)]
-            if up < table[mask] or up > table[mask] + 1:
-                raise ValueError("rank must be monotone with unit increments")
-            for j in range(i + 1, n):
-                if mask >> j & 1:
-                    continue
-                if (
-                    table[mask | (1 << i)] + table[mask | (1 << j)]
-                    < table[mask | (1 << i) | (1 << j)] + table[mask]
-                ):
-                    raise ValueError("rank must be submodular")
-
-
-def partition_matroid_oracle(inst: RainbowInstance) -> RankOracle:
-    ground = labelled_ground(inst).elements
-    return RankOracle(ground, lambda s: len({i for (_, i) in s}))
-
-
-def free_matroid_oracle(ground) -> RankOracle:
-    return RankOracle(tuple(ground), lambda s: len(s))
-
-
-def graphic_matroid_oracle(n: int, ground_edges) -> RankOracle:
-    """Rank of an edge subset in the cycle matroid: vertices minus components."""
-    ground = tuple(sorted(normalize_edge(*e) for e in ground_edges))
-
-    def rank(sub):
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        r = 0
-        for (u, v) in sorted(sub):
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                r += 1
-        return r
-
-    return RankOracle(ground, rank)
-
-
-def matroid_rainbow_check(ground_edges, oracle: RankOracle, k: int) -> Verdict:
-    """Independent-matching guarantee under a matroid rank oracle.
-
-    Hypotheses: full rank at least 3k-2 (2k-1 when the union of the ground
-    edges is bipartite) and matching number at least k on every rank-2 flat.
-    Searches exhaustively for a size-k matching independent in the matroid.
-    """
-    edges = sorted(normalize_edge(*e) for e in ground_edges)
-    if tuple(edges) != tuple(sorted(oracle.ground)):
-        raise ValueError("oracle ground must be the given edge set")
-    validate_rank_oracle(oracle)
-    n = max((v for e in edges for v in e), default=-1) + 1
-    union = Graph.from_edges(n, edges)
-    bip = union.is_bipartite_graph()
-    need = required_set_count(k, bip)
-    if oracle.full_rank() < need:
-        raise HypothesisError(f"full rank {oracle.full_rank()} below {need}")
-
-    # rank-2 flats by closing pairs
-    flats = set()
-    for pair in itertools.combinations(edges, 2):
-        if oracle.rank(pair) != 2:
-            continue
-        closure = frozenset(
-            e for e in edges if oracle.rank(frozenset(pair) | {e}) == 2
-        )
-        flats.add(closure)
-    for flat in sorted(flats, key=sorted):
-        g = Graph.from_edges(n, flat)
-        if matching_number(g) < k:
-            raise HypothesisError("a rank-2 flat has matching number below k")
-
-    for comb in itertools.combinations(edges, k):
-        vs = [v for e in comb for v in e]
-        if len(set(vs)) == 2 * k and oracle.rank(comb) == k:
-            return Verdict("SATISFIED", k, len(edges), None,
-                           {"independent_matching": [list(e) for e in comb]})
-    return Verdict("VIOLATION", k, len(edges), None, {"hypotheses_verified": True})
 
 
 # ---------------------------------------------------------------------------

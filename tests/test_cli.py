@@ -93,7 +93,7 @@ class TestLerayCommand:
     def test_near_pass(self, tmp_path, capsys, cache_dir):
         path = write_graph(tmp_path, Graph.complete(4))
         code, out, _ = run_cli(capsys, cache_dir, "leray", path, "--k", "2",
-                               "--d0", "2", "--near", "--exhaustive")
+                               "--d0", "2", "--near")
         assert code == 0 and json.loads(out)["passed"]
 
     def test_near_bipartite(self, tmp_path, capsys, cache_dir):

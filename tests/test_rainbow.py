@@ -1,4 +1,4 @@
-"""Rainbow matchings, the labelled complex, and matroid variants."""
+"""Rainbow matchings, the labelled complex, and the Helly-type conclusion."""
 
 import itertools
 import random
@@ -15,22 +15,16 @@ from nonmatching.graphs import Graph, matching_number, normalize_edge
 from nonmatching.rainbow import (
     RainbowCertificate,
     RainbowInstance,
-    RankOracle,
     certificate_is_valid,
     find_rainbow_matching,
     format_instance,
-    free_matroid_oracle,
-    graphic_matroid_oracle,
     is_tightness_witness,
     k2_counterexamples,
     labelled_nm_complex,
-    matroid_rainbow_check,
     parse_instance,
-    partition_matroid_oracle,
     partition_rank,
     rainbow_brute_force,
     search_tightness,
-    validate_rank_oracle,
     verify_hypotheses,
     verify_theorem,
     verify_topological_helly_conclusion,
@@ -287,9 +281,9 @@ class TestLabelledComplex:
         inst = RainbowInstance.make(host, [sorted(host.edges)], 2)
         lcx = labelled_nm_complex(inst)
         nm = build_nm_complex(host, 2)
-        assert sorted(m.bit_count() for m in lcx.faces) == sorted(
-            m.bit_count() for m in nm.faces
-        )
+        # one sorted set: labelled element i is the host's i-th sorted edge
+        assert [e for (e, _) in lcx.ground.elements] == list(nm.ground.elements)
+        assert lcx.faces == nm.faces
 
     def test_duplicated_edge_both_copies(self):
         inst = RainbowInstance.make(c4_host(), [[(0, 2)], [(0, 2)]], 2)
@@ -321,10 +315,18 @@ class TestLabelledComplex:
         assert labelled_nm_complex(inst).face_count == want
 
     def test_cap_bounds_the_labelled_elements(self):
+        # the cap bounds the faces, and a face mask at most 63 elements
         inst = RainbowInstance.make(c4_host(), [sorted(c4_host().edges)] * 2, 2)
-        assert len(labelled_nm_complex(inst, cap=1 << 8).ground) == 8
+        lcx = labelled_nm_complex(inst)
+        assert len(lcx.ground) == 8
+        assert labelled_nm_complex(inst, cap=lcx.face_count).faces == lcx.faces
         with pytest.raises(CapExceededError):
-            labelled_nm_complex(inst, cap=(1 << 8) - 1)
+            labelled_nm_complex(inst, cap=lcx.face_count - 1)
+        # 4 copies of the 16 edges of K4,4: 64 labelled edges
+        host = Graph.complete_bipartite(4, 4)
+        inst = RainbowInstance.make(host, [sorted(host.edges)] * 4, 1)
+        with pytest.raises(CapExceededError):
+            labelled_nm_complex(inst)
 
     def test_faces_project_to_low_nu(self):
         inst = c4_pm_pair()
@@ -359,70 +361,6 @@ class TestHelly:
         inst = c4_pm_pair()
         with pytest.raises(HypothesisError):
             verify_topological_helly_conclusion(inst, 1)  # m = 2 < 3
-
-
-class TestRankOracles:
-    def test_partition_oracle_valid(self):
-        inst = RainbowInstance.make(
-            c4_host(), [[(0, 2), (1, 3)], [(0, 3), (1, 2)], [(0, 2), (1, 3)]], 2
-        )
-        validate_rank_oracle(partition_matroid_oracle(inst))
-
-    def test_free_and_graphic_valid(self):
-        validate_rank_oracle(free_matroid_oracle([(0, 1), (2, 3)]))
-        validate_rank_oracle(graphic_matroid_oracle(4, Graph.complete(4).edges))
-
-    def test_bad_oracle_rejected(self):
-        bad = RankOracle(("a", "b"), lambda s: 2 * len(s))
-        with pytest.raises(ValueError):
-            validate_rank_oracle(bad)
-
-    def test_non_submodular_rejected(self):
-        # rank jumping only on the full set violates submodularity
-        bad = RankOracle(("a", "b", "c"), lambda s: 2 if len(s) == 3 else min(len(s), 1))
-        with pytest.raises(ValueError):
-            validate_rank_oracle(bad)
-
-
-class TestMatroidRainbow:
-    def test_free_matroid_on_disjoint_edges(self):
-        edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        verdict = matroid_rainbow_check(edges, free_matroid_oracle(sorted(edges)), 2)
-        assert verdict.status == "SATISFIED"
-
-    def test_partition_reduces_to_theorem(self):
-        # with pairwise-disjoint edge sets the partition matroid lives on the
-        # plain edges (rank = number of sets touched); its rank-2 flats are
-        # exactly the pairwise unions, so the matroid check and the rainbow
-        # theorem check must agree
-        host = Graph.complete_bipartite(3, 3)
-        sets = [
-            [(0, 3), (1, 4)],
-            [(0, 4), (1, 5)],
-            [(0, 5), (2, 3)],
-        ]
-        inst = RainbowInstance.make(host, sets, 2)
-        part_of = {}
-        for i, es in enumerate(inst.edge_sets):
-            for e in es:
-                part_of[e] = i
-        ground = sorted(part_of)
-        oracle = RankOracle(tuple(ground), lambda s: len({part_of[e] for e in s}))
-        verdict = matroid_rainbow_check(ground, oracle, 2)
-        theorem = verify_theorem(inst)
-        assert verdict.status == theorem.status == "SATISFIED"
-
-    def test_graphic_matroid_small(self):
-        # 4 disjoint edges: graphic matroid ranks them freely
-        edges = [(0, 1), (2, 3), (4, 5), (6, 7)]
-        oracle = graphic_matroid_oracle(8, edges)
-        verdict = matroid_rainbow_check(edges, oracle, 2)
-        assert verdict.status == "SATISFIED"
-
-    def test_rank_too_small(self):
-        edges = [(0, 1), (2, 3)]
-        with pytest.raises(HypothesisError):
-            matroid_rainbow_check(edges, free_matroid_oracle(sorted(edges)), 2)
 
 
 class TestInstanceFormat:
