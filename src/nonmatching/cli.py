@@ -23,7 +23,7 @@ from pathlib import Path
 from . import sweeps
 from .cache import (CAPS_VERSION, ResultCache, RunManifest, canonical_json, code_fingerprint,
                     digest_of, now)
-from .complexes import build_nm_complex, complex_digest
+from .complexes import build_nm_complex
 from .errors import CapExceededError, FormatError, HypothesisError, NonmatchingError
 from .graphs import DEFAULT_CANONICAL_VERTEX_CAP, automorphisms, load_graph
 from .homology import BettiTable, check_leray, check_near_leray, parse_field, reduced_betti
@@ -44,8 +44,9 @@ def cmd_homology(args) -> int:
     field = parse_field(args.field)
     cx = build_nm_complex(g, args.k)
     cache = ResultCache(args.cache_dir)
+    # NM_k(G) is determined by the edge list and k
     key = digest_of(
-        {"op": "homology", "complex": complex_digest(cx), "field": field.label(),
+        {"op": "homology", "edges": g.sorted_edges(), "k": args.k, "field": field.label(),
          "code": code_fingerprint()}
     )
     cached = cache.get(key)

@@ -14,14 +14,20 @@ level walk :func:`_nm_faces` with nu memoised per face.
 The other special graph families (PM, FC, BFC) are closed upward, so they
 are filters over the submasks above h.  All five work on the edge masks of a
 shared :class:`EdgeHost`, for the Morse builders and :func:`enumerate_family`.
+
+Beside its face set, a complex carries its faces by size
+(:attr:`SimplicialComplex.levels`): entry s is the sorted array of the
+faces of size s.  That is the one face layout the rank engine, the link
+checks and the dimension counts read.  The walk produces it level by level
+and hands it over; any other complex (links, induced subcomplexes, joins,
+order complexes, the full simplex) derives it once from its face set.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -272,11 +278,14 @@ class SimplicialComplex:
     """Hereditary family of subsets of a ground set, stored face by face.
 
     The empty complex (no faces at all, the "void" complex) is representable;
-    every non-void complex contains the empty face.
+    every non-void complex contains the empty face.  ``walk_levels`` is
+    :attr:`levels` as handed over by the walk that found the faces; it is not
+    part of ``==`` or ``hash``.
     """
 
     ground: GroundSet
     faces: frozenset[int]
+    walk_levels: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_masks(cls, ground: GroundSet, masks) -> "SimplicialComplex":
@@ -298,6 +307,18 @@ class SimplicialComplex:
     def void(cls, ground: GroundSet) -> "SimplicialComplex":
         return cls(ground, frozenset())
 
+    @functools.cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """The faces by size: entry s is the sorted array of the faces of
+        size s, for s = 0..dim+1, so the void complex has none.  The arrays
+        are int64 on a ground of up to 63 elements and ``object`` (Python
+        ints) on a wider one, and read-only.  Computed once, from ``faces``
+        unless the walk handed them over."""
+        levels = self.walk_levels if self.walk_levels is not None else _levels_of(self.faces, len(self.ground))
+        for level in levels:
+            level.flags.writeable = False
+        return levels
+
     def is_void(self) -> bool:
         return not self.faces
 
@@ -307,21 +328,14 @@ class SimplicialComplex:
 
     def dim(self) -> int:
         """Dimension of the complex; -1 for {empty face}, -2 for the void complex."""
-        if not self.faces:
-            return -2
-        return max(m.bit_count() for m in self.faces) - 1
+        return len(self.levels) - 2
 
     def faces_of_dim(self, d: int) -> list[int]:
         """Masks of all faces of dimension d (size d+1), sorted."""
-        size = d + 1
-        return sorted(m for m in self.faces if m.bit_count() == size)
+        return self.levels[d + 1].tolist() if 0 <= d + 1 < len(self.levels) else []
 
     def face_counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for m in self.faces:
-            d = m.bit_count() - 1
-            out[d] = out.get(d, 0) + 1
-        return out
+        return {size - 1: len(level) for size, level in enumerate(self.levels) if len(level)}
 
     def is_hereditary(self) -> bool:
         for m in self.faces:
@@ -338,6 +352,17 @@ class SimplicialComplex:
             if not any((m | (1 << b)) in self.faces for b in mask_bits(ambient & ~m)):
                 out.append(m)
         return sorted(out)
+
+
+def _levels_of(faces, n: int) -> tuple[np.ndarray, ...]:
+    """The face masks over an n-element ground by size, each level sorted."""
+    if not faces:
+        return ()
+    masks = np.fromiter(faces, np.int64 if n <= 63 else object, len(faces))
+    sizes = np.fromiter(map(int.bit_count, faces), np.intp, len(faces))
+    masks = masks[sizes.argsort()]
+    ends = np.cumsum(np.bincount(sizes)).tolist()
+    return tuple(np.sort(masks[a:b]) for a, b in zip([0] + ends, ends))
 
 
 class _FaceTest:
@@ -466,12 +491,15 @@ def _nm_complex(ground: GroundSet, edges: list[tuple[int, int]], k: int, cap: in
     """
     if len(edges) > 63:
         raise CapExceededError(f"{len(edges)} edges exceeds the 63 bits of a face mask")
-    return SimplicialComplex(ground, frozenset(_nm_faces(edges, k, cap).tolist()))
+    levels = _nm_faces(edges, k, cap)
+    return SimplicialComplex(ground, frozenset(np.concatenate(levels).tolist()), levels)
 
 
-def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> np.ndarray:
-    """The edge masks with matching number below k, ascending, walked up one
-    size at a time from the empty face with nu memoised per face.
+def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> tuple[np.ndarray, ...]:
+    """The edge masks with matching number below k by size, each level an
+    ascending int64 array (the layout of :attr:`SimplicialComplex.levels`),
+    walked up one size at a time from the empty face with nu memoised per
+    face.
 
     A face f of one size is extended only by the edges e above its highest
     bit, so each face is found once; the faces below 2^e are exactly those,
@@ -495,12 +523,13 @@ def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> np.ndarray:
     bits = np.left_shift(1, np.arange(len(edges), dtype=np.int64))
     faces, nu = np.zeros(1, np.int64), np.zeros(1, np.uint8)  # every face so far, ascending
     level, level_nu = faces, nu
+    levels = [level]
     for size in itertools.count(1):
         parents = level.searchsorted(bits)  # per edge e: the faces below 2^e
         ends = parents.cumsum()
         total = int(ends[-1]) if len(ends) else 0
         if not total:
-            return faces
+            break
         starts = ends - parents
         found, found_nu, count = [], [], len(faces)
         for lo in range(0, total, _WALK_BLOCK):
@@ -517,9 +546,13 @@ def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> np.ndarray:
                 raise CapExceededError(
                     f"NM_{k} has more than {cap} faces (the cap), passed at size {size}")
         level, level_nu = np.concatenate(found), np.concatenate(found_nu)
+        if not len(level):
+            break
+        levels.append(level)
         faces = np.concatenate((faces, level))
         order = faces.argsort(kind="stable")  # merges the two sorted runs
         faces, nu = faces[order], np.concatenate((nu, level_nu))[order]
+    return tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +718,3 @@ def complex_from_text(text: str, ground: GroundSet | None = None) -> SimplicialC
     except ValueError as exc:
         raise FormatError("bad face line") from exc
     return SimplicialComplex(ground, faces)
-
-
-def complex_digest(cx: SimplicialComplex) -> str:
-    return hashlib.sha256(complex_to_text(cx).encode()).hexdigest()

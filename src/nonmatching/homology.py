@@ -26,12 +26,26 @@ alone; only a face whose lowest row is taken has its column built and
 reduced, and a deferred pivot is built when it is first needed to
 eliminate.  On NM_3(K7) that builds 2,638 of 23,500 columns.
 
+The faces come sorted by size (:attr:`SimplicialComplex.levels`), so the
+lowest rows of a whole dimension are one ``searchsorted`` of the largest
+facets in the level below.  Along the ascending columns of one size they
+never decrease.  For faces a < b of one size whose highest differing bit is
+h (set in b), b's largest facet keeps bit h, so it is above a's, unless h is
+b's least bit; then a has exactly one bit below h, and both facets are the
+bits the two share above h.  So the first claim of each row, the first
+column to reach it, is where the lowest row changes.  The first claims go
+to the reduction first, as deferred pivots with raw boundary columns, then
+the colliding columns in mask order.  The order changes no result: the pivot rows of any reduced basis of a column space are the
+lowest rows of its nonzero vectors, so the ranks, the rows cleared and the
+Betti tables are those of plain mask order.
+
 Link checks read only the top of each link.  For d >= d0, the homology
 H_d(lk sigma) involves bd_d and bd_{d+1}, whose rows and columns are link
 faces of size >= d0.  Those are tau - sigma for the faces tau containing
-sigma with |tau| >= |sigma| + d0.  So the checks gather the large faces of
-the complex once, and each sigma costs one vectorised subset filter over
-them; no link complex is built unless a link fails.
+sigma with |tau| >= |sigma| + d0.  So the checks join the complex's levels
+from the least such size on once, and each sigma costs one vectorised
+subset filter over them, whose hits fall into the link's levels by size;
+no link complex is built unless a link fails.
 
 Given a group of vertex relabelings that are automorphisms of the complex
 (Aut(G) acts simplicially on NM_k(G)), the checks rank one link per orbit:
@@ -45,7 +59,6 @@ from __future__ import annotations
 
 import json
 import random as _random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,34 +179,21 @@ class BettiTable:
 # ---------------------------------------------------------------------------
 
 
-def _faces_by_size(cx: SimplicialComplex) -> list[list[int]]:
-    """The face masks sorted once and split by size: entry d+1 lists the d-faces.
-
-    The list has dim + 2 entries, so it is empty for the void complex.
-    """
-    by_size: list[list[int]] = []
-    for m in sorted(cx.faces):
-        size = m.bit_count()
-        if size >= len(by_size):
-            by_size.extend([] for _ in range(size + 1 - len(by_size)))
-        by_size[size].append(m)
-    return by_size
-
-
-def _facet_positions(m: int, row_index: dict[int, int]) -> list[int]:
-    """The rows of the facets of face ``m``, in the order of the dropped
-    element; dropping the i-th smallest element has sign (-1)^i.
+def _facet_positions(m: int, rows: np.ndarray) -> list[int]:
+    """The rows of the facets of face ``m`` in the sorted level ``rows``, in
+    the order of the dropped element; dropping the i-th smallest element has
+    sign (-1)^i.
 
     The first is the facet without the least element, the largest facet
     mask, so it is the column's lowest row, with coefficient +1.
     """
-    positions = []
+    facets = []
     rest = m
     while rest:
         low = rest & -rest
-        positions.append(row_index[m ^ low])
+        facets.append(m ^ low)
         rest ^= low
-    return positions
+    return rows.searchsorted(np.array(facets, dtype=rows.dtype)).tolist()
 
 
 class _PackedGF2:
@@ -319,13 +319,12 @@ def boundary_matrix(cx: SimplicialComplex, d: int) -> np.ndarray:
     lo, hi = -1, cx.dim() + 1
     if not (lo <= d <= hi):
         raise ValueError(f"dimension {d} out of range [{lo}, {hi}]")
-    by_size = _faces_by_size(cx)
-    rows = by_size[d] if d >= 0 else []
-    cols = by_size[d + 1] if d + 1 < len(by_size) else []
+    levels = cx.levels
+    rows = levels[d] if d >= 0 else np.empty(0, np.int64)
+    cols = levels[d + 1].tolist() if d + 1 < len(levels) else []
     mat = np.zeros((len(rows), len(cols)), dtype=np.int8)
-    row_index = {m: i for i, m in enumerate(rows)}
     for j, m in enumerate(cols):
-        positions = _facet_positions(m, row_index)
+        positions = _facet_positions(m, rows)
         mat[positions, j] = [(-1) ** i for i in range(len(positions))]
     return mat
 
@@ -335,19 +334,19 @@ def boundary_matrix(cx: SimplicialComplex, d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _betti_of_sizes(by_size: list[list[int]], field: FieldSpec, lo: int, cap: int) -> dict[int, int]:
-    """Reduced Betti numbers in dimensions lo..dim of faces bucketed by size.
+def _betti_of_sizes(levels, field: FieldSpec, lo: int, cap: int) -> dict[int, int]:
+    """Reduced Betti numbers in dimensions lo..dim of faces laid out by size.
 
-    ``by_size[s]`` lists the faces of size s in ascending mask order, and
-    dim is ``len(by_size) - 2``.  Only the buckets of size >= max(lo, 0) are
-    read, so the ones below may be left empty.  When lo > dim the table is
-    empty and nothing is ranked; otherwise every face handed over counts
-    against ``cap``.
+    ``levels[s]`` is the ascending array of the faces of size s (the layout
+    of :attr:`SimplicialComplex.levels`), and dim is ``len(levels) - 2``.
+    Only the levels of size >= max(lo, 0) are read, so the ones below may be
+    left empty.  When lo > dim the table is empty and nothing is ranked;
+    otherwise every face handed over counts against ``cap``.
     """
-    dim = len(by_size) - 2
+    dim = len(levels) - 2
     if lo > dim:
         return {}
-    total = sum(map(len, by_size))
+    total = sum(map(len, levels))
     if total > cap:
         raise CapExceededError(f"{total} faces exceeds the linear-algebra cap {cap}")
     ops = _field_ops(field)
@@ -355,13 +354,23 @@ def _betti_of_sizes(by_size: list[list[int]], field: FieldSpec, lo: int, cap: in
     ranks: dict[int, int] = {}
     cleared: dict = {}
     for d in range(dim, max(lo, 0) - 1, -1):
-        row_index = {m: i for i, m in enumerate(by_size[d])}
-        lows = ((m, row_index[m ^ (m & -m)]) for j, m in enumerate(by_size[d + 1]) if j not in cleared)
-        cleared, _ = _reduce(ops, lows, lambda m: column(_facet_positions(m, row_index)))
+        rows, cols = levels[d], levels[d + 1]
+        if cleared:
+            live = np.ones(len(cols), bool)
+            live[list(cleared)] = False
+            cols = cols[live]
+        # the lowest rows never decrease along the columns, so a row's first
+        # claim is where they change; first claims first, each part in mask order
+        lows = rows.searchsorted(cols ^ (cols & -cols))
+        repeat = np.zeros(len(lows), bool)
+        repeat[1:] = lows[1:] == lows[:-1]
+        order = repeat.argsort(kind="stable")
+        cleared, _ = _reduce(ops, zip(cols[order].tolist(), lows[order].tolist()),
+                             lambda m: column(_facet_positions(m, rows)))
         ranks[d] = len(cleared)
     betti = {}
     for d in range(lo, dim + 1):
-        f_d = len(by_size[d + 1]) if d >= -1 else 0
+        f_d = len(levels[d + 1]) if d >= -1 else 0
         betti[d] = f_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if betti[d] < 0:  # rank bug guard
             raise InternalCheckError(f"negative betti at dim {d}")
@@ -380,9 +389,7 @@ def reduced_betti(
     the top dimension down, and a d-face that is a pivot row of bd_{d+1} is
     skipped as a column of bd_d (clearing).
     """
-    if cx.is_void():
-        return BettiTable(field, {})
-    return BettiTable(field, _betti_of_sizes(_faces_by_size(cx), field, -1, cap))
+    return BettiTable(field, _betti_of_sizes(cx.levels, field, -1, cap))
 
 
 def vanishing_from(
@@ -390,10 +397,10 @@ def vanishing_from(
 ) -> bool:
     """True iff every reduced Betti number in dimension >= d0 vanishes.
 
-    The faces are bucketed once; a complex of dimension below d0 is answered
-    from the bucket count without ranking anything.
+    A complex of dimension below d0 is answered from its number of levels
+    without ranking anything.
     """
-    return not any(_betti_of_sizes(_faces_by_size(cx), field, d0, cap).values())
+    return not any(_betti_of_sizes(cx.levels, field, d0, cap).values())
 
 
 # ---------------------------------------------------------------------------
@@ -441,40 +448,44 @@ class LerayReport:
 
 
 class _FacesAbove:
-    """The faces of a complex of size >= ``floor``, largest first, ascending
-    within one size, in one array for subset filters.
+    """The faces of a complex of size >= ``floor``, by size and ascending
+    within a size: the complex's levels from ``floor`` on, in one array for
+    subset filters.
 
-    The array is ``uint64`` when the ground fits in 64 bits and ``object``
-    (Python ints) otherwise; the filter is the same expression on both.
+    ``masks`` is a ``uint64`` view of the int64 levels, or the ``object``
+    array of Python ints of a ground wider than 63 elements; the filter is
+    the same expression on both.
     """
 
     def __init__(self, cx: SimplicialComplex, floor: int):
-        by_size = _faces_by_size(cx)
-        sizes = range(len(by_size) - 1, max(floor, 0) - 1, -1)
-        big = [m for size in sizes for m in by_size[size]]
-        self.masks = np.array(big, dtype=np.uint64 if len(cx.ground) <= 64 else object)
-        self.sizes = np.repeat(np.array(sizes, dtype=np.int64), [len(by_size[size]) for size in sizes])
-        self._neg_sizes = (-self.sizes).tolist()
+        self.floor = max(floor, 0)
+        levels = cx.levels[self.floor:]
+        faces = np.concatenate(levels) if levels else cx.levels[0][:0]
+        self.masks = faces.view(np.uint64) if faces.dtype == np.int64 else faces
+        self.starts = np.cumsum([0] + [len(level) for level in levels])  # of each size
 
     def link_vanishes(self, sigma: int, d0: int, field: FieldSpec, cap: int) -> bool:
-        """True iff H_d(lk sigma) = 0 for every d >= d0 (sigma a face).
+        """True iff H_d(lk sigma) = 0 for every d >= d0 (sigma a face, with
+        |sigma| + max(d0, 0) >= floor).
 
-        The link faces of size >= d0 are tau ^ sigma for the faces tau above
-        sigma with |tau| >= |sigma| + d0, taken from the prefix of that size.
-        Dropping sigma's bits keeps the order of the other elements, so the
-        masks, and the signs of their boundaries, are those of the
-        re-indexed link.
+        The link faces of size >= max(d0, 0) are tau ^ sigma for the faces
+        tau above sigma with |tau| >= |sigma| + max(d0, 0), taken from the
+        suffix of that size.  Dropping sigma's bits keeps the order of the
+        other elements, so the masks, and the signs of their boundaries, are
+        those of the re-indexed link, and each size of them is a slice.
         """
-        k = sigma.bit_count()
-        n = bisect_right(self._neg_sizes, -(k + d0))
-        masks = self.masks[:n]
-        hit = (masks & sigma) == sigma
-        tops = (masks[hit] ^ sigma).tolist()
-        sizes = (self.sizes[:n][hit] - k).tolist()
-        by_size: list[list[int]] = [[] for _ in range(sizes[0] + 1)] if tops else []
-        for t, size in zip(tops, sizes):
-            by_size[size].append(t)
-        return not any(_betti_of_sizes(by_size, field, d0, cap).values())
+        least = max(d0, 0)
+        starts = self.starts[sigma.bit_count() + least - self.floor:]
+        if len(starts) < 2:
+            return True
+        masks = self.masks[starts[0]:]
+        hit = np.flatnonzero((masks & sigma) == sigma)
+        tops = masks[hit] ^ sigma
+        cuts = hit.searchsorted(starts - starts[0]).tolist()
+        levels = [tops[:0]] * least + [tops[a:b] for a, b in zip(cuts, cuts[1:])]
+        while levels and not len(levels[-1]):
+            levels.pop()
+        return not any(_betti_of_sizes(levels, field, d0, cap).values())
 
 
 def _orbit_cover(cx: SimplicialComplex, sigmas: list[int], symmetry) -> tuple[list[int], dict]:
@@ -497,8 +508,8 @@ def _orbit_cover(cx: SimplicialComplex, sigmas: list[int], symmetry) -> tuple[li
 
 def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: FieldSpec,
                      cap: int, symmetry=None) -> tuple[tuple[FaceViolation, ...], int]:
-    """The faces among ``sigmas`` (ascending) whose link has homology in a
-    dimension >= d0, and the number of links ranked.
+    """The faces among ``sigmas`` whose link has homology in a dimension
+    >= d0, in ascending mask order, and the number of links ranked.
 
     With ``symmetry`` None every link is ranked.  Otherwise ``symmetry`` is
     a group of vertex relabelings acting on the ground's edges, and one link
@@ -514,7 +525,7 @@ def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: F
         reps, owner = sigmas, {}
     else:
         reps, owner = _orbit_cover(cx, sigmas, symmetry)
-    above = _FacesAbove(cx, min(m.bit_count() for m in reps) + d0)
+    above = _FacesAbove(cx, min(map(int.bit_count, reps)) + d0)
     tables = {}
     for m in reps:
         if above.link_vanishes(m, d0, field, cap):
@@ -526,9 +537,14 @@ def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: F
                 f"but its Betti table {table.betti} does"
             )
         tables[m] = table
-    violations = tuple(FaceViolation(cx.ground.decode(m), tables[r])
-                       for m in sigmas if (r := owner.get(m, m)) in tables)
+    failing = sorted(m for m in sigmas if owner.get(m, m) in tables) if tables else []
+    violations = tuple(FaceViolation(cx.ground.decode(m), tables[owner.get(m, m)]) for m in failing)
     return violations, len(reps)
+
+
+def _faces_from(cx: SimplicialComplex, size: int) -> np.ndarray:
+    """The faces of size >= ``size``, by size and ascending within a size."""
+    return np.concatenate(cx.levels[size:]) if len(cx.levels) > size else np.empty(0, np.int64)
 
 
 def check_near_leray(
@@ -554,17 +570,19 @@ def check_near_leray(
     host), ranks one link per orbit of the faces checked; None ranks every
     link.  The report is the same either way, apart from ``ranked``.
     """
-    faces = sorted(m for m in cx.faces if m != 0)
+    faces = _faces_from(cx, 1)
     if policy == "SAMPLED":
         rng = _random.Random(seed)
         if sample_count < len(faces):
-            faces = sorted(rng.sample(faces, sample_count))
+            # a sample of the faces in ascending mask order; which positions
+            # it takes depends only on their number
+            faces = np.sort(np.sort(faces)[rng.sample(range(len(faces)), sample_count)])
         label = f"SAMPLED({sample_count},{seed})"
     elif policy == "EXHAUSTIVE":
         label = "EXHAUSTIVE"
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    violations, ranked = _link_violations(cx, faces, d0, field, cap, symmetry)
+    violations, ranked = _link_violations(cx, faces.tolist(), d0, field, cap, symmetry)
     return LerayReport(not violations, d0, field, f"NEAR/{label}", len(faces), violations, ranked)
 
 
@@ -588,7 +606,7 @@ def check_leray(
     violations = []
     checked = 0
     if mode == "LINKS":
-        faces = sorted(cx.faces)
+        faces = _faces_from(cx, 0).tolist()
         checked = len(faces)
         violations, ranked = _link_violations(cx, faces, d0, field, cap, symmetry)
     elif mode == "INDUCED":

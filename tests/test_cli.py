@@ -88,6 +88,23 @@ class TestHomologyCommand:
                              "--format", "json")
         assert out1 == out2
 
+    def test_cache_keyed_by_edges_k_and_field(self, tmp_path, capsys, cache_dir):
+        # one homology entry per edge list, k and field: a change in any one
+        # misses, a repeat hits, and each cached answer is the fresh one
+        runs = [(Graph.complete(4), "2", "gf2"), (Graph.complete(4), "3", "gf2"),
+                (Graph.cycle(4), "2", "gf2"), (Graph.complete(4), "2", "q")]
+        paths = [write_graph(tmp_path, g, f"g{i}.txt") for i, (g, _, _) in enumerate(runs)]
+        fresh = [run_cli(capsys, cache_dir, "homology", path, "--k", k, "--field", field,
+                         "--format", "json", "--no-cache")[1]
+                 for path, (_, k, field) in zip(paths, runs)]
+        assert len(set(fresh)) == len(runs)
+        assert len(list(cache_dir.glob("*.json"))) == len(runs)
+        for path, (_, k, field), want in zip(paths, runs, fresh):
+            _, out, _ = run_cli(capsys, cache_dir, "homology", path, "--k", k, "--field", field,
+                                "--format", "json")
+            assert out == want
+        assert len(list(cache_dir.glob("*.json"))) == len(runs)
+
 
 class TestLerayCommand:
     def test_near_pass(self, tmp_path, capsys, cache_dir):

@@ -13,7 +13,6 @@ from nonmatching.complexes import (
     GroundSet,
     SimplicialComplex,
     build_nm_complex,
-    complex_digest,
     complex_from_text,
     complex_to_text,
     delete_vertex,
@@ -41,6 +40,7 @@ from nonmatching.graphs import (
     subdivided_complete_graph,
     subset_matching_numbers,
 )
+from nonmatching.rainbow import RainbowInstance, labelled_nm_complex
 
 
 def naive_nm_faces(g: Graph, k: int) -> set[frozenset]:
@@ -178,6 +178,55 @@ class TestNMWalk:
     def test_too_many_edges_for_a_mask(self):
         with pytest.raises(CapExceededError):
             build_nm_complex(Graph.complete(12), 1)
+
+
+class TestLevels:
+    """The faces by size (``SimplicialComplex.levels``): handed over by the
+    walk, or derived from the face set, and read by the dimension counts."""
+
+    def test_walk_levels_against_the_face_set(self):
+        # the walk's levels against a scan of its face set and against the
+        # levels derived from that set, values and dtype; the walk-built
+        # complex equals, and hashes like, the plain one on the same faces
+        inst = RainbowInstance.make(Graph.complete(4), [[(0, 1), (2, 3)], [(0, 1), (0, 2), (1, 3)]], 2)
+        built = [build_nm_complex(g, k) for g in walk_inputs() for k in (1, 2, 3, 4)
+                 if k <= matching_number(g) or 1 << g.edge_count <= DEFAULT_FACE_CAP]
+        built.append(labelled_nm_complex(inst))
+        assert any(len(cx.levels) > 10 for cx in built)
+        for cx in built:
+            plain = SimplicialComplex(cx.ground, cx.faces)
+            assert cx.walk_levels is not None and plain.walk_levels is None
+            assert cx == plain and hash(cx) == hash(plain)
+            scan = [sorted(m for m in cx.faces if m.bit_count() == size)
+                    for size in range(max(m.bit_count() for m in cx.faces) + 1)]
+            assert [level.tolist() for level in cx.levels] == scan
+            assert [level.tolist() for level in plain.levels] == scan
+            assert all(level.dtype == np.int64 for level in cx.levels + plain.levels)
+
+    def test_derived_levels_past_63_elements(self):
+        # masks over more than 63 elements are kept as Python ints
+        for cx in oracle_complexes()[-3:]:
+            assert max(cx.faces).bit_length() > 63
+            scan = [sorted(m for m in cx.faces if m.bit_count() == size)
+                    for size in range(max(m.bit_count() for m in cx.faces) + 1)]
+            assert [level.tolist() for level in cx.levels] == scan
+            assert all(level.dtype == object for level in cx.levels)
+
+    def test_counts_read_the_levels(self):
+        # dim, faces_of_dim and face_counts against a scan of the face set,
+        # on a walk-built complex, one of its links, a complex on 70
+        # elements, {empty face} and the void complex
+        cx = build_nm_complex(subdivided_complete_graph(6), 3)
+        lk = link(cx, [cx.ground.elements[0]])
+        ground = GroundSet(tuple(range(70)))
+        for c in (cx, lk, oracle_complexes()[-2], SimplicialComplex(ground, frozenset({0})),
+                  SimplicialComplex.void(ground)):
+            sizes = [m.bit_count() for m in c.faces]
+            assert c.dim() == max(sizes, default=-1) - 1
+            assert c.face_counts() == {s - 1: sizes.count(s) for s in set(sizes)}
+            for d in range(-3, c.dim() + 3):
+                assert c.faces_of_dim(d) == sorted(m for m in c.faces if m.bit_count() == d + 1)
+        assert lk.walk_levels is None and lk.dim() == cx.dim() - 1 == 8
 
 
 class TestLink:
@@ -508,15 +557,6 @@ class TestSerialization:
         back = complex_from_text(text)
         assert back.faces == cx.faces
         assert back.ground.elements == cx.ground.elements
-
-    def test_digest_stable(self):
-        cx = build_nm_complex(Graph.complete(4), 2)
-        assert complex_digest(cx) == complex_digest(cx)
-
-    def test_digest_differs(self):
-        a = build_nm_complex(Graph.complete(4), 2)
-        b = build_nm_complex(Graph.complete_bipartite(2, 2), 2)
-        assert complex_digest(a) != complex_digest(b)
 
 
 class TestOrderComplex:

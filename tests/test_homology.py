@@ -33,7 +33,6 @@ from nonmatching.homology import (
     reduced_betti,
     vanishing_from,
     _FacesAbove,
-    _faces_by_size,
     _facet_positions,
     _field_ops,
     _PackedGF2,
@@ -104,14 +103,12 @@ class TestBoundaryMatrix:
     def test_dd_zero(self):
         # composes the columns the rank engine builds: bd_d . bd_{d+1} = 0
         cx = build_nm_complex(Graph.complete(4), 2)
-        by_size = _faces_by_size(cx)
+        levels = cx.levels
         for d in range(0, cx.dim()):
-            lower_rows = {m: i for i, m in enumerate(by_size[d])}
-            upper_rows = {m: i for i, m in enumerate(by_size[d + 1])}
-            lower = [_facet_positions(m, lower_rows) for m in by_size[d + 1]]
-            for m in by_size[d + 2]:
+            lower = [_facet_positions(m, levels[d]) for m in levels[d + 1].tolist()]
+            for m in levels[d + 2].tolist():
                 total: dict[int, int] = {}
-                for i, r in enumerate(_facet_positions(m, upper_rows)):
+                for i, r in enumerate(_facet_positions(m, levels[d + 1])):
                     for jj, rr in enumerate(lower[r]):
                         total[rr] = total.get(rr, 0) + (-1) ** (i + jj)
                 assert not any(total.values())
@@ -405,6 +402,68 @@ class TestLerayChecks:
         assert '"passed": true' in report.to_json()
 
 
+def mask_order_reductions(cx: SimplicialComplex, field: FieldSpec) -> list[tuple[list[int], dict]]:
+    """Per dimension, top down: the columns of bd_d left by clearing, in
+    plain mask order, and the pivot rows ``_reduce`` reaches on them, with
+    the levels and the lowest rows taken from a scan of the face set and
+    row dicts."""
+    ops = _field_ops(field)
+    levels = [sorted(m for m in cx.faces if m.bit_count() == size) for size in range(cx.dim() + 2)]
+    out, cleared = [], {}
+    for d in range(cx.dim(), -1, -1):
+        index = {m: i for i, m in enumerate(levels[d])}
+        cols = [m for j, m in enumerate(levels[d + 1]) if j not in cleared]
+
+        def build(m, index=index):
+            bits = [1 << b for b in range(m.bit_length()) if m >> b & 1]
+            return ops.column([index[m ^ bit] for bit in bits])
+
+        cleared, _ = _reduce(ops, [(m, index[m ^ (m & -m)]) for m in cols], build)
+        out.append((cols, cleared))
+    return out
+
+
+class TestFirstClaimsFirst:
+    """Each dimension hands ``_reduce`` the first claim of every lowest row
+    (the column of least mask with that row) first, then the colliding
+    columns in mask order.  The pivot rows of a reduction are the lowest
+    rows of the column space, whatever the order, so they, and the ranks,
+    must be those of the same columns reduced in plain mask order."""
+
+    @pytest.mark.parametrize("field", [GF2, GFP(LARGE_PRIME), RATIONAL], ids=["gf2", "gfp", "q"])
+    def test_pivot_rows_match_mask_order(self, monkeypatch, field):
+        complexes = [rp2_complex(), build_nm_complex(subdivided_complete_graph(6), 3),
+                     build_nm_complex(Graph.complete(7), 3)] + seeded_random_complexes()
+        real = homology._reduce
+        runs = []
+
+        def recording(ops, columns, build):
+            columns = list(columns)
+            lows, pivots = real(ops, columns, build)
+            runs.append((columns, lows))
+            return lows, pivots
+
+        monkeypatch.setattr(homology, "_reduce", recording)
+        collisions = 0
+        for cx in complexes:
+            runs.clear()
+            reduced_betti(cx, field)
+            oracle = mask_order_reductions(cx, field)
+            assert len(runs) == len(oracle)
+            for (columns, lows), (cols, want) in zip(runs, oracle):
+                assert sorted(key for key, _ in columns) == cols
+                assert set(lows) == set(want) and len(lows) == len(want)
+                firsts = len({r for _, r in columns})
+                head, tail = columns[:firsts], columns[firsts:]
+                assert head == sorted(head) and tail == sorted(tail)
+                first_claim = {}
+                for key, r in sorted(columns):
+                    first_claim.setdefault(r, key)
+                assert head == sorted((key, r) for r, key in first_claim.items())
+                collisions += len(tail)
+        assert collisions
+
+
 def random_complexes(seed: int = 11) -> list[SimplicialComplex]:
     """Seeded complexes from random facets plus a hollow simplex (a sphere of
     dimension 2 to 4): nine on 6 to 9 vertices, and three on 65, 70 and 100,
@@ -505,11 +564,13 @@ class TestLinkChecksByOrbit:
     that refuse a symmetry the complex does not have."""
 
     def test_subdivided_k6_pins(self):
-        # 7,864 non-empty faces in 364 orbits of the 48 automorphisms
+        # 7,864 non-empty faces in 364 orbits of the 48 automorphisms; at
+        # d0 = 25, above every face size, no face is read and every link
+        # vanishes
         g = subdivided_complete_graph(6)
         cx = build_nm_complex(g, 3)
         symmetry = automorphisms(g)
-        for d0, want in ((2, 468), (3, 129), (4, 14), (5, 0)):
+        for d0, want in ((2, 468), (3, 129), (4, 14), (5, 0), (25, 0)):
             per_face = check_near_leray(cx, d0, GF2)
             by_orbit = check_near_leray(cx, d0, GF2, symmetry=symmetry)
             assert len(by_orbit.violations) == want
