@@ -42,20 +42,21 @@ def _vanishing_bound(g, k: int) -> int:
 def cmd_homology(args) -> int:
     g = load_graph(args.graph_file)
     field = parse_field(args.field)
-    cx = build_nm_complex(g, args.k)
     cache = ResultCache(args.cache_dir)
-    # NM_k(G) is determined by the edge list and k
+    # NM_k(G) is determined by the edge list and k; a hit builds nothing
     key = digest_of(
         {"op": "homology", "edges": g.sorted_edges(), "k": args.k, "field": field.label(),
          "code": code_fingerprint()}
     )
-    cached = cache.get(key)
-    if cached is not None and not args.no_cache:
+    cached = None if args.no_cache else cache.get(key)
+    if cached is not None:
         betti = {int(d): b for d, b in cached["betti"].items()}
+        faces = cached["faces"]
     else:
-        table = reduced_betti(cx, field)
-        betti = table.betti
-        cache.put(key, {"betti": {str(d): b for d, b in betti.items()}})
+        cx = build_nm_complex(g, args.k)
+        betti = reduced_betti(cx, field).betti
+        faces = cx.face_count
+        cache.put(key, {"betti": {str(d): b for d, b in betti.items()}, "faces": faces})
     bound = _vanishing_bound(g, args.k)
     if args.format == "csv":
         print(BettiTable(field, betti).to_csv(), end="")
@@ -68,7 +69,7 @@ def cmd_homology(args) -> int:
                     "k": args.k,
                     "betti": {str(d): betti[d] for d in sorted(betti)},
                     "vanishing_bound": bound,
-                    "faces": cx.face_count,
+                    "faces": faces,
                 },
                 sort_keys=True,
             )

@@ -104,6 +104,8 @@ class EdgeHost:
     vertex mask is the vertex v.  Hosts are shared through :func:`edge_host`,
     so the nu table is read-only.  Edge sets spanned by vertex sets come from
     the per-vertex edge bits, and the decomposition works on vertex masks.
+    ``memo`` holds the Morse builders' sub-solves on the host, so they live
+    and die with it.
     """
 
     def __init__(self, ground: GroundSet):
@@ -112,6 +114,7 @@ class EdgeHost:
         self.edges = ground.elements
         # the nu table as bytes: immutable, and indexed straight to Python ints
         self.nu = subset_matching_numbers(list(self.edges)).tobytes()
+        self.nu_array = np.frombuffer(self.nu, np.uint8)  # the same table, read-only
         self.bits_at: dict[int, int] = {}
         # per vertex: (edge bit, neighbour's vertex bit) for each incident edge
         self.star: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -121,6 +124,8 @@ class EdgeHost:
                 self.star[a] = self.star.get(a, ()) + ((1 << i, 1 << b),)
         self._all_vertices = sum(1 << v for v in self.bits_at)
         self._vertex_sets: dict[int, frozenset] = {}
+        # sub-solves of the Morse builders on this host, by canonical arguments
+        self.memo: dict = {}
 
     def mask_of(self, edges) -> int:
         m = 0
@@ -159,26 +164,6 @@ class EdgeHost:
             if mask & edge:
                 out |= other
         return out
-
-    def hall(self, mask: int, cover, other_bits: int, surplus: int) -> bool:
-        """Hall's condition in the graph ``mask`` from ``cover`` into the
-        vertex bitmask ``other_bits``: every non-empty S within ``cover`` has
-        at least |S| + surplus neighbours there.
-
-        surplus=1 is ``cover``-factor criticality of a bipartite graph;
-        surplus=0 with |cover| = |other| is a perfect matching.  The union
-        for S is the union for S minus its last vertex, plus that vertex's
-        neighbours, so each subset costs one OR.
-        """
-        unions = [0]  # unions[s]: the neighbours of the subset s of the vertices seen
-        for v in cover:
-            nb = self.neighbor_bits(mask, v) & other_bits
-            for s in range(len(unions)):
-                u = unions[s] | nb
-                if u.bit_count() < s.bit_count() + 1 + surplus:
-                    return False
-                unions.append(u)
-        return True
 
     def vertex_set(self, vmask: int) -> frozenset:
         """The vertex mask as a frozenset, one shared object per mask."""
@@ -236,24 +221,73 @@ def edge_host(ground: GroundSet) -> EdgeHost:
 
 # ---------------------------------------------------------------------------
 # The special families on a host: the members containing ``h_mask``,
-# ascending.  The builders and :func:`enumerate_family` share them.
+# ascending.  The builders and :func:`enumerate_family` share them.  PM, FC
+# and BFC are filters over the submasks above h, one numpy pass each: nu
+# from the host's table, Hall's condition from :func:`hall_holds`.
 # ---------------------------------------------------------------------------
+
+
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], np.uint8)
+
+
+def _above(h_mask: int, free: int) -> np.ndarray:
+    """The masks h_mask | s for every submask s of ``free`` minus h_mask,
+    ascending."""
+    return np.array(submasks(free & ~h_mask), np.int64) | h_mask
+
+
+def hall_holds(host: EdgeHost, masks: np.ndarray, cover, other, surplus: int) -> np.ndarray:
+    """Hall's condition in each graph of ``masks`` from the vertices
+    ``cover`` into the vertices ``other``: whether every non-empty S within
+    cover has at least |S| + surplus neighbours there, as a bool array.
+
+    surplus=1 is ``cover``-factor criticality of a bipartite graph;
+    surplus=0 with |cover| = |other| is a perfect matching.  Per graph, each
+    cover vertex gets its neighbours as a mask over the positions of
+    ``other``.  The union for S is the union for S minus its last vertex,
+    plus that vertex's neighbours, so each subset costs one OR and a bit
+    count.  Once |S| + surplus exceeds |other| every graph has failed, so at
+    most 2^(|other| + 1) unions are kept, for each block of masks.
+    """
+    if len(masks) > _WALK_BLOCK:
+        return np.concatenate([hall_holds(host, masks[lo:lo + _WALK_BLOCK], cover, other, surplus)
+                               for lo in range(0, len(masks), _WALK_BLOCK)])
+    slot = {u: j for j, u in enumerate(other)}
+    ok = np.ones(len(masks), bool)
+    unions = [0]  # unions[s]: per graph, the neighbours of the subset s of the vertices seen
+    for v in cover:
+        if not ok.any():
+            break
+        nb = np.zeros(len(masks), np.int64)
+        for edge, vbit in host.star.get(v, ()):
+            j = slot.get(vbit.bit_length() - 1)
+            if j is not None:
+                nb |= ((masks & edge) != 0).astype(np.int64) << j
+        for s in range(len(unions)):
+            u = unions[s] | nb
+            count = _POPCOUNT8[u & 0xFF]
+            for shift in range(8, len(slot), 8):
+                count = count + _POPCOUNT8[u >> shift & 0xFF]
+            ok &= count >= s.bit_count() + 1 + surplus
+            unions.append(u)
+    return ok
 
 
 def _pm_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
     """Subgraphs on ``vs`` with a perfect matching (none when |vs| is odd)."""
     if len(vs) % 2:
         return []
-    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
-    return [m for m in members if 2 * host.nu_of(m) == len(vs)]
+    members = _above(h_mask, host.bits_within(vs))
+    return members[host.nu_array[members] == len(vs) // 2].tolist()
 
 
 def _fc_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
     """Factor critical subgraphs on ``vs``: deleting any vertex leaves a
     perfect matching on the rest (so none when |vs| is even and positive)."""
-    members = (h_mask | s for s in submasks(host.bits_within(vs) & ~h_mask))
-    return [m for m in members
-            if all(2 * host.nu_of(m & ~host.bits_at.get(v, 0)) == len(vs) - 1 for v in vs)]
+    members = _above(h_mask, host.bits_within(vs))
+    for v in vs:
+        members = members[host.nu_array[members & ~host.bits_at.get(v, 0)] == len(vs) // 2]
+    return members.tolist()
 
 
 def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
@@ -261,9 +295,9 @@ def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
     condition with surplus one; an empty side gives the empty graph alone."""
     if not (xs and ys):
         return [0]
-    x_bits, y_bits = vertex_bits(xs), vertex_bits(ys)
-    members = (h_mask | s for s in submasks(host.bits_between(xs, ys) & ~h_mask))
-    return [m for m in members if host.hall(m, ys, x_bits, 1) and host.hall(m, zs, y_bits, 1)]
+    members = _above(h_mask, host.bits_between(xs, ys))
+    members = members[hall_holds(host, members, ys, xs, 1)]
+    return members[hall_holds(host, members, zs, ys, 1)].tolist()
 
 
 def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
@@ -714,7 +748,7 @@ def complex_from_text(text: str, ground: GroundSet | None = None) -> SimplicialC
     elif len(tokens) != len(ground):
         raise FormatError("ground size mismatch")
     try:
-        faces = frozenset(int(ln, 16) for ln in lines[1:])
+        faces = [int(ln, 16) for ln in lines[1:]]
     except ValueError as exc:
         raise FormatError("bad face line") from exc
-    return SimplicialComplex(ground, faces)
+    return SimplicialComplex.from_masks(ground, faces)

@@ -21,9 +21,9 @@ are re-verified along the way (join structures are checked for exact
 equality with the definitional member lists; cluster maps are checked
 monotone; lifts must reproduce the unmatched members).  The bipartite
 factor-criticality and perfect-matching filters are one Hall check,
-:meth:`nonmatching.complexes.EdgeHost.hall`, over vertex-bitmask
-neighbourhoods.  The guaranteed critical-size bounds, with their strictness
-clauses, are recorded on the result for the caller to assert:
+:func:`nonmatching.complexes.hall_holds`, over every candidate at once.  The
+guaranteed critical-size bounds, with their strictness clauses, are recorded
+on the result for the caller to assert:
 
     PM:   |sigma| <= (3/2)|V| + |H|        (strict when V is non-empty)
     FC:   |sigma| <= (3/2)(|V|-1) + |H|    (strict when H has an edge)
@@ -36,21 +36,28 @@ edge list); recursive calls share the top-level host so that sub-results
 compose by plain union.  Hosts, with their nu tables, come from the memoised
 :func:`nonmatching.complexes.edge_host`, so a ground is tabulated once per
 process; that holds for the small index hosts of the projection bridges too.
+The recursive sub-solves (a builder called with ``host=``, the join parts
+and the projection bridges) are memoised on their host by canonical
+arguments, so each distinct sub-family is built and checked once per host;
+a builder called without a host is not kept.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .complexes import (
     EdgeHost,
     GroundSet,
+    _above,
     _bfc_masks,
     _fc_masks,
     _nmlink_masks,
     _pm_masks,
     edge_host,
+    hall_holds,
     mask_bits,
     submasks,
     vertex_bits,
@@ -104,6 +111,45 @@ def _ge_leq(k1, k2) -> bool:
 
 class ConstructionError(InternalCheckError):
     pass
+
+
+def _vs(vertices) -> tuple:
+    return tuple(sorted(vertices))
+
+
+def _memo_on_host(canonical):
+    """Memoise a sub-solve in the ``memo`` of the host it solves on.
+
+    ``canonical(*args, **kwargs)`` gives (host, key): the host, or None for
+    a call that is not kept (a builder called without a host), and the
+    arguments in canonical form.  The results are immutable, so one object
+    serves every caller; a call that raises is not kept.
+    """
+    def wrap(fn):
+        @functools.wraps(fn)
+        def memoised(*args, **kwargs):
+            host, key = canonical(*args, **kwargs)
+            if host is None:
+                return fn(*args, **kwargs)
+            key = (fn.__name__, key)
+            out = host.memo.get(key)
+            if out is None:
+                out = host.memo[key] = fn(*args, **kwargs)
+            return out
+        return memoised
+    return wrap
+
+
+def _builder_key(side_count: int):
+    """The canonical arguments of a builder with ``side_count`` vertex
+    arguments before ``h``: the sorted sides and the h mask."""
+    def canonical(*args, h=(), host=None):
+        if host is None:
+            return None, None
+        if len(args) > side_count:
+            h = args[side_count]
+        return host, (tuple(_vs(side) for side in args[:side_count]), _h_mask(host, h))
+    return canonical
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +286,7 @@ def _pick_e0_complete(host: EdgeHost, vs, h_mask: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
+@_memo_on_host(_builder_key(3))
 def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on the two-level bipartite factor critical family.
 
@@ -335,16 +382,14 @@ def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
     monotone key, and each group splits as a join of four blocks.
     """
     ground = host.bits_between(c_x, ys)
-    h_yc = h_mask & ground
     c_y_minus = tuple(v for v in c_y if v != v0)
-    cx_bits, cy_bits, y_bits, z_bits = (vertex_bits(vs) for vs in (c_x, c_y, ys, z_c))
+    z_bits = vertex_bits(z_c)
     members = []
     if len(c_x) == len(c_y):
-        for s in submasks(ground & ~h_yc):
-            m = h_yc | s
-            if (host.hall(m, c_x, cy_bits, 0) and host.hall(m, z_c, y_bits, 1)
-                    and host.hall(m, c_y_minus, cx_bits, 1)):
-                members.append(m)
+        cand = _above(h_mask & ground, ground)
+        for cover, other, surplus in ((c_x, c_y, 0), (z_c, ys, 1), (c_y_minus, c_x, 1)):
+            cand = cand[hall_holds(host, cand, cover, other, surplus)]
+        members = cand.tolist()
 
     def type_key(m):
         s = host.neighbor_bits(m, v0) & z_bits
@@ -444,15 +489,19 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
     ).pairs
 
 
+@_memo_on_host(lambda host, side_x, side_y, h_mask, z_subset=(): (
+    host, (_vs(side_x), _vs(side_y), _vs(z_subset), h_mask & host.bits_between(side_x, side_y))))
 def _bfc_join_part(host, side_x, side_y, h_mask, z_subset=()) -> JoinPart:
-    sub = build_bfc_matching(sorted(side_x), sorted(side_y), z_subset,
-                             h_mask & host.bits_between(side_x, side_y), host=host)
-    return JoinPart.make(host.bits_between(side_x, side_y), sub.family, sub.pairs)
+    ground = host.bits_between(side_x, side_y)
+    sub = build_bfc_matching(sorted(side_x), sorted(side_y), z_subset, h_mask & ground, host=host)
+    return JoinPart.make(ground, sub.family, sub.pairs)
 
 
+@_memo_on_host(lambda host, comp, h_mask: (host, (_vs(comp), h_mask & host.bits_within(comp))))
 def _fc_join_part(host, comp, h_mask) -> JoinPart:
-    sub = build_fc_matching(sorted(comp), h_mask & host.bits_within(comp), host=host)
-    return JoinPart.make(host.bits_within(comp), sub.family, sub.pairs)
+    ground = host.bits_within(comp)
+    sub = build_fc_matching(sorted(comp), h_mask & ground, host=host)
+    return JoinPart.make(ground, sub.family, sub.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +509,8 @@ def _fc_join_part(host, comp, h_mask) -> JoinPart:
 # ---------------------------------------------------------------------------
 
 
+@_memo_on_host(lambda host, d_groups, a_list, z_group_count, tau: (
+    host, (tuple(_vs(group) for group in d_groups), _vs(a_list), z_group_count, tau)))
 def _lifted_bfc_projection(host: EdgeHost, d_groups, a_list, z_group_count: int, tau: int):
     """Matching on bipartite graphs between the missable part and ``a_list``
     whose group-contraction is factor critical on the a side.
@@ -496,6 +547,7 @@ def _lifted_bfc_projection(host: EdgeHost, d_groups, a_list, z_group_count: int,
     return projection_matching(parts, tau, q.family, q.pairs)
 
 
+@_memo_on_host(lambda host, a_set, c_list, tau: (host, (_vs(a_set), _vs(c_list), tau)))
 def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int):
     """Matching on graphs over (A x C) union (C x C) whose contraction of the
     whole set A to one point is factor critical; lifted from an FC family on
@@ -523,6 +575,7 @@ def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int):
 # ---------------------------------------------------------------------------
 
 
+@_memo_on_host(_builder_key(1))
 def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on perfectly matchable supergraphs of ``h``.
 
@@ -602,6 +655,7 @@ def _matched_join_pairs(host, h_mask, universe, key, members, d_groups):
 # ---------------------------------------------------------------------------
 
 
+@_memo_on_host(_builder_key(1))
 def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on factor critical supergraphs of ``h``.
 

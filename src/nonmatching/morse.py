@@ -42,24 +42,6 @@ class ElementMatching:
         matched = self.matched_faces()
         return sorted(m for m in family if m not in matched)
 
-    def decode_pairs(self) -> list[tuple[tuple, tuple]]:
-        return [(self.ground.decode(s), self.ground.decode(t)) for (s, t) in self.pairs]
-
-    def to_text(self) -> str:
-        """One pair per line, faces hex-encoded over the ground positions."""
-        return "\n".join(f"{s:x} {t:x}" for (s, t) in sorted(self.pairs)) + "\n"
-
-    @classmethod
-    def from_text(cls, ground: GroundSet, text: str) -> "ElementMatching":
-        pairs = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split()
-            pairs.append((int(a, 16), int(b, 16)))
-        return cls(ground, tuple(pairs))
-
 
 @dataclass(frozen=True)
 class MatchingReport:

@@ -19,18 +19,13 @@ import itertools
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from .complexes import GroundSet, SimplicialComplex, _nm_complex, edge_host
 from .errors import FormatError, HypothesisError, InternalCheckError
 from .graphs import (
     DEFAULT_FACE_CAP,
     Graph,
     Matching,
-    _canonical_table,
-    _orbit,
     adjacency_masks,
-    edge_slot_table,
     format_graph,
     normalize_edge,
     nu_within,
@@ -345,22 +340,6 @@ def _even_cycle_host(k: int) -> tuple[Graph, frozenset, frozenset]:
     pm2 = frozenset(normalize_edge(k + i, (i + 1) % k) for i in range(k))
     host = Graph.from_edges(n, pm1 | pm2, (range(k), range(k, n)))
     return host, pm1, pm2
-
-
-def canonical_instance(inst: RainbowInstance):
-    """Isomorphism key: vertex relabelings of the host combined with
-    reordering of the edge sets.  Equal keys mean isomorphic instances: the
-    least (host mask, sorted set masks) over the relabeling table of
-    :func:`graphs.canonical_form`, under its vertex cap."""
-    n = inst.host.vertex_count
-    table, slots = _canonical_table(n, None), edge_slot_table(n)
-    host_images, *set_images = (_orbit(table, sum(1 << slots[e] for e in es))
-                                for es in (inst.host.edges, *inst.edge_sets))
-    # one column per relabeling: its host image, then its set images ascending
-    sets = np.sort(np.array(set_images, dtype=table.dtype).reshape(inst.m, len(table)), axis=0)
-    images = np.vstack([host_images, sets])
-    least = images[:, np.lexsort(images[::-1])[0]]
-    return (n, inst.k, int(least[0]), tuple(int(m) for m in least[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,25 @@ class TestHomologyCommand:
                              "--format", "json")
         assert out1 == out2
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_cache_hit_builds_no_complex(self, tmp_path, capsys, cache_dir, monkeypatch, fmt):
+        # a warm call answers from the cache alone, faces included
+        import nonmatching.cli as cli_mod
+
+        path = write_graph(tmp_path, Graph.complete(5))
+        _, cold, _ = run_cli(capsys, cache_dir, "homology", path, "--k", "2", "--format", fmt)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a cache hit built the complex")
+
+        monkeypatch.setattr(cli_mod, "build_nm_complex", no_build)
+        code, warm, _ = run_cli(capsys, cache_dir, "homology", path, "--k", "2", "--format", fmt)
+        assert code == 0 and warm == cold
+        if fmt == "json":
+            assert json.loads(warm)["faces"] == 76  # NM_2(K5): the empty graph, edges, stars, triangles
+        with pytest.raises(AssertionError, match="built the complex"):
+            run_cli(capsys, cache_dir, "homology", path, "--k", "2", "--format", fmt, "--no-cache")
+
     def test_cache_keyed_by_edges_k_and_field(self, tmp_path, capsys, cache_dir):
         # one homology entry per edge list, k and field: a change in any one
         # misses, a repeat hits, and each cached answer is the fresh one

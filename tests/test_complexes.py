@@ -494,19 +494,21 @@ class TestEdgeHost:
             assert (comps, a, c) == (ge.components, ge.a_set, ge.c_set), mask
 
     def test_hall_matches_oracles_on_k33(self):
-        # every subgraph of K3,3 with either side as the cover side: the
-        # strict form against the definitional cover-side factor criticality,
-        # the perfect-matching form against the matching number
+        # every subgraph of K3,3 in one array, with either side as the cover
+        # side: the strict form against the definitional cover-side factor
+        # criticality, the perfect-matching form and the nu view against
+        # the matching number
         xs, ys = (0, 1, 2), (3, 4, 5)
         host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
-        side_bits = {xs: 0b000111, ys: 0b111000}
-        for mask in range(1 << 9):
-            g = Graph.from_edges(6, host.ground.decode(mask))
-            perfect = 2 * matching_number(g) == len(xs + ys)
-            for cover, other in ((ys, xs), (xs, ys)):
-                fc = is_y_factor_critical(g, other, cover)
-                assert host.hall(mask, cover, side_bits[other], 1) == fc, (mask, cover)
-                assert host.hall(mask, cover, side_bits[other], 0) == perfect, (mask, cover)
+        masks = np.arange(1 << 9, dtype=np.int64)
+        graphs = [Graph.from_edges(6, host.ground.decode(mask)) for mask in range(1 << 9)]
+        nu = [matching_number(g) for g in graphs]
+        assert host.nu_array[masks].tolist() == nu
+        perfect = [2 * n == len(xs + ys) for n in nu]
+        for cover, other in ((ys, xs), (xs, ys)):
+            fc = [is_y_factor_critical(g, other, cover) for g in graphs]
+            assert complexes_module.hall_holds(host, masks, cover, other, 1).tolist() == fc, cover
+            assert complexes_module.hall_holds(host, masks, cover, other, 0).tolist() == perfect, cover
 
     def test_memo_shares_one_host_per_ground(self):
         edges = tuple(bipartite_edge_list((0, 1), (2, 3)))
@@ -557,6 +559,15 @@ class TestSerialization:
         back = complex_from_text(text)
         assert back.faces == cx.faces
         assert back.ground.elements == cx.ground.elements
+
+    def test_non_hereditary_dump_refused(self):
+        # {0, 1} and {0, 2} without {0}: ranked as given it would read
+        # {-1: 1, 0: 0, 1: 1}, so the reader must refuse it
+        faces = [0, 0b010, 0b100, 0b011, 0b110, 0b101]
+        text = "ground 0 1 2\n" + "".join(f"{m:x}\n" for m in faces)
+        with pytest.raises(ValueError, match="not hereditary"):
+            complex_from_text(text)
+        assert complex_from_text(text + "1\n").face_count == 7
 
 
 class TestOrderComplex:

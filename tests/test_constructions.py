@@ -1,8 +1,10 @@
 """The five family constructions: validity, acyclicity, and size bounds."""
 
+import random
+
 import pytest
 
-from nonmatching.complexes import FamilySpec, enumerate_family
+from nonmatching.complexes import EdgeHost, FamilySpec, GroundSet, edge_host, enumerate_family
 from nonmatching.constructions import (
     build_bfc_matching,
     build_fc_matching,
@@ -270,3 +272,95 @@ class TestGrids:
                     assert_good(build_bfc_matching((0, 1, 2), (3, 4), z, sorted(h.edges)))
                 except EmptyFamilyError:
                     pass
+
+
+class _KeepsNothing(dict):
+    """A host memo that stores nothing: every sub-solve is built afresh."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _memo_grid():
+    """(builder, ground, vertex arguments, h and k) over PM, FC, BFC and link
+    families on hosts up to 6 vertices and on K4,3, with seeded samples of h."""
+    from nonmatching.graphs import bipartite_edge_list, bipartite_subgraph_classes, graph_isomorphism_classes
+
+    rng = random.Random(21)
+    grid = []
+    for n, count in ((2, 2), (4, 11), (6, 16)):
+        for h in rng.sample(graph_isomorphism_classes(n), count):
+            grid.append((build_pm_matching, cons._complete_ground(range(n)), (range(n),), {"h": sorted(h.edges)}))
+    for n, count in ((3, 4), (5, 10)):
+        for h in rng.sample(graph_isomorphism_classes(n), count):
+            grid.append((build_fc_matching, cons._complete_ground(range(n)), (range(n),), {"h": sorted(h.edges)}))
+    for n, k in ((5, 2), (5, 3), (6, 2), (6, 3)):
+        hs = [h for h in graph_isomorphism_classes(n) if 1 <= matching_number(h) < k]
+        for h in rng.sample(hs, min(len(hs), 4)):
+            grid.append((build_link_matching_complete, cons._complete_ground(range(n)),
+                         (range(n),), {"h": sorted(h.edges), "k": k}))
+    xs, ys = (0, 1, 2, 3), (4, 5, 6)
+    k43 = GroundSet(tuple(bipartite_edge_list(xs, ys)))
+    classes = bipartite_subgraph_classes(4, 3)
+    for h in rng.sample(classes, 6):
+        for z in ((), (0,), (0, 1, 2)):
+            grid.append((build_bfc_matching, k43, (xs, ys, z), {"h": sorted(h.edges)}))
+    for k in (2, 3):
+        hs = [h for h in classes if 1 <= matching_number(h) < k]
+        for h in rng.sample(hs, min(len(hs), 4)):
+            grid.append((build_link_matching_bipartite, k43, (xs, ys), {"h": sorted(h.edges), "k": k}))
+    return grid
+
+
+class TestHostMemo:
+    def test_memoised_builders_equal_fresh_builds(self):
+        # each ground's memoised host serves the whole grid twice, the
+        # second time warm and with h (and k) as keywords; every result
+        # must equal the build on a host that keeps nothing
+        memoised, fresh = {}, {}
+        grid = _memo_grid()
+        for keywords in (False, True):
+            for builder, ground, sides, rest in grid:
+                if ground not in memoised:
+                    memoised[ground], fresh[ground] = EdgeHost(ground), EdgeHost(ground)
+                    fresh[ground].memo = _KeepsNothing()
+                got = []
+                for host in (memoised[ground], fresh[ground]):
+                    try:
+                        if keywords:
+                            res = builder(*sides, **rest, host=host)
+                        else:
+                            res = builder(*sides, *rest.values(), host=host)
+                    except EmptyFamilyError:
+                        got.append(None)
+                        continue
+                    got.append((res.family, res.pairs, res.criticals, res.bound, res.strict))
+                assert got[0] == got[1], (builder.__name__, sides, rest, keywords)
+        assert all(host.memo for host in memoised.values())
+        assert not any(host.memo for host in fresh.values())
+
+    def test_memo_holds_no_top_level_result(self):
+        h = [(0, 1), (2, 3)]
+        host = edge_host(cons._complete_ground(range(6)))
+        host.memo.clear()
+        res = build_pm_matching(range(6), h)
+        assert host.memo, "the sub-solves are kept on the shared host"
+        for kept in host.memo.values():
+            assert kept is not res and getattr(kept, "family", None) != res.family
+        again = build_pm_matching(range(6), h)
+        assert again is not res and again == res
+
+    def test_projection_bridge_keyed_on_its_z_count(self):
+        # the same groups, a side and tau with each z count in turn, on one
+        # memoised host and on a host that keeps nothing
+        ground = cons._complete_ground(range(6))
+        memoised, fresh = EdgeHost(ground), EdgeHost(ground)
+        fresh.memo = _KeepsNothing()
+        groups, a_side = [{0}, {1, 2}, {3}], [4, 5]
+        got = []
+        for z_count in (0, 1):  # z-factor criticality into two a-vertices caps |z| at 1
+            res, want = (cons._lifted_bfc_projection(host, groups, a_side, z_count, 0)
+                         for host in (memoised, fresh))
+            assert res == want, z_count
+            got.append(res.family)
+        assert got[0] != got[1]

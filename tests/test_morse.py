@@ -334,18 +334,6 @@ class TestMorseInequality:
         assert verify_morse_inequality(cx, [], GF2)
 
 
-class TestMatchingSerialization:
-    def test_text_roundtrip(self):
-        from nonmatching.complexes import GroundSet
-        from nonmatching.morse import ElementMatching
-
-        ground = GroundSet(((0, 1), (0, 2), (1, 2)))
-        m = ElementMatching(ground, ((0, 1), (2, 6)))
-        back = ElementMatching.from_text(ground, m.to_text())
-        assert sorted(back.pairs) == sorted(m.pairs)
-        assert back.decode_pairs()[0][1] == ((0, 1),)
-
-
 class TestBigMaskFallback:
     def test_cluster_union_beyond_word_size(self):
         # faces wider than 64 bits go through an object array of Python ints

@@ -11,7 +11,7 @@ from nonmatching.complexes import build_nm_complex
 import nonmatching.rainbow as rainbow_module
 from nonmatching import sweeps
 from nonmatching.errors import CapExceededError, FormatError, HypothesisError, InternalCheckError
-from nonmatching.graphs import Graph, matching_number, normalize_edge
+from nonmatching.graphs import Graph, matching_number
 from nonmatching.rainbow import (
     RainbowCertificate,
     RainbowInstance,
@@ -397,60 +397,3 @@ class TestCertificates:
     def test_distinct_sources_enforced(self):
         with pytest.raises(ValueError):
             RainbowCertificate((((0, 1), 0), ((2, 3), 0)))
-
-
-class TestCanonicalInstance:
-    def test_isomorphic_instances_share_keys(self):
-        from nonmatching.rainbow import canonical_instance
-
-        host1 = Graph.from_edges(4, [(0, 1), (2, 3)])
-        host2 = Graph.from_edges(4, [(0, 3), (1, 2)])
-        a = RainbowInstance.make(host1, [[(0, 1)], [(2, 3)]], 2)
-        b = RainbowInstance.make(host2, [[(1, 2)], [(0, 3)]], 2)
-        assert canonical_instance(a) == canonical_instance(b)
-
-    def test_nonisomorphic_differ(self):
-        from nonmatching.rainbow import canonical_instance
-
-        host = Graph.from_edges(4, [(0, 1), (2, 3)])
-        a = RainbowInstance.make(host, [[(0, 1)], [(2, 3)]], 2)
-        c = RainbowInstance.make(host, [[(0, 1), (2, 3)], [(2, 3)]], 2)
-        assert canonical_instance(a) != canonical_instance(c)
-
-    def test_against_brute_force_key_on_5_vertices(self):
-        # seeded instances on sparse 5-vertex hosts, each with a relabeled
-        # copy whose sets are reversed: two keys agree exactly when the
-        # least (host edges, sorted sets) over all 120 relabelings agree
-        from nonmatching.rainbow import canonical_instance
-
-        def brute_key(inst):
-            def image(perm, es):
-                return tuple(sorted(normalize_edge(perm[u], perm[v]) for (u, v) in es))
-            return min((image(p, inst.host.edges), tuple(sorted(image(p, es) for es in inst.edge_sets)))
-                       for p in itertools.permutations(range(5)))
-
-        rng = random.Random(5)
-        all_edges = Graph.complete(5).sorted_edges()
-        insts = []
-        for _ in range(30):
-            edges = rng.sample(all_edges, rng.randint(2, 4))
-            sets = [rng.sample(edges, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
-            insts.append(RainbowInstance.make(Graph.from_edges(5, edges), sets, 2))
-            perm = rng.sample(range(5), 5)
-            moved = [[(perm[u], perm[v]) for (u, v) in es] for es in reversed(sets)]
-            insts.append(RainbowInstance.make(
-                Graph.from_edges(5, [(perm[u], perm[v]) for (u, v) in edges]), moved, 2))
-        keys = [canonical_instance(inst) for inst in insts]
-        brute = [brute_key(inst) for inst in insts]
-        same = 0
-        for i, j in itertools.combinations(range(len(insts)), 2):
-            assert (keys[i] == keys[j]) == (brute[i] == brute[j]), (insts[i], insts[j])
-            same += brute[i] == brute[j]
-        assert same > 30  # isomorphic pairs beyond the 30 relabeled copies
-
-    def test_vertex_cap(self):
-        from nonmatching.rainbow import canonical_instance
-
-        inst = RainbowInstance.make(Graph.path(9), [[(0, 1)]], 1)
-        with pytest.raises(CapExceededError):
-            canonical_instance(inst)
