@@ -1,37 +1,35 @@
 """Simplicial complexes over edge ground sets, and the special graph families.
 
-Faces are stored explicitly, each as an integer bitmask over the positions of
-an ordered :class:`GroundSet`.  Ground-set order is fixed for the lifetime of
-a complex: it is the orientation convention every boundary matrix uses.
+A complex is stored as its faces by size (:attr:`SimplicialComplex.levels`):
+entry s is the sorted array of the faces of size s, each an integer bitmask
+over the positions of an ordered :class:`GroundSet`.  Ground-set order is
+fixed for the lifetime of a complex: it is the orientation convention every
+boundary matrix uses.  The levels are the one face layout: the rank engine,
+the link checks and the dimension counts read them; a link or an induced
+subcomplex is one subset filter per level, membership is a
+``searchsorted`` whose hit is compared, and heredity is checked on them.
 
-One walk, :func:`_faces_between`, enumerates every hereditary family from a
-base face upward, visiting faces only.  Its face test is membership in a
-stored face set (links, induced subcomplexes) or a predicate: nu below k for
-the two link families, strict comparability for :func:`order_complex`.
 Every non-matching complex, the labelled one of
 :func:`nonmatching.rainbow.labelled_nm_complex` included, comes from the
-level walk :func:`_nm_faces` with nu memoised per face.
-The other special graph families (PM, FC, BFC) are closed upward, so they
-are filters over the submasks above h.  All five work on the edge masks of a
-shared :class:`EdgeHost`, for the Morse builders and :func:`enumerate_family`.
-
-Beside its face set, a complex carries its faces by size
-(:attr:`SimplicialComplex.levels`): entry s is the sorted array of the
-faces of size s.  That is the one face layout the rank engine, the link
-checks and the dimension counts read.  The walk produces it level by level
-and hands it over; any other complex (links, induced subcomplexes, joins,
-order complexes, the full simplex) derives it once from its face set.
+level walk :func:`_nm_faces` with nu memoised per face, which produces the
+levels directly.  The two link families of the Morse builders and
+:func:`order_complex` come from :func:`_faces_between`, a walk up a
+hereditary family given by a predicate: nu below k, or strict
+comparability.  The other special graph families (PM, FC, BFC) are closed
+upward, so they are filters over the submasks above h.  All five work on
+the edge masks of a shared :class:`EdgeHost`, for the Morse builders and
+:func:`enumerate_family`.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, FormatError, InternalCheckError
+from .errors import CapExceededError, InternalCheckError
 from .graphs import (
     DEFAULT_FACE_CAP,
     DEFAULT_SUBSET_CAP,
@@ -304,61 +302,78 @@ def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]
     """Subgraphs of the edges ``within`` with matching number below ``k``:
     the walk up from ``h_mask`` in NM_k of the host."""
     nu = host.nu
-    return sorted(_faces_between(_FaceTest(lambda m: nu[m] < k), h_mask, within & ~h_mask))
+    return sorted(_faces_between(lambda m: nu[m] < k, h_mask, within & ~h_mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex:
-    """Hereditary family of subsets of a ground set, stored face by face.
+    """Hereditary family of subsets of a ground set, stored as its faces by
+    size: ``levels[s]`` is the sorted array of the faces of size s, for
+    s = 0..dim+1.  The void complex (no faces at all) has no levels; every
+    other complex has the empty face alone at level 0.  The arrays are int64
+    on a ground of up to 63 elements and ``object`` (Python ints) on a wider
+    one, and read-only.
 
-    The empty complex (no faces at all, the "void" complex) is representable;
-    every non-void complex contains the empty face.  ``walk_levels`` is
-    :attr:`levels` as handed over by the walk that found the faces; it is not
-    part of ``==`` or ``hash``.
+    The constructor trusts its levels, as handed over by the NM walk, the
+    link filters, joins and order complexes; :meth:`from_masks` is the way
+    in from arbitrary masks, and checks heredity.  ``==`` and ``hash`` are
+    taken over the ground and the levels.
     """
 
     ground: GroundSet
-    faces: frozenset[int]
-    walk_levels: tuple | None = field(default=None, repr=False, compare=False)
+    levels: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        if not (isinstance(self.levels, tuple) and all(isinstance(level, np.ndarray) for level in self.levels)):
+            raise TypeError("levels must be a tuple of arrays; build from masks with SimplicialComplex.from_masks")
+        for level in self.levels:
+            level.flags.writeable = False
+
+    def _key(self) -> tuple:
+        return self.ground, tuple(tuple(level.tolist()) for level in self.levels)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SimplicialComplex) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def from_masks(cls, ground: GroundSet, masks) -> "SimplicialComplex":
-        faces = frozenset(masks)
-        cx = cls(ground, faces)
-        if faces and not cx.is_hereditary():
+        """The complex of the given face masks, which must form a hereditary
+        family (``ValueError`` otherwise)."""
+        cx = cls(ground, _levels_of(set(masks), len(ground)))
+        if not cx.is_hereditary():
             raise ValueError("face set is not hereditary")
-        if faces and 0 not in faces:
-            raise ValueError("a non-void complex must contain the empty face")
         return cx
 
     @classmethod
     def full_simplex(cls, ground: GroundSet, cap: int = DEFAULT_SUBSET_CAP) -> "SimplicialComplex":
         if (1 << len(ground)) > cap:
             raise CapExceededError(f"2^{len(ground)} faces exceeds the cap {cap}")
-        return cls(ground, frozenset(range(1 << len(ground))))
+        return cls(ground, _levels_of(range(1 << len(ground)), len(ground)))
 
     @classmethod
     def void(cls, ground: GroundSet) -> "SimplicialComplex":
-        return cls(ground, frozenset())
+        return cls(ground, ())
 
-    @functools.cached_property
-    def levels(self) -> tuple[np.ndarray, ...]:
-        """The faces by size: entry s is the sorted array of the faces of
-        size s, for s = 0..dim+1, so the void complex has none.  The arrays
-        are int64 on a ground of up to 63 elements and ``object`` (Python
-        ints) on a wider one, and read-only.  Computed once, from ``faces``
-        unless the walk handed them over."""
-        levels = self.walk_levels if self.walk_levels is not None else _levels_of(self.faces, len(self.ground))
-        for level in levels:
-            level.flags.writeable = False
-        return levels
+    @property
+    def faces(self) -> frozenset[int]:
+        """Every face mask, derived from the levels on each access."""
+        return frozenset(self.faces_from(0).tolist())
+
+    def faces_from(self, size: int) -> np.ndarray:
+        """The faces of size >= ``size`` in one array, by size and ascending
+        within a size."""
+        levels = self.levels[size:]
+        return np.concatenate(levels) if levels else np.zeros(0, _mask_dtype(len(self.ground)))
 
     def is_void(self) -> bool:
-        return not self.faces
+        return not self.levels
 
     @property
     def face_count(self) -> int:
-        return len(self.faces)
+        return sum(map(len, self.levels))
 
     def dim(self) -> int:
         """Dimension of the complex; -1 for {empty face}, -2 for the void complex."""
@@ -372,49 +387,58 @@ class SimplicialComplex:
         return {size - 1: len(level) for size, level in enumerate(self.levels) if len(level)}
 
     def is_hereditary(self) -> bool:
-        for m in self.faces:
-            for b in mask_bits(m):
-                if m ^ (1 << b) not in self.faces:
-                    return False
-        return True
+        """Whether each face of every level, with any one of its bits
+        dropped, is found in the level below."""
+        return all(_found(below, _facets_of(level)).all()
+                   for below, level in zip(self.levels, self.levels[1:]))
 
     def facets(self) -> list[int]:
-        """Maximal faces, as masks."""
-        out = []
-        ambient = (1 << len(self.ground)) - 1
-        for m in self.faces:
-            if not any((m | (1 << b)) in self.faces for b in mask_bits(ambient & ~m)):
-                out.append(m)
-        return sorted(out)
+        """Maximal faces, as masks, sorted: the faces of each level that are
+        no facet of a face one level up."""
+        covered = [np.sort(_facets_of(level)) for level in self.levels[1:]]
+        out = [level[~_found(above, level)] for level, above in zip(self.levels, covered)]
+        return sorted(np.concatenate(out + list(self.levels[-1:])).tolist()) if self.levels else []
+
+
+def _mask_dtype(n: int):
+    """The array dtype of face masks over an n-element ground."""
+    return np.int64 if n <= 63 else object
 
 
 def _levels_of(faces, n: int) -> tuple[np.ndarray, ...]:
-    """The face masks over an n-element ground by size, each level sorted."""
+    """The distinct face masks over an n-element ground by size, each level
+    sorted."""
     if not faces:
         return ()
-    masks = np.fromiter(faces, np.int64 if n <= 63 else object, len(faces))
+    masks = np.fromiter(faces, _mask_dtype(n), len(faces))
     sizes = np.fromiter(map(int.bit_count, faces), np.intp, len(faces))
     masks = masks[sizes.argsort()]
     ends = np.cumsum(np.bincount(sizes)).tolist()
     return tuple(np.sort(masks[a:b]) for a, b in zip([0] + ends, ends))
 
 
-class _FaceTest:
-    """A family given by a test on masks, answering ``mask in family``."""
-
-    def __init__(self, test):
-        self.test = test
-
-    def __contains__(self, mask: int) -> bool:
-        return self.test(mask)
+def _found(level: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether each of ``masks`` is in the sorted ``level``: the entry that
+    ``searchsorted`` finds must equal it."""
+    if not len(level):
+        return np.zeros(len(masks), bool)
+    return level[np.minimum(level.searchsorted(masks), len(level) - 1)] == masks
 
 
-def _faces_between(faces, base: int, allowed: int, reindex: bool = False) -> list[int]:
-    """Every face f with base <= f <= base | allowed of a hereditary family,
-    each exactly once; none when ``base`` is not a face.  ``faces`` answers
-    ``mask in faces``: a stored face set, or a :class:`_FaceTest`.  Each face
-    comes out as f, or with ``reindex`` as f minus base re-indexed onto the
-    bits of ``allowed`` (its i-th bit becomes bit i).
+def _facets_of(level: np.ndarray) -> np.ndarray:
+    """Every face of one level with one of its bits dropped, each in turn."""
+    out, rest = [level[:0]], level
+    for _ in range(int(level[0]).bit_count() if len(level) else 0):
+        low = rest & -rest
+        out.append(level ^ low)
+        rest = rest ^ low
+    return np.concatenate(out)
+
+
+def _faces_between(test, base: int, allowed: int) -> list[int]:
+    """Every mask f with base <= f <= base | allowed that passes ``test``,
+    each exactly once, where the masks that pass form a hereditary family;
+    none when ``base`` fails.
 
     The walk starts at ``base`` and adds bits of ``allowed`` in ascending
     order.  Heredity makes it exact: each chain of additions up to a face
@@ -422,47 +446,70 @@ def _faces_between(faces, base: int, allowed: int, reindex: bool = False) -> lis
     bits that still give a face, and those are among the bits that extended
     the face it came from.
     """
-    if base not in faces:
+    if not test(base):
         return []
     keep = [1 << b for b in mask_bits(allowed)]
-    new_bit = {b: 1 << i for i, b in enumerate(keep)} if reindex else {b: b for b in keep}
-    start = 0 if reindex else base
-    out = [start]
+    out = [base]
     emit = out.append
-    # (face, its output mask, the later bits that each extend it to a face)
-    stack = [(base, start, [b for b in keep if base | b in faces])]
+    # (face, the later bits that each extend it to a face)
+    stack = [(base, [b for b in keep if test(base | b)])]
     while stack:
-        face, new, cands = stack.pop()
+        face, cands = stack.pop()
         for i, b in enumerate(cands, 1):
-            above, new_above = face | b, new | new_bit[b]
-            emit(new_above)
-            rest = [c for c in cands[i:] if above | c in faces]
+            above = face | b
+            emit(above)
+            rest = [c for c in cands[i:] if test(above | c)]
             if rest:
-                stack.append((above, new_above, rest))
+                stack.append((above, rest))
+    return out
+
+
+def _pack(masks: np.ndarray, allowed: int) -> np.ndarray:
+    """Each mask's bits at the positions of ``allowed``, moved down in order
+    so that the i-th bit of ``allowed`` becomes bit i: one shift per run of
+    consecutive bits."""
+    out, width = masks & 0, 0
+    while allowed:
+        lo = (allowed & -allowed).bit_length() - 1
+        run = ((allowed >> lo) ^ ((allowed >> lo) + 1)).bit_length() - 1
+        out = out | (((masks >> lo) & ((1 << run) - 1)) << width)
+        width += run
+        allowed ^= ((1 << run) - 1) << lo
     return out
 
 
 def _faces_within(cx: SimplicialComplex, base: int, allowed: int) -> SimplicialComplex:
-    """The walk's faces from ``base`` within ``allowed``, re-indexed, as a
-    complex on the ground elements at the bits of ``allowed``."""
+    """The faces f with base <= f <= base | allowed, each re-indexed onto
+    the bits of ``allowed``, as a complex on the ground elements at those
+    bits (``base`` is a face, disjoint from ``allowed``).
+
+    Each level is one subset filter: f minus ``allowed`` must be ``base``.
+    The kept faces agree on every dropped bit, so packing the others keeps
+    the level sorted.  By heredity, the first level with no face ends them.
+    """
     ground = GroundSet(tuple(cx.ground.elements[i] for i in mask_bits(allowed)))
-    return SimplicialComplex(ground, frozenset(_faces_between(cx.faces, base, allowed, True)))
+    drop = ((1 << len(cx.ground)) - 1) & ~allowed
+    levels = []
+    for level in cx.levels[base.bit_count():]:
+        kept = level[(level & drop) == base]
+        if not len(kept):
+            break
+        levels.append(_pack(kept, allowed).astype(_mask_dtype(len(ground)), copy=False))
+    return SimplicialComplex(ground, tuple(levels))
 
 
 def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
     """The link of a face: sets disjoint from sigma whose union with it is a face.
 
     The link of the empty face is the complex itself (on the same ground).
-    The link is walked from sigma upward, never by a scan of the whole
-    complex, so it relies on heredity (every subset of a face is a face):
-    on a face set that is not hereditary it can miss faces.
+    Any other link is the faces above sigma, filtered from each level, with
+    sigma's bits dropped; it is void exactly when sigma is not a face.
     """
     smask = sigma if isinstance(sigma, int) else cx.ground.mask_of(sigma)
-    if smask not in cx.faces:
+    lk = cx if smask == 0 else _faces_within(cx, smask, ((1 << len(cx.ground)) - 1) & ~smask)
+    if lk.is_void():
         raise ValueError("sigma is not a face of the complex")
-    if smask == 0:
-        return cx
-    return _faces_within(cx, smask, ((1 << len(cx.ground)) - 1) & ~smask)
+    return lk
 
 
 def induced_subcomplex(cx: SimplicialComplex, subset) -> SimplicialComplex:
@@ -482,14 +529,9 @@ def join_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComp
     if a.is_void() or b.is_void():
         return SimplicialComplex.void(ground)
     shift = len(a.ground)
-    faces = frozenset(fa | (fb << shift) for fa in a.faces for fb in b.faces)
-    return SimplicialComplex(ground, faces)
-
-
-def delete_vertex(cx: SimplicialComplex, element) -> SimplicialComplex:
-    """Induced subcomplex on the ground minus one element."""
-    keep = [e for e in cx.ground.elements if e != element]
-    return induced_subcomplex(cx, keep)
+    lows, highs = a.faces_from(0).tolist(), b.faces_from(0).tolist()
+    faces = [fa | (fb << shift) for fa in lows for fb in highs]
+    return SimplicialComplex(ground, _levels_of(faces, len(ground)))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +567,7 @@ def _nm_complex(ground: GroundSet, edges: list[tuple[int, int]], k: int, cap: in
     """
     if len(edges) > 63:
         raise CapExceededError(f"{len(edges)} edges exceeds the 63 bits of a face mask")
-    levels = _nm_faces(edges, k, cap)
-    return SimplicialComplex(ground, frozenset(np.concatenate(levels).tolist()), levels)
+    return SimplicialComplex(ground, _nm_faces(edges, k, cap))
 
 
 def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> tuple[np.ndarray, ...]:
@@ -702,53 +743,5 @@ def order_complex(members: list[int]) -> SimplicialComplex:
     def is_chain(f: int) -> bool:
         return all(f & ~above_or_below[i] == 1 << i for i in mask_bits(f))
 
-    faces = _faces_between(_FaceTest(is_chain), 0, (1 << len(ms)) - 1)
-    return SimplicialComplex(GroundSet(tuple(range(len(ms)))), frozenset(faces))
-
-
-# ---------------------------------------------------------------------------
-# Serialisation: one hex face per line, sorted
-# ---------------------------------------------------------------------------
-
-
-def complex_to_text(cx: SimplicialComplex) -> str:
-    head = "ground " + " ".join(_element_token(e) for e in cx.ground.elements)
-    lines = [head] + [format(m, "x") for m in sorted(cx.faces)]
-    return "\n".join(lines) + "\n"
-
-
-def _element_token(e) -> str:
-    if isinstance(e, tuple):
-        return ",".join(str(x) for x in _flatten(e))
-    return str(e)
-
-
-def _flatten(t):
-    for x in t:
-        if isinstance(x, tuple):
-            yield from _flatten(x)
-        else:
-            yield x
-
-
-def complex_from_text(text: str, ground: GroundSet | None = None) -> SimplicialComplex:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("ground"):
-        raise FormatError("complex dump must start with a ground line")
-    tokens = lines[0].split()[1:]
-    if ground is None:
-        elements = []
-        for tok in tokens:
-            parts = tok.split(",")
-            if len(parts) == 1:
-                elements.append(int(parts[0]))
-            else:
-                elements.append(tuple(int(p) for p in parts))
-        ground = GroundSet(tuple(elements))
-    elif len(tokens) != len(ground):
-        raise FormatError("ground size mismatch")
-    try:
-        faces = [int(ln, 16) for ln in lines[1:]]
-    except ValueError as exc:
-        raise FormatError("bad face line") from exc
-    return SimplicialComplex.from_masks(ground, faces)
+    faces = _faces_between(is_chain, 0, (1 << len(ms)) - 1)
+    return SimplicialComplex(GroundSet(tuple(range(len(ms)))), _levels_of(faces, len(ms)))

@@ -64,7 +64,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import SimplicialComplex, induced_subcomplex, link
+from .complexes import SimplicialComplex, _found, induced_subcomplex, link
 from .errors import CapExceededError, InternalCheckError
 from .graphs import DEFAULT_FACE_CAP, orbit_partition
 
@@ -459,10 +459,9 @@ class _FacesAbove:
 
     def __init__(self, cx: SimplicialComplex, floor: int):
         self.floor = max(floor, 0)
-        levels = cx.levels[self.floor:]
-        faces = np.concatenate(levels) if levels else cx.levels[0][:0]
+        faces = cx.faces_from(self.floor)
         self.masks = faces.view(np.uint64) if faces.dtype == np.int64 else faces
-        self.starts = np.cumsum([0] + [len(level) for level in levels])  # of each size
+        self.starts = np.cumsum([0] + [len(level) for level in cx.levels[self.floor:]])  # of each size
 
     def link_vanishes(self, sigma: int, d0: int, field: FieldSpec, cap: int) -> bool:
         """True iff H_d(lk sigma) = 0 for every d >= d0 (sigma a face, with
@@ -497,8 +496,11 @@ def _orbit_cover(cx: SimplicialComplex, sigmas: list[int], symmetry) -> tuple[li
     raises ``InternalCheckError``.
     """
     reps, owner = orbit_partition(cx.ground.elements, symmetry, sigmas)
-    if not cx.faces.issuperset(owner):
-        off = next(m for m in owner if m not in cx.faces)
+    faces = np.sort(cx.faces_from(0))
+    images = list(owner)
+    hit = _found(faces, np.array(images, faces.dtype))
+    if not hit.all():
+        off = images[int(hit.argmin())]
         raise InternalCheckError(
             f"the image {cx.ground.decode(off)} of {cx.ground.decode(owner[off])} "
             "under the symmetry is not a face"
@@ -542,11 +544,6 @@ def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: F
     return violations, len(reps)
 
 
-def _faces_from(cx: SimplicialComplex, size: int) -> np.ndarray:
-    """The faces of size >= ``size``, by size and ascending within a size."""
-    return np.concatenate(cx.levels[size:]) if len(cx.levels) > size else np.empty(0, np.int64)
-
-
 def check_near_leray(
     cx: SimplicialComplex,
     d0: int,
@@ -570,7 +567,7 @@ def check_near_leray(
     host), ranks one link per orbit of the faces checked; None ranks every
     link.  The report is the same either way, apart from ``ranked``.
     """
-    faces = _faces_from(cx, 1)
+    faces = cx.faces_from(1)
     if policy == "SAMPLED":
         rng = _random.Random(seed)
         if sample_count < len(faces):
@@ -606,7 +603,7 @@ def check_leray(
     violations = []
     checked = 0
     if mode == "LINKS":
-        faces = _faces_from(cx, 0).tolist()
+        faces = cx.faces_from(0).tolist()
         checked = len(faces)
         violations, ranked = _link_violations(cx, faces, d0, field, cap, symmetry)
     elif mode == "INDUCED":

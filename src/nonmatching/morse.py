@@ -495,7 +495,7 @@ def morse_inequality_details(cx: SimplicialComplex, pairs, field: FieldSpec = GF
     must be dominated; in dimension 0 the asserted comparison uses the
     unreduced rank while the reduced variant is reported alongside.
     """
-    family = [m for m in cx.faces if m != 0]
+    family = cx.faces_from(1).tolist()
     rep = validate_matching(family, pairs)
     if not rep.valid:
         raise ValueError(f"invalid matching: {rep.problems[:1]}")

@@ -405,7 +405,7 @@ def verify_topological_helly_conclusion(inst: RainbowInstance, d: int) -> HellyR
         raise HypothesisError("a rainbow matching exists; the matroid is not a subcomplex")
     cx = labelled_nm_complex(inst)
     full = (1 << len(cx.ground)) - 1
-    for m in sorted(cx.faces):
+    for m in sorted(cx.faces_from(0).tolist()):
         rank_left = partition_rank(inst, cx.ground.decode(full & ~m))
         if rank_left <= d:
             return HellyReport(True, d, cx.ground.decode(m), rank_left)

@@ -13,14 +13,12 @@ from nonmatching.complexes import (
     GroundSet,
     SimplicialComplex,
     build_nm_complex,
-    complex_from_text,
-    complex_to_text,
-    delete_vertex,
     edge_host,
     enumerate_family,
     induced_subcomplex,
     join_complexes,
     link,
+    mask_bits,
     order_complex,
 )
 import nonmatching.complexes as complexes_module
@@ -181,21 +179,21 @@ class TestNMWalk:
 
 
 class TestLevels:
-    """The faces by size (``SimplicialComplex.levels``): handed over by the
-    walk, or derived from the face set, and read by the dimension counts."""
+    """The faces by size (``SimplicialComplex.levels``), the one face store:
+    handed over by the walk and the link filters, or derived by
+    ``from_masks``, and read by the dimension counts."""
 
     def test_walk_levels_against_the_face_set(self):
-        # the walk's levels against a scan of its face set and against the
-        # levels derived from that set, values and dtype; the walk-built
-        # complex equals, and hashes like, the plain one on the same faces
+        # the walk's levels against a scan of its face set, values and
+        # dtype; the walk-built complex equals, and hashes like, the one
+        # from_masks derives from the same faces
         inst = RainbowInstance.make(Graph.complete(4), [[(0, 1), (2, 3)], [(0, 1), (0, 2), (1, 3)]], 2)
         built = [build_nm_complex(g, k) for g in walk_inputs() for k in (1, 2, 3, 4)
                  if k <= matching_number(g) or 1 << g.edge_count <= DEFAULT_FACE_CAP]
         built.append(labelled_nm_complex(inst))
         assert any(len(cx.levels) > 10 for cx in built)
         for cx in built:
-            plain = SimplicialComplex(cx.ground, cx.faces)
-            assert cx.walk_levels is not None and plain.walk_levels is None
+            plain = SimplicialComplex.from_masks(cx.ground, cx.faces)
             assert cx == plain and hash(cx) == hash(plain)
             scan = [sorted(m for m in cx.faces if m.bit_count() == size)
                     for size in range(max(m.bit_count() for m in cx.faces) + 1)]
@@ -219,14 +217,51 @@ class TestLevels:
         cx = build_nm_complex(subdivided_complete_graph(6), 3)
         lk = link(cx, [cx.ground.elements[0]])
         ground = GroundSet(tuple(range(70)))
-        for c in (cx, lk, oracle_complexes()[-2], SimplicialComplex(ground, frozenset({0})),
+        for c in (cx, lk, oracle_complexes()[-2], SimplicialComplex.from_masks(ground, {0}),
                   SimplicialComplex.void(ground)):
             sizes = [m.bit_count() for m in c.faces]
             assert c.dim() == max(sizes, default=-1) - 1
             assert c.face_counts() == {s - 1: sizes.count(s) for s in set(sizes)}
             for d in range(-3, c.dim() + 3):
                 assert c.faces_of_dim(d) == sorted(m for m in c.faces if m.bit_count() == d + 1)
-        assert lk.walk_levels is None and lk.dim() == cx.dim() - 1 == 8
+        assert lk.dim() == cx.dim() - 1 == 8
+
+    def test_link_and_induced_against_the_walk(self):
+        # the level filters against a walk up the face set, on the link of
+        # every face and the subcomplexes induced on it and on its
+        # complement, grounds past 63 elements included; a link or
+        # subcomplex on at most 63 elements gets int64 levels
+        for cx in oracle_complexes():
+            full = (1 << len(cx.ground)) - 1
+            for m in sorted(cx.faces):
+                for base, allowed, got in ((m, full & ~m, link(cx, m)),
+                                           (0, m, induced_subcomplex(cx, m)),
+                                           (0, full & ~m, induced_subcomplex(cx, full & ~m))):
+                    assert got == SimplicialComplex.from_masks(got.ground, walked_faces(cx, base, allowed))
+                    dtype = np.int64 if len(got.ground) <= 63 else object
+                    assert all(level.dtype == dtype for level in got.levels), (m, base, allowed)
+
+
+def walked_faces(cx: SimplicialComplex, base: int, allowed: int) -> set[int]:
+    """Oracle for the level filters: the faces f with base <= f <= base | allowed
+    of a hereditary complex, walked up from ``base`` by membership in its face
+    set, adding bits of ``allowed`` in ascending order, each re-indexed onto
+    the bits of ``allowed``."""
+    faces = cx.faces
+    if base not in faces:
+        return set()
+    new_bit = {1 << b: 1 << i for i, b in enumerate(mask_bits(allowed))}
+    out = {0}
+    stack = [(base, 0, [b for b in new_bit if base | b in faces])]
+    while stack:
+        face, new, cands = stack.pop()
+        for i, b in enumerate(cands, 1):
+            above, new_above = face | b, new | new_bit[b]
+            out.add(new_above)
+            rest = [c for c in cands[i:] if above | c in faces]
+            if rest:
+                stack.append((above, new_above, rest))
+    return out
 
 
 class TestLink:
@@ -287,7 +322,7 @@ class TestInducedAndJoin:
 
     def test_join_identity(self):
         cx = build_nm_complex(Graph.complete(4), 2)
-        point = SimplicialComplex(GroundSet(("x",)), frozenset({0}))
+        point = SimplicialComplex.from_masks(GroundSet(("x",)), {0})
         j = join_complexes(cx, point)
         assert j.face_count == cx.face_count
 
@@ -305,13 +340,6 @@ class TestInducedAndJoin:
         seg = SimplicialComplex.full_simplex(GroundSet(("a", "b")))
         with pytest.raises(ValueError):
             join_complexes(seg, seg)
-
-    def test_delete_vertex(self):
-        cx = build_nm_complex(Graph.complete(4), 2)
-        e = cx.ground.elements[0]
-        sub = delete_vertex(cx, e)
-        assert e not in sub.ground.elements
-        assert all(e not in sub.ground.decode(m) for m in sub.faces)
 
 
 def from_facets(n: int, facets) -> SimplicialComplex:
@@ -552,22 +580,21 @@ class TestEdgeHost:
             assert nu == matching_number(g) and d == frozenset().union(*comps), mask
 
 
-class TestSerialization:
-    def test_roundtrip(self):
-        cx = build_nm_complex(Graph.complete(4), 2)
-        text = complex_to_text(cx)
-        back = complex_from_text(text)
-        assert back.faces == cx.faces
-        assert back.ground.elements == cx.ground.elements
-
-    def test_non_hereditary_dump_refused(self):
+class TestFromMasks:
+    def test_non_hereditary_refused(self):
         # {0, 1} and {0, 2} without {0}: ranked as given it would read
-        # {-1: 1, 0: 0, 1: 1}, so the reader must refuse it
+        # {-1: 1, 0: 0, 1: 1}; {0} alone lacks the empty face
+        ground = GroundSet((0, 1, 2))
         faces = [0, 0b010, 0b100, 0b011, 0b110, 0b101]
-        text = "ground 0 1 2\n" + "".join(f"{m:x}\n" for m in faces)
-        with pytest.raises(ValueError, match="not hereditary"):
-            complex_from_text(text)
-        assert complex_from_text(text + "1\n").face_count == 7
+        for masks in (faces, [0b001]):
+            with pytest.raises(ValueError, match="face set is not hereditary"):
+                SimplicialComplex.from_masks(ground, masks)
+        assert SimplicialComplex.from_masks(ground, faces + [0b001]).face_count == 7
+
+    def test_constructor_takes_levels_only(self):
+        # a face set is refused by the trusting constructor
+        with pytest.raises(TypeError):
+            SimplicialComplex(GroundSet((0, 1, 2)), frozenset({0, 1}))
 
 
 class TestOrderComplex:

@@ -300,7 +300,7 @@ class TestMorseInequality:
 
     def test_rejects_cyclic(self):
         ground = GroundSet(tuple("abc"))
-        cx = SimplicialComplex(ground, frozenset(range(7)))
+        cx = SimplicialComplex.from_masks(ground, range(7))
         pairs = [(1, 3), (2, 6), (4, 5)]
         with pytest.raises(ValueError):
             verify_morse_inequality(cx, pairs, GF2)
@@ -330,7 +330,7 @@ class TestMorseInequality:
     def test_tiny_complex_inequality(self):
         # hollow triangle with the empty matching: criticals dominate
         ground = GroundSet(tuple("abc"))
-        cx = SimplicialComplex(ground, frozenset(range(7)))
+        cx = SimplicialComplex.from_masks(ground, range(7))
         assert verify_morse_inequality(cx, [], GF2)
 
 
