@@ -59,6 +59,7 @@ class RunManifest:
     field: str
     timestamp: float
     result_digest: str
+    unreadable: int  # cache entries found but unreadable, so recomputed
 
     def input_digest(self) -> str:
         return digest_of(
@@ -81,6 +82,7 @@ class RunManifest:
                 "field": self.field,
                 "timestamp": self.timestamp,
                 "result_digest": self.result_digest,
+                "unreadable": self.unreadable,
                 "input_digest": self.input_digest(),
             },
             sort_keys=True,
@@ -91,17 +93,21 @@ class RunManifest:
 class ResultCache:
     def __init__(self, root: Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
+        self.unreadable = 0  # entries :meth:`get` found but could not read
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
     def get(self, key: str) -> dict | None:
+        """The entry under ``key``, or None when there is none or it cannot
+        be read (counted in :attr:`unreadable`)."""
         p = self._path(key)
         if not p.exists():
             return None
         try:
             return json.loads(p.read_text())
         except (OSError, ValueError):
+            self.unreadable += 1
             return None
 
     def _write(self, name: str, text: str) -> Path:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import random
 import sys
@@ -187,10 +188,11 @@ def cmd_sweep(args) -> int:
         return EXIT_USAGE
     cache = ResultCache(args.cache_dir)
     results: dict[str, dict] = {}
+    keys = {spec.case_id: _case_key(args.suite, args.seed, spec) for spec in specs}
     hits: list[sweeps.CaseSpec] = []
     todo: list[sweeps.CaseSpec] = []
     for spec in specs:
-        cached = None if args.no_cache else cache.get(_case_key(args.suite, args.seed, spec))
+        cached = None if args.no_cache else cache.get(keys[spec.case_id])
         if cached is not None:
             results[spec.case_id] = cached
             hits.append(spec)
@@ -206,7 +208,7 @@ def cmd_sweep(args) -> int:
                 results[spec.case_id] = _run_spec(spec)
         for spec in todo:
             if "error" not in results[spec.case_id]["details"]:  # a crash is not a result
-                cache.put(_case_key(args.suite, args.seed, spec), results[spec.case_id])
+                cache.put(keys[spec.case_id], results[spec.case_id])
 
     # audit a seeded 5% sample of cache hits against fresh recomputation
     audited = 0
@@ -230,19 +232,23 @@ def cmd_sweep(args) -> int:
         field="gf2+gf65521",
         timestamp=now(),
         result_digest=result_digest,
+        unreadable=cache.unreadable,
     )
     cache.write_manifest(manifest)
 
     failures = [r for r in ordered if not r["passed"]]
     print(f"suite {args.suite}: {len(ordered)} cases, {len(ordered) - len(failures)} passed, "
-          f"{len(failures)} failed, {len(hits)} cached, {audited} audited")
+          f"{len(failures)} failed, {len(hits)} cached, {audited} audited, {cache.unreadable} unreadable")
     print(f"result digest {result_digest}")
     for r in failures:
         print(f"FAIL {r['case_id']}: {json.dumps(r['details'], sort_keys=True)[:200]}")
     return EXIT_PASS if not failures else EXIT_FAIL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it
+    unchanged)."""
     ap = argparse.ArgumentParser(prog="nonmatching")
     ap.add_argument("--cache-dir", default=None, help="override the result cache directory")
     # accepted after the subcommand too; SUPPRESS keeps the pre-subcommand

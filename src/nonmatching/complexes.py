@@ -170,17 +170,16 @@ class EdgeHost:
             out = self._vertex_sets[vmask] = frozenset(mask_bits(vmask))
         return out
 
-    def decompose(self, mask: int, vs):
+    def decompose_masks(self, mask: int, vs):
         """Gallai-Edmonds data (nu, D, A, C, components) of the graph ``mask``
-        on the vertex set ``vs``.
+        on the vertex set ``vs``, each part a vertex mask.
 
         D holds the vertices whose deletion keeps the matching number, A the
         vertices outside D adjacent to it, C the rest; the components of D
-        are ordered by their least vertex.  All of it is computed on vertex
-        masks (D from the nu table, A from D's neighbour masks, the
-        components by a search over them) and handed out as frozensets.
+        are ordered by their least vertex.  D comes from the nu table, A from
+        D's neighbour masks, the components from a search over them.
         """
-        nu_table, bits_at, star, vset = self.nu, self.bits_at, self.star, self.vertex_set
+        nu_table, bits_at, star = self.nu, self.bits_at, self.star
         nu = nu_table[mask]
         vmask = d = reach = 0
         nbrs = {}  # D's neighbour masks in the graph
@@ -206,9 +205,15 @@ class EdgeHost:
                 new = nbrs[low.bit_length() - 1] & rest & ~comp
                 comp |= new
                 frontier |= new
-            comps.append(vset(comp))
+            comps.append(comp)
             rest &= ~comp
-        return nu, vset(d), vset(a), vset(vmask & ~d & ~a), tuple(comps)
+        return nu, d, a, vmask & ~d & ~a, tuple(comps)
+
+    def decompose(self, mask: int, vs):
+        """:meth:`decompose_masks` with each part as a frozenset."""
+        nu, d, a, c, comps = self.decompose_masks(mask, vs)
+        vset = self.vertex_set
+        return nu, vset(d), vset(a), vset(c), tuple(map(vset, comps))
 
 
 @functools.lru_cache(maxsize=64)

@@ -12,9 +12,12 @@ import functools
 import random as _random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import constructions as cons
 from . import rainbow as rb
 from .complexes import (
+    _POPCOUNT8,
     GroundSet,
     SimplicialComplex,
     build_nm_complex,
@@ -252,56 +255,112 @@ def _all_matchings(n: int) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=None)
 def _ge_tables(n: int):
     """Per host size n: the shared host of K_n, the edges within and
-    touching each vertex subset (indexed by vertex mask), and the matchings
-    of :func:`_all_matchings` grouped by size."""
+    touching each vertex subset (arrays indexed by vertex mask), and the
+    matchings of :func:`_all_matchings` grouped by size, each group as its
+    edge masks and the slots of each matching's edges."""
     host = edge_host(GroundSet(tuple(complete_edge_list(n))))
-    within = [host._within(s) for s in range(1 << n)]
-    touch = [host._touch(s) for s in range(1 << n)]
-    by_size: list[list[int]] = [[] for _ in range(n // 2 + 1)]
+    within = np.array([host._within(s) for s in range(1 << n)], np.int64)
+    touch = np.array([host._touch(s) for s in range(1 << n)], np.int64)
+    groups: list[list[int]] = [[] for _ in range(n // 2 + 1)]
     for m in _all_matchings(n):
-        by_size[m.bit_count()].append(m)
+        groups[m.bit_count()].append(m)
+    by_size = tuple((np.array(ms, np.int64),
+                     np.array([list(mask_bits(m)) for m in ms], np.intp).reshape(len(ms), size))
+                    for size, ms in enumerate(groups))
     return host, within, touch, by_size
+
+
+# The split of the maximum matchings is checked on per-edge weights that
+# count, in 3-bit fields, the edges a matching has of each kind: a kind not
+# allowed, inside C, from A into D, inside component j and from A into
+# component j.  A matching has at most 3 edges and every target is at most
+# n <= 7 (the subset cap bounds the K_n host), so no field carries into the
+# next, and one sum over a matching's edges is compared with one target.
+_FIELD = 3
+_BAD, _IN_C, _A_TO_D, _IN_K = range(4)
+
+
+@functools.lru_cache(maxsize=None)
+def _ge_layout(n: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Per host size n, for :func:`ge_violations`: the edge weight of each
+    pair of vertex labels (components 0..n-1, A = n, C = n + 1), the
+    endpoints of each slot of K_n, the bits the split comparison keeps
+    (every field but those counting A's edges into one component, where only
+    the bits above the lowest, a count past 1, are kept), and per slot the
+    neighbour bit it gives each of its ends."""
+    a_label, c_label = n, n + 1
+    weight = np.full((n + 2, n + 2), 1 << _FIELD * _BAD, np.int64)
+    weight[c_label, c_label] = 1 << _FIELD * _IN_C
+    keep = (1 << _FIELD * (_IN_K + n)) - 1
+    for j in range(n):
+        weight[j, j] = 1 << _FIELD * (_IN_K + j)
+        into = _FIELD * (_IN_K + n + j)
+        weight[a_label, j] = weight[j, a_label] = 1 << _FIELD * _A_TO_D | 1 << into
+        keep |= ((1 << _FIELD) - 2) << into
+    ends = np.array(complete_edge_list(n), np.intp).reshape(-1, 2)
+    star = np.zeros((len(ends), n), np.int64)
+    star[np.arange(len(ends)), ends[:, 0]] = 1 << ends[:, 1]
+    star[np.arange(len(ends)), ends[:, 1]] = 1 << ends[:, 0]
+    return weight, ends, keep, star
 
 
 def run_ge_chunk(params: dict) -> dict:
     """Decomposition checks for every graph mask in a range, one host size.
 
-    The decomposer under test is :meth:`nonmatching.complexes.EdgeHost.decompose`,
+    The decomposer under test is :meth:`nonmatching.complexes.EdgeHost.decompose_masks`,
     the one the Morse builders use, on the shared host of the complete
-    graph.  Per graph: every property of :func:`ge_violation`, invariance
-    under single-edge perturbations that stay inside the matched-or-attachment
-    part, and (on a deterministic subsample) agreement with the definitional
-    :func:`nonmatching.graphs.gallai_edmonds` and of the matching number with
-    the all-matchings oracle.  Each failing mask (the first 16) is listed
-    with its cause: the property :func:`ge_violation` names, ``nu-oracle``,
-    ``definitional-oracle`` or ``perturbation``.
+    graph.  Per graph: every property of :func:`ge_violations` (one call for
+    the chunk), invariance under single-edge perturbations that stay inside
+    the matched-or-attachment part, and (on a deterministic subsample)
+    agreement with the definitional :func:`nonmatching.graphs.gallai_edmonds`
+    and of the matching number with the all-matchings oracle.  A perturbed
+    graph inside the range is compared with the chunk's own decomposition
+    of it; only one outside the range is decomposed again.  Each failing
+    mask (the first 16) is listed with its cause: the property
+    :func:`ge_violations` names, ``nu-oracle``, ``definitional-oracle`` or
+    ``perturbation``.
     """
-    n = params["n"]
+    n, lo, hi = params["n"], params["lo"], params["hi"]
     host, within, touch, _ = _ge_tables(n)
     vs = range(n)
-    bad = []
-    for mask in range(params["lo"], params["hi"]):
-        nu, d, a, c, comps = host.decompose(mask, vs)
-        reason = ge_violation(n, mask, comps, a, c)
-        # nu against the all-matchings oracle, and the definitional operation,
-        # on a subsample (both are per-graph recomputations)
-        if reason is None and mask % 61 == 0:
+    rows = [host.decompose_masks(mask, vs) for mask in range(lo, hi)]
+    counts = np.array([len(row[4]) for row in rows])
+    width = max(n, counts.max())
+    d, a, c = (np.array([row[i] for row in rows], np.int64) for i in (1, 2, 3))
+    comps = np.array([row[4] + (0,) * (width - len(row[4])) for row in rows], np.int64)
+    masks = np.arange(lo, hi, dtype=np.int64)
+    reasons = [None if i < 0 else GE_PROPERTIES[i]
+               for i in ge_violations(n, masks, comps, counts, a, c).tolist()]
+    # nu against the all-matchings oracle, and the definitional operation,
+    # on a subsample (both are per-graph recomputations)
+    for i in range(-lo % 61, hi - lo, 61):
+        if reasons[i] is None:
+            mask, (nu, _, am, cm, cms) = lo + i, rows[i]
             naive = max((m.bit_count() for m in _all_matchings(n) if m & ~mask == 0), default=0)
             ge = gallai_edmonds(mask_to_graph(n, mask))
             if naive != nu:
-                reason = "nu-oracle"
-            elif (ge.components, ge.a_set, ge.c_set) != (comps, a, c):
-                reason = "definitional-oracle"
-        # adding or deleting an A-A or A-C edge keeps the decomposition
-        if reason is None:
-            am, cm = vertex_bits(a), vertex_bits(c)
-            perturb = within[am] | (touch[am] & touch[cm] & within[am | cm])
-            if any(host.decompose(mask ^ (1 << b), vs)[1:] != (d, a, c, comps)
-                   for b in mask_bits(perturb)):
-                reason = "perturbation"
-        if reason is not None:
-            bad.append([mask, reason])
-    return {"passed": not bad, "checked": params["hi"] - params["lo"], "violations": bad[:16]}
+                reasons[i] = "nu-oracle"
+            elif (tuple(map(vertex_bits, ge.components)), vertex_bits(ge.a_set),
+                  vertex_bits(ge.c_set)) != (cms, am, cm):
+                reasons[i] = "definitional-oracle"
+    # adding or deleting an A-A or A-C edge keeps the decomposition
+    clean = np.flatnonzero(np.array([r is None for r in reasons], bool))
+    am, cm = a[clean], c[clean]
+    perturb = within[am] | (touch[am] & touch[cm] & within[am | cm])
+    at, bit = np.nonzero(perturb[:, None] >> np.arange(len(host.edges)) & 1)
+    at = clean[at]
+    toggled = masks[at] ^ (1 << bit)
+    inside = (toggled >= lo) & (toggled < hi)
+    i, j = at[inside], toggled[inside] - lo
+    moved = ((d[i] != d[j]) | (a[i] != a[j]) | (c[i] != c[j]) | (counts[i] != counts[j])
+             | (comps[i] != comps[j]).any(axis=1))
+    for row in i[moved].tolist():
+        reasons[row] = "perturbation"
+    for i, mask in zip(at[~inside].tolist(), toggled[~inside].tolist()):
+        if reasons[i] is None and host.decompose_masks(mask, vs)[1:] != rows[i][1:]:
+            reasons[i] = "perturbation"
+    bad = [[lo + i, r] for i, r in enumerate(reasons) if r is not None]
+    return {"passed": not bad, "checked": hi - lo, "violations": bad[:16]}
 
 
 GE_PROPERTIES = (
@@ -316,13 +375,16 @@ GE_PROPERTIES = (
 )
 
 
-def ge_violation(n: int, mask: int, comps, a_set, c_set) -> str | None:
-    """The first Gallai-Edmonds property that a claimed decomposition of a
-    subgraph of K_n fails, or None when it has them all.
+def ge_violations(n: int, masks, comps, counts, a, c) -> np.ndarray:
+    """Per claimed decomposition of a subgraph of K_n, the index in
+    :data:`GE_PROPERTIES` of the first property it fails, or -1 when it has
+    them all.
 
-    ``mask`` is an edge mask over ``complete_edge_list(n)``; the claim is the
-    components of D (ordered by least vertex), A and C.  The properties, in
-    the order checked and named as in :data:`GE_PROPERTIES`:
+    Row r claims, for the edge mask ``masks[r]`` over
+    ``complete_edge_list(n)``, the components of D (``counts[r]`` vertex
+    masks, ordered by least vertex, in the first columns of ``comps[r]``,
+    zeros after), A (``a[r]``) and C (``c[r]``).  The properties, in the
+    order checked and named as in :data:`GE_PROPERTIES`:
 
     - D, A and C partition the vertices (the components partition D);
     - A is the neighbourhood of D;
@@ -338,86 +400,123 @@ def ge_violation(n: int, mask: int, comps, a_set, c_set) -> str | None:
 
     Together the properties pin the decomposition down, and in this order
     each of them can be the first to fail.  Matching numbers come from the
-    nu table of the K_n host; maximum matchings from the all-matchings list.
+    nu table of the K_n host; maximum matchings from the all-matchings
+    list; the components of G[D] from a closure over D's neighbour masks.
+    All rows are checked at once, in arrays.
     """
     host, within, touch, by_size = _ge_tables(n)
-    nu_table = host.nu
-    nu = nu_table[mask]
-    cms = [vertex_bits(comp) for comp in comps]
+    masks = np.asarray(masks, np.int64)
+    rows = len(masks)
+    comps = np.asarray(comps, np.int64)
+    counts, a, c = (np.asarray(x, np.int64).reshape(rows) for x in (counts, a, c))
+    code = np.full(rows, -1, np.int8)
+    # partition, on the claim as given; every later check reads vertex masks
+    # that are disjoint and within the n vertices
+    d = np.zeros(rows, np.int64)
+    bad = (a & c) != 0
+    for col in comps.T:
+        bad |= (d & col) != 0
+        d |= col
+    bad |= (d & (a | c) != 0) | ((d | a | c) != (1 << n) - 1)
+    code[bad] = 0
+    alive = np.flatnonzero(~bad)
+    masks, comps, counts, a, c, d = (x[alive] for x in (masks, comps, counts, a, c, d))
+    width = comps.shape[1]
+    claimed = np.arange(width) < counts[:, None]
+    verts = np.arange(n)
+    pop = _POPCOUNT8
+    nu_table = host.nu_array
+    nu = nu_table[masks]
+    weight, ends, keep, star = _ge_layout(n)
+
+    # each vertex's neighbours (a sum of distinct bits), and A = N(D)
+    nbrs = (masks[:, None] >> np.arange(len(ends)) & 1) @ star
+    in_d = (d[:, None] >> verts & 1) == 1
+    reach = np.bitwise_or.reduce(np.where(in_d, nbrs, 0), axis=1)
+    fails = [(reach & ~d) != a]
+
+    # own[r, v]: the component of G[D] holding v (0 off D), by a closure
+    # that doubles the path length it covers per round; each claimed
+    # component must be the one of its least vertex, and those ascend
+    own = np.where(in_d, (nbrs & d[:, None]) | 1 << verts, 0)
+    while True:
+        grown = own.copy()
+        for v in range(n):
+            grown |= (own >> v & 1) * own[:, v, None]
+        if (grown == own).all():
+            break
+        own = grown
+    low = comps & -comps
+    least = np.minimum(pop[low - 1], n).astype(np.intp)  # the least vertex; n for none
+    found = np.take_along_axis(np.pad(own, ((0, 0), (0, 1))), least, axis=1)
+    fails.append((claimed & ((comps == 0) | (found != comps))).any(axis=1)
+                 | (claimed[:, 1:] & (low[:, 1:] <= low[:, :-1])).any(axis=1))
+
+    a_size, c_size = pop[a].astype(np.int64), pop[c].astype(np.int64)
+    fails.append(2 * nu_table[masks & within[c]] != c_size)
+
+    # every maximum matching against the split, by the weights of its edges;
+    # a component is labelled by its least vertex, A by n and C by n + 1
+    own_low = own & -own
+    label = np.where(in_d, pop[own_low - 1], n + (c[:, None] >> verts & 1)).astype(np.intp)
+    edge_weight = weight.ravel()[label[:, ends[:, 0]] * (n + 2) + label[:, ends[:, 1]]]
+    halves = np.where(claimed, (pop[comps].astype(np.int64) - 1) >> 1, 0)
+    target = c_size // 2 << _FIELD * _IN_C | a_size << _FIELD * _A_TO_D
+    target |= np.bitwise_or.reduce(halves << _FIELD * (_IN_K + least), axis=1)
+    split = np.zeros(len(masks), bool)
+    for size, (matchings, slots) in enumerate(by_size):
+        at = np.flatnonzero(nu == size)
+        weights = edge_weight[at]
+        sums = np.zeros((len(at), len(matchings)), np.int64)
+        for t in range(size):
+            sums += weights[:, slots[:, t]]
+        maximum = (matchings & ~masks[at, None]) == 0
+        split[at] = (maximum & ((sums & keep) != target[at, None])).any(axis=1)
+    fails.append(split)
+
+    fails.append(counts != a_size + n - 2 * nu.astype(np.int64))
+
+    # each vertex of a component, deleted from it, leaves (|K|-1)/2
+    left = masks[:, None] & within[own] & ~touch[1 << verts]
+    fails.append((in_d & (nu_table[left] != (pop[own].astype(np.int64) - 1) >> 1)).any(axis=1))
+
+    # Hall: every non-empty S within A meets more components than |S|, so A
+    # matches into them with any one component left out; each component
+    # counts once, at its least vertex
+    hall = np.zeros(len(masks), bool)
+    at = np.flatnonzero((a != 0) & (counts > 0))
+    firsts = own_low[at] == 1 << verts
+    comp_nbrs = np.zeros((len(at), n), np.int64)
+    for v in range(n):
+        comp_nbrs |= (own[at] >> v & 1) * nbrs[at, v, None]
+    comp_nbrs = np.where(firsts, comp_nbrs & a[at, None], 0)
+    subsets = np.arange(1, 1 << n)
+    hits = np.zeros((len(at), len(subsets)), np.uint8)
+    for col in comp_nbrs.T:
+        hits += (col[:, None] & subsets) != 0
+    within_a = (subsets & ~a[at, None]) == 0
+    hall[at] = (within_a & (hits <= pop[subsets])).any(axis=1)
+    fails.append(hall)
+
+    first = np.full(len(masks), -1, np.int8)
+    for i in range(len(fails), 0, -1):
+        first[fails[i - 1]] = i
+    code[alive] = first
+    return code
+
+
+def ge_violation(n: int, mask: int, comps, a_set, c_set) -> str | None:
+    """The first property of :data:`GE_PROPERTIES` that a claimed
+    decomposition of one subgraph of K_n fails, or None: :func:`ge_violations`
+    on one row.  The claim is the components of D (ordered by least vertex),
+    A and C as vertex sets."""
+    cms = [vertex_bits(k) for k in comps]
     am, cm = vertex_bits(a_set), vertex_bits(c_set)
-    dm = 0
-    for k in cms:
-        if dm & k:
-            return "partition"
-        dm |= k
-    if dm & am or dm & cm or am & cm or dm | am | cm != (1 << n) - 1:
-        return "partition"
-
-    # the neighbours of each vertex of D and of each component, then the
-    # connected components of G[D] by a search over D's neighbour masks
-    nbrs, comp_reach, reach = {}, [], 0
-    for comp in comps:
-        r = 0
-        for v in comp:
-            nbrs[v] = host.neighbor_bits(mask, v)
-            r |= nbrs[v]
-        comp_reach.append(r)
-        reach |= r
-    if reach & ~dm != am:
-        return "a-is-neighborhood-of-d"
-    found, rest = [], dm
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            new = nbrs[low.bit_length() - 1] & rest & ~comp
-            comp |= new
-            frontier |= new
-        found.append(comp)
-        rest &= ~comp
-    if found != cms:
-        return "component-structure"
-
-    a_size, c_size = am.bit_count(), cm.bit_count()
-    if 2 * nu_table[mask & within[cm]] != c_size:
-        return "c-perfectly-matchable"
-
-    halves = [(k.bit_count() - 1) // 2 for k in cms]
-    c_edges = within[cm]
-    a_edges = touch[am] & touch[dm] & within[am | dm]
-    comp_edges = [within[k] for k in cms]
-    into = [a_edges & touch[k] for k in cms]
-    allowed = c_edges | a_edges
-    for e in comp_edges:
-        allowed |= e
-    for m in by_size[nu]:
-        if m & ~mask:
-            continue
-        if (m & ~allowed or 2 * (m & c_edges).bit_count() != c_size
-                or (m & a_edges).bit_count() != a_size):
-            return "maximum-matchings-split"
-        for e, into_k, half in zip(comp_edges, into, halves):
-            if (m & e).bit_count() != half or (m & into_k).bit_count() > 1:
-                return "maximum-matchings-split"
-
-    if len(cms) != a_size + n - 2 * nu:
-        return "component-count"
-
-    for comp, k, half in zip(comps, cms, halves):
-        inner = mask & within[k]
-        for v in comp:
-            if nu_table[inner & ~touch[1 << v]] != half:
-                return "factor-critical"
-
-    if am:
-        comp_nbrs = [r & am for r in comp_reach]
-        subs = submasks(am)[1:]
-        for skip in range(len(cms)):
-            cols = comp_nbrs[:skip] + comp_nbrs[skip + 1:]
-            if any(sum(1 for col in cols if col & sub) < sub.bit_count() for sub in subs):
-                return "a-matches-avoiding-any-component"
-    return None
+    if functools.reduce(int.__or__, cms, am | cm) >> n:
+        return "partition"  # a vertex outside K_n
+    row = cms + [0] * (n - len(cms))
+    code = ge_violations(n, [mask], [row], [len(cms)], [am], [cm])[0]
+    return None if code < 0 else GE_PROPERTIES[code]
 
 
 def run_rainbow13_host(params: dict) -> dict:

@@ -34,6 +34,43 @@ PINNED_DIGESTS = {
 }
 
 
+def _a_to_c(nu, d, a, c, comps):
+    low = a & -a
+    return nu, d, a ^ low, c | low, comps
+
+
+def _c_to_a(nu, d, a, c, comps):
+    low = c & -c
+    return nu, d, a | low, c ^ low, comps
+
+
+def _merge_first_two(nu, d, a, c, comps):
+    return nu, d, a, c, (comps[0] | comps[1],) + comps[2:] if len(comps) > 1 else comps
+
+
+def _drop_largest_d(nu, d, a, c, comps):
+    top = 1 << d.bit_length() >> 1
+    return nu, d & ~top, a, c, tuple(k & ~top for k in comps if k & ~top)
+
+
+def _singleton_to_c(nu, d, a, c, comps):
+    single = max((k for k in comps if k.bit_count() == 1), default=0)
+    return nu, d & ~single, a, c | single, tuple(k for k in comps if k != single)
+
+
+# Wrong decomposers, each wrapped around the output of
+# EdgeHost.decompose_masks (vertex masks): over all 33,868 graphs on at most 6
+# vertices the gallai-edmonds sweep rejects 6,480 / 26,785 / 8,573 / 9,006 /
+# 8,752 masks under them.
+GE_MUTATIONS = {
+    "a-vertex-to-c": _a_to_c,
+    "c-vertex-to-a": _c_to_a,
+    "first-two-components-merged": _merge_first_two,
+    "largest-d-vertex-dropped": _drop_largest_d,
+    "singleton-component-to-c": _singleton_to_c,
+}
+
+
 def run_suite(name: str, seed: int = 0):
     specs = sweeps.expand_suite(name, seed)
     results = [sweeps.run_case(spec) for spec in specs]
@@ -113,24 +150,20 @@ class TestAcceptance:
         report("7 gallai-edmonds", not failures and checked == total, f"{checked} graphs")
 
     def test_criterion_7_rejects_a_mutated_decomposer(self, monkeypatch):
-        """The checks behind criterion 7 can fail: a decomposer that moves
-        one attachment vertex into C fails the sweep of the 5-vertex graphs."""
-        real = EdgeHost.decompose
-
-        def a_to_c(self, mask, vs):
-            nu, d, a, c, comps = real(self, mask, vs)
-            if a:
-                a, c = a - {min(a)}, c | {min(a)}
-            return nu, d, a, c, comps
-
-        monkeypatch.setattr(EdgeHost, "decompose", a_to_c)
-        out = sweeps.run_ge_chunk({"n": 5, "lo": 0, "hi": 1 << 10})
-        assert not out["passed"] and out["violations"]
-        # each failing mask names the property the mutated claim fails
+        """The checks behind criterion 7 can fail: each of five mutated
+        decomposers, patched in where the builders and the suite both read
+        it, fails the sweep of the 5-vertex graphs."""
+        real = EdgeHost.decompose_masks
         host = sweeps._ge_tables(5)[0]
-        for mask, reason in out["violations"]:
-            _, _, a, c, comps = host.decompose(mask, range(5))
-            assert reason == sweeps.ge_violation(5, mask, comps, a, c)
+        for name, mutate in GE_MUTATIONS.items():
+            monkeypatch.setattr(EdgeHost, "decompose_masks",
+                                lambda self, mask, vs, mutate=mutate: mutate(*real(self, mask, vs)))
+            out = sweeps.run_ge_chunk({"n": 5, "lo": 0, "hi": 1 << 10})
+            assert not out["passed"] and out["violations"], name
+            # each failing mask names the property the mutated claim fails
+            for mask, reason in out["violations"]:
+                _, _, a, c, comps = host.decompose(mask, range(5))
+                assert reason == sweeps.ge_violation(5, mask, comps, a, c), (name, mask)
 
     def test_criterion_8_rainbow(self):
         """No k=2 counterexample: three sets on every K3,3 host class, and
@@ -168,3 +201,23 @@ class TestAcceptance:
         and rainbow, which must give its seed-0 digest there."""
         results, failures = run_suite(name, 21)
         report(f"{name} seed 21", not failures, f"{len(results)} cases")
+
+
+def test_ge_violations_rows_are_independent():
+    """One batched call over correct and mutated claims on 6 vertices, in
+    one interleaved batch with differing component counts, gives each row
+    the code of its own one-row call."""
+    host = sweeps._ge_tables(6)[0]
+    claims = []
+    for mask in range(0, 1 << 15, 97):
+        row = host.decompose_masks(mask, range(6))
+        claims += [(mask, row)] + [(mask, mutate(*row)) for mutate in GE_MUTATIONS.values()]
+    codes = sweeps.ge_violations(
+        6, [mask for mask, _ in claims],
+        [list(row[4]) + [0] * (6 - len(row[4])) for _, row in claims],
+        [len(row[4]) for _, row in claims], [row[2] for _, row in claims], [row[3] for _, row in claims])
+    one_row = [sweeps.ge_violation(6, mask, [host.vertex_set(k) for k in comps],
+                                   host.vertex_set(a), host.vertex_set(c))
+               for mask, (_, _, a, c, comps) in claims]
+    assert [None if i < 0 else sweeps.GE_PROPERTIES[i] for i in codes.tolist()] == one_row
+    assert None in one_row and len(set(one_row)) > 3

@@ -308,6 +308,22 @@ class TestSweepCommand:
         assert code == 0 and "4 passed" in out and "3 cached" in out
 
 
+    def test_unreadable_entry_counted_and_recomputed(self, capsys, cache_dir):
+        code, cold, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert code == 0 and "0 cached, 0 audited, 0 unreadable" in cold
+        entry = sorted(p for p in cache_dir.glob("*.json") if not p.name.startswith("manifest-"))[0]
+        entry.write_text("{not json")
+        code, warm, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert code == 0 and "3 cached" in warm and "1 unreadable" in warm
+        assert warm.splitlines()[1:] == cold.splitlines()[1:]  # the same digest
+        manifest = json.loads(next(cache_dir.glob("manifest-*.json")).read_text())
+        assert manifest["unreadable"] == 1
+        # the recomputed case was cached again
+        json.loads(entry.read_text())
+        _, again, _ = run_cli(capsys, cache_dir, "sweep", "concentration")
+        assert "4 cached" in again and "0 unreadable" in again
+
+
 class TestCodeFingerprint:
     def test_version_and_module_sources(self):
         import hashlib

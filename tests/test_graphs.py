@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import nonmatching.graphs as graphs_module
 import nonmatching.sweeps as sweeps_module
+from nonmatching.complexes import vertex_bits
 from nonmatching.errors import CapExceededError, FormatError, InternalCheckError
 from nonmatching.graphs import (
     Graph,
@@ -35,7 +36,7 @@ from nonmatching.graphs import (
     subdivided_complete_graph,
     subset_matching_numbers,
 )
-from nonmatching.sweeps import GE_PROPERTIES, ge_violation
+from nonmatching.sweeps import GE_PROPERTIES, ge_violation, ge_violations
 
 
 def nu_by_enumeration(g: Graph) -> int:
@@ -247,10 +248,15 @@ class TestGallaiEdmonds:
         assert ge.a_set == frozenset() and ge.c_set == frozenset()
 
     def test_properties_small(self):
+        # every graph on at most 5 vertices, one batched check per n
         for n in range(0, 6):
-            for mask in range(1 << (n * (n - 1) // 2)):
-                ge = gallai_edmonds(mask_to_graph(n, mask))
-                assert ge_violation(n, mask, ge.components, ge.a_set, ge.c_set) is None
+            masks = range(1 << (n * (n - 1) // 2))
+            claims = [gallai_edmonds(mask_to_graph(n, mask)) for mask in masks]
+            comps = [[vertex_bits(k) for k in ge.components] for ge in claims]
+            codes = ge_violations(n, list(masks), [k + [0] * (n - len(k)) for k in comps],
+                                  list(map(len, comps)), [vertex_bits(ge.a_set) for ge in claims],
+                                  [vertex_bits(ge.c_set) for ge in claims])
+            assert codes.tolist() == [-1] * len(masks), n
 
     def test_maximum_matching_split(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (1, 3)])
@@ -538,6 +544,18 @@ class TestAutomorphisms:
     def test_vertex_cap(self):
         with pytest.raises(CapExceededError):
             automorphisms(Graph.path(9))
+
+
+def test_subgraph_classes_hand_out_fresh_lists():
+    # the orbit representatives are computed once per (slots, n, classes);
+    # each caller gets its own list, and the cap is checked before the memo
+    slots = complete_edge_list(4)
+    first = graphs_module._subgraph_classes(slots, 4, None)
+    first.append(-1)
+    assert graphs_module._subgraph_classes(slots, 4, None) == first[:-1]
+    assert len(first) - 1 == len(graph_isomorphism_classes(4)) == 11
+    with pytest.raises(CapExceededError):
+        graphs_module._subgraph_classes(complete_edge_list(8), 8, None)
 
 
 def test_all_matchings_of_complete_graphs():
