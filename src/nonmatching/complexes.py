@@ -17,8 +17,8 @@ levels directly.  The two link families of the Morse builders and
 hereditary family given by a predicate: nu below k, or strict
 comparability.  The other special graph families (PM, FC, BFC) are closed
 upward, so they are filters over the submasks above h.  All five work on
-the edge masks of a shared :class:`EdgeHost`, for the Morse builders and
-:func:`enumerate_family`.
+the edge masks of a shared :class:`EdgeHost` and take their vertex sets as
+vertex masks, for the Morse builders and :func:`enumerate_family`.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .graphs import (
     DEFAULT_SUBSET_CAP,
     Graph,
     bipartite_edge_list,
+    edge_conflicts,
     is_factor_critical,
     normalize_edge,
     subset_matching_numbers,
@@ -99,11 +100,11 @@ class EdgeHost:
     """One host graph over an edge ground: its nu table and bit bookkeeping.
 
     Position i of an edge mask is the edge ``ground.elements[i]``; bit v of a
-    vertex mask is the vertex v.  Hosts are shared through :func:`edge_host`,
-    so the nu table is read-only.  Edge sets spanned by vertex sets come from
-    the per-vertex edge bits, and the decomposition works on vertex masks.
-    ``memo`` holds the Morse builders' sub-solves on the host, so they live
-    and die with it.
+    vertex mask is the vertex v.  Every vertex set the host takes or gives
+    is a vertex mask: the edge sets it spans come from the per-vertex edge
+    bits, and the decomposition's parts are vertex masks.  Hosts are shared
+    through :func:`edge_host`, so the nu table is read-only.  ``memo`` holds
+    the Morse builders' sub-solves on the host, so they live and die with it.
     """
 
     def __init__(self, ground: GroundSet):
@@ -121,20 +122,19 @@ class EdgeHost:
                 self.bits_at[a] = self.bits_at.get(a, 0) | (1 << i)
                 self.star[a] = self.star.get(a, ()) + ((1 << i, 1 << b),)
         self._all_vertices = sum(1 << v for v in self.bits_at)
-        self._vertex_sets: dict[int, frozenset] = {}
-        # sub-solves of the Morse builders on this host, by canonical arguments
+        # sub-solves of the Morse builders on this host, by their mask arguments
         self.memo: dict = {}
 
     def mask_of(self, edges) -> int:
         m = 0
         for e in edges:
-            m |= 1 << self.index[normalize_edge(*e)]
+            i = self.index.get(normalize_edge(*e))
+            if i is None:
+                raise ValueError(f"{e!r} is not a host edge")
+            m |= 1 << i
         return m
 
-    def nu_of(self, mask: int) -> int:
-        return self.nu[mask]
-
-    def _touch(self, vmask: int) -> int:
+    def bits_touching(self, vmask: int) -> int:
         """The edges with at least one end in the vertex mask."""
         bits_at = self.bits_at
         out = 0
@@ -142,18 +142,14 @@ class EdgeHost:
             out |= bits_at.get(v, 0)
         return out
 
-    def _within(self, vmask: int) -> int:
-        return self._touch(vmask) & ~self._touch(self._all_vertices & ~vmask)
+    def bits_within(self, vmask: int) -> int:
+        """The edges with both ends in the vertex mask."""
+        return self.bits_touching(vmask) & ~self.bits_touching(self._all_vertices & ~vmask)
 
-    def bits_within(self, vs) -> int:
-        """The edges with both ends in ``vs``."""
-        return self._within(vertex_bits(vs))
-
-    def bits_between(self, a, b) -> int:
-        """The edges with one end in ``a`` and the other in ``b`` (the two
-        may overlap)."""
-        ma, mb = vertex_bits(a), vertex_bits(b)
-        return self._touch(ma) & self._touch(mb) & self._within(ma | mb)
+    def bits_between(self, a: int, b: int) -> int:
+        """The edges with one end in the vertex mask ``a`` and the other in
+        ``b`` (the two may overlap)."""
+        return self.bits_touching(a) & self.bits_touching(b) & self.bits_within(a | b)
 
     def neighbor_bits(self, mask: int, v: int) -> int:
         """Neighbours of ``v`` in the graph ``mask``, as a vertex bitmask."""
@@ -163,16 +159,9 @@ class EdgeHost:
                 out |= other
         return out
 
-    def vertex_set(self, vmask: int) -> frozenset:
-        """The vertex mask as a frozenset, one shared object per mask."""
-        out = self._vertex_sets.get(vmask)
-        if out is None:
-            out = self._vertex_sets[vmask] = frozenset(mask_bits(vmask))
-        return out
-
-    def decompose_masks(self, mask: int, vs):
+    def decompose_masks(self, mask: int, vmask: int):
         """Gallai-Edmonds data (nu, D, A, C, components) of the graph ``mask``
-        on the vertex set ``vs``, each part a vertex mask.
+        on the vertices of ``vmask``, each part a vertex mask.
 
         D holds the vertices whose deletion keeps the matching number, A the
         vertices outside D adjacent to it, C the rest; the components of D
@@ -181,11 +170,13 @@ class EdgeHost:
         """
         nu_table, bits_at, star = self.nu, self.bits_at, self.star
         nu = nu_table[mask]
-        vmask = d = reach = 0
+        d = reach = 0
         nbrs = {}  # D's neighbour masks in the graph
-        for v in vs:
-            bit = 1 << v
-            vmask |= bit
+        rest = vmask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
             if nu_table[mask & ~bits_at.get(v, 0)] == nu:
                 d |= bit
                 nb = 0
@@ -208,12 +199,6 @@ class EdgeHost:
             comps.append(comp)
             rest &= ~comp
         return nu, d, a, vmask & ~d & ~a, tuple(comps)
-
-    def decompose(self, mask: int, vs):
-        """:meth:`decompose_masks` with each part as a frozenset."""
-        nu, d, a, c, comps = self.decompose_masks(mask, vs)
-        vset = self.vertex_set
-        return nu, vset(d), vset(a), vset(c), tuple(map(vset, comps))
 
 
 @functools.lru_cache(maxsize=64)
@@ -239,10 +224,11 @@ def _above(h_mask: int, free: int) -> np.ndarray:
     return np.array(submasks(free & ~h_mask), np.int64) | h_mask
 
 
-def hall_holds(host: EdgeHost, masks: np.ndarray, cover, other, surplus: int) -> np.ndarray:
-    """Hall's condition in each graph of ``masks`` from the vertices
-    ``cover`` into the vertices ``other``: whether every non-empty S within
-    cover has at least |S| + surplus neighbours there, as a bool array.
+def hall_holds(host: EdgeHost, masks: np.ndarray, cover: int, other: int, surplus: int) -> np.ndarray:
+    """Hall's condition in each graph of ``masks`` from the vertex mask
+    ``cover`` into the vertex mask ``other``: whether every non-empty S
+    within cover has at least |S| + surplus neighbours there, as a bool
+    array.
 
     surplus=1 is ``cover``-factor criticality of a bipartite graph;
     surplus=0 with |cover| = |other| is a perfect matching.  Per graph, each
@@ -255,10 +241,10 @@ def hall_holds(host: EdgeHost, masks: np.ndarray, cover, other, surplus: int) ->
     if len(masks) > _WALK_BLOCK:
         return np.concatenate([hall_holds(host, masks[lo:lo + _WALK_BLOCK], cover, other, surplus)
                                for lo in range(0, len(masks), _WALK_BLOCK)])
-    slot = {u: j for j, u in enumerate(other)}
+    slot = {u: j for j, u in enumerate(mask_bits(other))}
     ok = np.ones(len(masks), bool)
     unions = [0]  # unions[s]: per graph, the neighbours of the subset s of the vertices seen
-    for v in cover:
+    for v in mask_bits(cover):
         if not ok.any():
             break
         nb = np.zeros(len(masks), np.int64)
@@ -276,31 +262,34 @@ def hall_holds(host: EdgeHost, masks: np.ndarray, cover, other, surplus: int) ->
     return ok
 
 
-def _pm_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
-    """Subgraphs on ``vs`` with a perfect matching (none when |vs| is odd)."""
-    if len(vs) % 2:
+def _pm_masks(host: EdgeHost, vs: int, h_mask: int) -> list[int]:
+    """Subgraphs on the vertex mask ``vs`` with a perfect matching (none
+    when |vs| is odd)."""
+    if vs.bit_count() % 2:
         return []
     members = _above(h_mask, host.bits_within(vs))
-    return members[host.nu_array[members] == len(vs) // 2].tolist()
+    return members[host.nu_array[members] == vs.bit_count() // 2].tolist()
 
 
-def _fc_masks(host: EdgeHost, vs, h_mask: int) -> list[int]:
-    """Factor critical subgraphs on ``vs``: deleting any vertex leaves a
-    perfect matching on the rest (so none when |vs| is even and positive)."""
+def _fc_masks(host: EdgeHost, vs: int, h_mask: int) -> list[int]:
+    """Factor critical subgraphs on the vertex mask ``vs``: deleting any
+    vertex leaves a perfect matching on the rest (so none when |vs| is even
+    and positive)."""
     members = _above(h_mask, host.bits_within(vs))
-    for v in vs:
-        members = members[host.nu_array[members & ~host.bits_at.get(v, 0)] == len(vs) // 2]
+    for v in mask_bits(vs):
+        members = members[host.nu_array[members & ~host.bits_at.get(v, 0)] == vs.bit_count() // 2]
     return members.tolist()
 
 
-def _bfc_masks(host: EdgeHost, xs, ys, zs, h_mask: int) -> list[int]:
-    """(y, z)-factor critical subgraphs between ``xs`` and ``ys``, by Hall's
-    condition with surplus one; an empty side gives the empty graph alone."""
-    if not (xs and ys):
+def _bfc_masks(host: EdgeHost, x: int, y: int, z: int, h_mask: int) -> list[int]:
+    """(y, z)-factor critical subgraphs between the vertex masks ``x`` and
+    ``y``, by Hall's condition with surplus one; an empty side gives the
+    empty graph alone."""
+    if not (x and y):
         return [0]
-    members = _above(h_mask, host.bits_between(xs, ys))
-    members = members[hall_holds(host, members, ys, xs, 1)]
-    return members[hall_holds(host, members, zs, ys, 1)].tolist()
+    members = _above(h_mask, host.bits_between(x, y))
+    members = members[hall_holds(host, members, y, x, 1)]
+    return members[hall_holds(host, members, z, y, 1)].tolist()
 
 
 def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
@@ -595,11 +584,7 @@ def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> tuple[np.ndarra
     which is the ascending order of f + e, so the new level comes out sorted
     and a refused input holds at most ``cap`` faces plus one block.
     """
-    at: dict[int, int] = {}
-    for i, (u, v) in enumerate(edges):
-        at[u] = at.get(u, 0) | 1 << i
-        at[v] = at.get(v, 0) | 1 << i
-    apart = np.array([~(at[u] | at[v]) for u, v in edges], dtype=np.int64)  # edges off N[e]
+    apart = ~np.array(edge_conflicts(edges), dtype=np.int64)  # edges off N[e]
     bits = np.left_shift(1, np.arange(len(edges), dtype=np.int64))
     faces, nu = np.zeros(1, np.int64), np.zeros(1, np.uint8)  # every face so far, ascending
     level, level_nu = faces, nu
@@ -709,21 +694,21 @@ def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Gr
         raise CapExceededError(f"2^{len(host_edges)} host subsets exceeds the cap {cap}")
     host = edge_host(GroundSet(tuple(host_edges)))
     h_mask = host.mask_of(spec.subgraph_h)
-    vs, xs, ys = sorted(spec.vertices), sorted(spec.x_side), sorted(spec.y_side)
+    vs, x, y = vertex_bits(spec.vertices), vertex_bits(spec.x_side), vertex_bits(spec.y_side)
     if spec.kind == "PM":
         masks = _pm_masks(host, vs, h_mask)
     elif spec.kind == "FC":
         masks = _fc_masks(host, vs, h_mask)
     elif spec.kind == "BFC":
-        masks = _bfc_masks(host, xs, ys, sorted(spec.z_subset), h_mask)
+        masks = _bfc_masks(host, x, y, vertex_bits(spec.z_subset), h_mask)
     else:
         masks = _nmlink_masks(host, (1 << len(host_edges)) - 1, h_mask, spec.k)
-    n = max(vs + xs + ys, default=-1) + 1
+    n = (vs | x | y).bit_length()
     out = [Graph.from_edges(n, host.ground.decode(m)) for m in masks]
     # FC members must be factor critical in the predicate sense too; the
     # nu-table filter is equivalent, which the tests pin down.
-    if spec.kind == "FC" and len(vs) > 1:
-        if not all(is_factor_critical(g, vs) for g in out):
+    if spec.kind == "FC" and vs.bit_count() > 1:
+        if not all(is_factor_critical(g, spec.vertices) for g in out):
             raise InternalCheckError("nu-table FC member is not factor critical")
     return out
 

@@ -33,13 +33,18 @@ on the result for the caller to assert:
 
 Faces are bitmasks over the host ground (the complete or complete bipartite
 edge list); recursive calls share the top-level host so that sub-results
-compose by plain union.  Hosts, with their nu tables, come from the memoised
-:func:`nonmatching.complexes.edge_host`, so a ground is tabulated once per
-process; that holds for the small index hosts of the projection bridges too.
-The recursive sub-solves (a builder called with ``host=``, the join parts
-and the projection bridges) are memoised on their host by canonical
-arguments, so each distinct sub-family is built and checked once per host;
-a builder called without a host is not kept.
+compose by plain union.  Vertex sets are vertex masks (bit v is vertex v)
+from the public doors down: each ``build_*`` function takes any iterable of
+vertices, converts it once, and runs a mask-level solve.  The Gallai-Edmonds
+key of a member is its (D, D | A, components) from
+:meth:`nonmatching.complexes.EdgeHost.decompose_masks`, and the side algebra
+of every split is ``&``, ``|`` and ``~`` on those masks.  Hosts, with their
+nu tables, come from the memoised :func:`nonmatching.complexes.edge_host`,
+so a ground is tabulated once per process; that holds for the small index
+hosts of the projection bridges too.  The recursive sub-solves (the PM, FC
+and BFC solves and the projection bridges) are memoised on their host,
+keyed by their mask arguments, so each distinct sub-family is built and
+checked once per host; a builder called without a host is not kept.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ from .graphs import (
     Graph,
     bipartite_edge_list,
     complete_edge_list,
-    normalize_edge,
 )
 from .morse import (
     ElementMatching,
@@ -79,8 +83,12 @@ from .morse import (
 )
 
 
-def _complete_ground(vs) -> GroundSet:
-    return GroundSet(tuple(sorted(normalize_edge(u, v) for u, v in itertools.combinations(sorted(vs), 2))))
+def _complete_ground(vs: int) -> GroundSet:
+    return GroundSet(tuple(itertools.combinations(mask_bits(vs), 2)))
+
+
+def _bipartite_ground(x: int, y: int) -> GroundSet:
+    return GroundSet(tuple(bipartite_edge_list(list(mask_bits(x)), list(mask_bits(y)))))
 
 
 def _h_mask(host: EdgeHost, h) -> int:
@@ -90,8 +98,8 @@ def _h_mask(host: EdgeHost, h) -> int:
     return host.mask_of(h.edges if isinstance(h, Graph) else h)
 
 
-def _ge_key(host: EdgeHost, mask: int, vs):
-    _, d, a, _, comps = host.decompose(mask, vs)
+def _ge_key(host: EdgeHost, mask: int, vs: int):
+    _, d, a, _, comps = host.decompose_masks(mask, vs)
     return (d, d | a, comps)
 
 
@@ -106,50 +114,46 @@ def _ge_leq(k1, k2) -> bool:
         return True
     d1, da1, _ = k1
     d2, da2, _ = k2
-    return d1 <= d2 and da1 <= da2 and (d1, da1) != (d2, da2)
+    return d1 & ~d2 == 0 and da1 & ~da2 == 0 and (d1, da1) != (d2, da2)
 
 
 class ConstructionError(InternalCheckError):
     pass
 
 
-def _vs(vertices) -> tuple:
-    return tuple(sorted(vertices))
+def _memo_on_host(fn):
+    """Memoise a sub-solve ``fn(host, *args)`` in the ``memo`` of its host,
+    keyed by its arguments (vertex masks, edge masks and counts).
 
-
-def _memo_on_host(canonical):
-    """Memoise a sub-solve in the ``memo`` of the host it solves on.
-
-    ``canonical(*args, **kwargs)`` gives (host, key): the host, or None for
-    a call that is not kept (a builder called without a host), and the
-    arguments in canonical form.  The results are immutable, so one object
-    serves every caller; a call that raises is not kept.
+    The results are immutable, so one object serves every caller; a call
+    that raises is not kept.  ``fn.__wrapped__`` is the solve that keeps
+    nothing.
     """
-    def wrap(fn):
-        @functools.wraps(fn)
-        def memoised(*args, **kwargs):
-            host, key = canonical(*args, **kwargs)
-            if host is None:
-                return fn(*args, **kwargs)
-            key = (fn.__name__, key)
-            out = host.memo.get(key)
-            if out is None:
-                out = host.memo[key] = fn(*args, **kwargs)
-            return out
-        return memoised
-    return wrap
+    @functools.wraps(fn)
+    def memoised(host, *args):
+        key = (fn.__name__,) + args
+        out = host.memo.get(key)
+        if out is None:
+            out = host.memo[key] = fn(host, *args)
+        return out
+    return memoised
 
 
-def _builder_key(side_count: int):
-    """The canonical arguments of a builder with ``side_count`` vertex
-    arguments before ``h``: the sorted sides and the h mask."""
-    def canonical(*args, h=(), host=None):
-        if host is None:
-            return None, None
-        if len(args) > side_count:
-            h = args[side_count]
-        return host, (tuple(_vs(side) for side in args[:side_count]), _h_mask(host, h))
-    return canonical
+def _door(solve, host: EdgeHost | None, ground, *args, h=()) -> ConstructionResult:
+    """A public builder's way in to its mask-level ``solve``: on ``host``,
+    kept in its memo, or, without a host, on the shared host of
+    ``ground()`` and not kept."""
+    if host is None:
+        host, solve = edge_host(ground()), solve.__wrapped__
+    return solve(host, *args, _h_mask(host, h))
+
+
+def _sides(x_side, y_side) -> tuple[int, int]:
+    """Two disjoint vertex sides as vertex masks."""
+    x, y = vertex_bits(x_side), vertex_bits(y_side)
+    if x & y:
+        raise ValueError("sides must be disjoint")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +230,12 @@ def _clustered_pairs(members, key_fn, leq, fiber_pairs):
     return cluster_union(members, key_of.__getitem__, leq, per_key)
 
 
-def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs, fiber_pairs) -> list:
+def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs: int, fiber_pairs) -> list:
     """The recursion every builder shares, after its first-stage matching.
 
     ``peel`` is (pairs, unmatched members); every unmatched member carries
     ``face``.  The members without ``face`` are clustered by their
-    Gallai-Edmonds key on ``vs``, each fiber matched by
+    Gallai-Edmonds key on the vertex mask ``vs``, each fiber matched by
     ``fiber_pairs(key, fiber)``, and the union is lifted back by ``face``,
     which must reproduce the unmatched members exactly.
     """
@@ -262,22 +266,18 @@ def _toggle_peel(family, e0_bit: int):
 # ---------------------------------------------------------------------------
 
 
-def _pick_e0_complete(host: EdgeHost, vs, h_mask: int) -> tuple[int, int, int]:
+def _pick_e0_complete(host: EdgeHost, vs: int, h_mask: int) -> tuple[int, int, int]:
     """Least non-subgraph edge, preferring an endpoint of positive h-degree.
 
     Returns (bit, v, w) where w is an endpoint of positive h-degree when the
     subgraph has any edge at all.
     """
-    deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in vs}
-    kv = host.bits_within(vs)
-    for b in mask_bits(kv & ~h_mask):
-        (u, v) = host.edges[b]
-        if h_mask == 0:
+    for b in mask_bits(host.bits_within(vs) & ~h_mask):
+        u, v = host.edges[b]
+        if not h_mask or h_mask & host.bits_at[v]:
             return b, u, v
-        if deg[u] or deg[v]:
-            w = v if deg[v] else u
-            other = u if w == v else v
-            return b, other, w
+        if h_mask & host.bits_at[u]:
+            return b, v, u
     raise ConstructionError("no admissible toggle edge; host equals the subgraph")
 
 
@@ -286,7 +286,6 @@ def _pick_e0_complete(host: EdgeHost, vs, h_mask: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@_memo_on_host(_builder_key(3))
 def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on the two-level bipartite factor critical family.
 
@@ -297,82 +296,77 @@ def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None 
     has an edge.  Raises EmptyFamilyError when there are no members at all
     (as opposed to the one-member family {empty graph}).
     """
-    xs, ys, zs = tuple(sorted(x_side)), tuple(sorted(y_side)), tuple(sorted(z_subset))
-    if not set(zs) <= set(xs):
+    x, y = _sides(x_side, y_side)
+    z = vertex_bits(z_subset)
+    if z & ~x:
         raise ValueError("z_subset must be contained in x_side")
-    if host is None:
-        host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
-    h_mask = _h_mask(host, h)
-    bound = 2 * len(ys) + len(zs) + h_mask.bit_count()
-    strict = h_mask.bit_count() >= 1
+    return _door(_bfc, host, lambda: _bipartite_ground(x, y), x, y, z, h=h)
 
-    if not xs or not ys:
+
+@_memo_on_host
+def _bfc(host: EdgeHost, x: int, y: int, z: int, h_mask: int) -> ConstructionResult:
+    bound = 2 * y.bit_count() + z.bit_count() + h_mask.bit_count()
+    strict = h_mask != 0
+
+    if not x or not y:
         if h_mask:
             raise ValueError("subgraph cannot have edges over an empty side")
         return _result("BFC", host, [0], [], bound, strict)
 
-    kxy = host.bits_between(xs, ys)
-    if h_mask & ~kxy:
+    if h_mask & ~host.bits_between(x, y):
         raise ValueError("subgraph leaves the bipartite host")
-    family = _bfc_masks(host, xs, ys, zs, h_mask)
+    family = _bfc_masks(host, x, y, z, h_mask)
     if not family:
         raise EmptyFamilyError(
-            f"no (y,z)-factor critical supergraphs for |X|={len(xs)} |Y|={len(ys)} |Z|={len(zs)}"
+            f"no (y,z)-factor critical supergraphs for |X|={x.bit_count()} |Y|={y.bit_count()} "
+            f"|Z|={z.bit_count()}"
         )
 
-    x_not_z = tuple(v for v in xs if v not in zs)
-    kxz_y = host.bits_between(x_not_z, ys)
+    kxz_y = host.bits_between(x & ~z, y)
     if kxz_y & ~h_mask == 0:
         # everything between X minus Z and Y is forced, so members are exactly
         # the z-factor critical graphs between Y and Z joined with that block
-        res = _checked_join([_bfc_join_part(host, ys, zs, h_mask), JoinPart.single(kxz_y)],
+        res = _checked_join([_bfc_part(host, y, z, h_mask), JoinPart.single(kxz_y)],
                             family, "forced-block join")
         return _result("BFC", host, family, res.pairs, bound, strict)
 
     # toggle edge: v on the y side, w on the x side outside z, not in h;
     # prefer a v with h-neighbours
-    cands = []
-    for v in ys:
-        pref = 0 if (h_mask & host.bits_at.get(v, 0)) else 1
-        for w in x_not_z:
-            b = host.index.get(normalize_edge(v, w))
-            if b is not None and not h_mask >> b & 1:
-                cands.append((pref, v, w, b))
-    cands.sort()
-    _, v0, w0, e0_bit = cands[0]
+    def toggle_key(b):
+        u, v = host.edges[b]
+        v, w = (u, v) if y >> u & 1 else (v, u)
+        return not h_mask & host.bits_at[v], v, w
+
+    e0_bit = min(mask_bits(kxz_y & ~h_mask), key=toggle_key)
+    _, v0, w0 = toggle_key(e0_bit)
 
     pairs = _peel_cluster_lift(
-        host, _toggle_peel(family, e0_bit), 1 << e0_bit, tuple(sorted(set(xs) | set(ys))),
-        lambda key, members: _bfc_subfamily_pairs(host, xs, ys, zs, h_mask, v0, w0, key, members),
+        host, _toggle_peel(family, e0_bit), 1 << e0_bit, x | y,
+        lambda key, members: _bfc_subfamily_pairs(host, x, y, z, h_mask, v0, w0, key, members),
     )
     return _result("BFC", host, family, pairs, bound, strict)
 
 
-def _bfc_subfamily_pairs(host, xs, ys, zs, h_mask, v0, w0, key, members):
-    d_set, da_set, _comps = key
-    a_set = da_set - d_set
-    c_set = (frozenset(xs) | frozenset(ys)) - da_set
-    if not (w0 in d_set and d_set <= set(xs)):
+def _bfc_subfamily_pairs(host, x, y, z, h_mask, v0, w0, key, members):
+    d, da, _comps = key
+    a = da & ~d
+    c = (x | y) & ~da
+    if not (d >> w0 & 1 and d & ~x == 0):
         raise ConstructionError("missable set must sit inside the x side")
-    if not a_set <= set(ys):
+    if a & ~y:
         raise ConstructionError("attachment set must sit inside the y side")
-    if v0 not in c_set:
+    if not c >> v0 & 1:
         raise ConstructionError("toggle endpoint must land in the matched part")
 
-    z_d = tuple(sorted(set(zs) & d_set))
-    z_c = tuple(sorted(set(zs) & c_set))
-    c_x = tuple(sorted(set(xs) & c_set))
-    c_y = tuple(sorted(set(ys) & c_set))
-
-    part1 = _bfc_join_part(host, d_set, a_set, h_mask, z_d)
-    fyc_members, fyc_pairs = _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c)
+    part1 = _bfc_part(host, d, a, h_mask, z & d)
+    fyc_members, fyc_pairs = _fyc_matching(host, y, h_mask, v0, a, x & c, y & c, z & c)
     return _checked_join(
-        [part1, JoinPart.make(host.bits_between(c_x, ys), fyc_members, fyc_pairs)],
+        [part1, JoinPart.make(host.bits_between(x & c, y), fyc_members, fyc_pairs)],
         members, "missable/matched join",
     ).pairs
 
 
-def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
+def _fyc_matching(host, y, h_mask, v0, a, c_x, c_y, z_c):
     """Matching on the matched-side family of the BFC decomposition.
 
     Members live between the matched x part and the whole y side and must
@@ -381,47 +375,49 @@ def _fyc_matching(host, xs, ys, h_mask, v0, a_set, c_x, c_y, z_c):
     are grouped by the pair (N(v0) inside z, N(A+v0) inside z), which is a
     monotone key, and each group splits as a join of four blocks.
     """
-    ground = host.bits_between(c_x, ys)
-    c_y_minus = tuple(v for v in c_y if v != v0)
-    z_bits = vertex_bits(z_c)
+    ground = host.bits_between(c_x, y)
     members = []
-    if len(c_x) == len(c_y):
+    if c_x.bit_count() == c_y.bit_count():
         cand = _above(h_mask & ground, ground)
-        for cover, other, surplus in ((c_x, c_y, 0), (z_c, ys, 1), (c_y_minus, c_x, 1)):
+        for cover, other, surplus in ((c_x, c_y, 0), (z_c, y, 1), (c_y & ~(1 << v0), c_x, 1)):
             cand = cand[hall_holds(host, cand, cover, other, surplus)]
         members = cand.tolist()
 
     def type_key(m):
-        s = host.neighbor_bits(m, v0) & z_bits
+        s = host.neighbor_bits(m, v0) & z_c
         st = s
-        for a in a_set:
-            st |= host.neighbor_bits(m, a) & z_bits
+        for av in mask_bits(a):
+            st |= host.neighbor_bits(m, av) & z_c
         return (s, st)
 
     def type_leq(k1, k2):
         return k1[0] & ~k2[0] == 0 and k1[1] & ~k2[1] == 0
 
     def type_pairs(key, group):
-        s_set, st_set = key
-        return _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c,
-                               host.vertex_set(s_set), host.vertex_set(st_set & ~s_set), group)
+        s, st = key
+        return _fyc_type_pairs(host, h_mask, v0, a, c_x, c_y, z_c, s, st & ~s, group)
 
     return tuple(members), tuple(_clustered_pairs(members, type_key, type_leq, type_pairs))
 
 
-def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, members):
-    q_set = tuple(v for v in c_x if v not in z_c)
-    r_set = tuple(v for v in z_c if v not in s_set and v not in t_set)
-    c_y_minus = tuple(v for v in c_y if v != v0)
+def _touched(host, edges: int, vs: int) -> int:
+    """The vertices of ``vs`` that the edge mask ``edges`` meets."""
+    return sum(1 << v for v in mask_bits(vs) if edges & host.bits_at.get(v, 0))
+
+
+def _fyc_type_pairs(host, h_mask, v0, a, c_x, c_y, z_c, s, t, members):
+    q = c_x & ~z_c
+    r = z_c & ~s & ~t
+    v0_bit = 1 << v0
 
     # block at v0: forced edges to h-neighbours and the s-part, free ones to
     # the rest of the unconstrained x part
-    h_v = h_mask & host.bits_at.get(v0, 0) & host.bits_between(c_x, (v0,))
-    n_prime = host.vertex_set(host.neighbor_bits(h_v, v0))
-    if n_prime & (set(t_set) | set(r_set)):
+    pv_ground = host.bits_between(c_x, v0_bit)
+    n_prime = host.neighbor_bits(h_mask & pv_ground, v0)
+    if n_prime & (t | r):
         raise ConstructionError("forced neighbours contradict the type")
-    forced = host.bits_between(sorted(n_prime | s_set), (v0,))
-    free_q = host.bits_between([q for q in q_set if q not in n_prime], (v0,))
+    forced = host.bits_between(n_prime | s, v0_bit)
+    free_q = host.bits_between(q & ~n_prime, v0_bit)
     if forced:
         if free_q:
             subs = submasks(free_q)
@@ -431,32 +427,31 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
         else:
             pv_family, pv_pairs = (forced,), ()
     else:
-        fam = [s for s in submasks(free_q) if s]
+        fam = [sub for sub in submasks(free_q) if sub]
         if not fam:
             raise ConstructionError("neighbourless block in a non-empty type")
         pv_pairs, _, _ = boolean_matching(fam, min(mask_bits(free_q)))
         pv_family = tuple(sorted(fam))
-    pv_ground = host.bits_between(c_x, (v0,))
 
     # block between the z-part and the attachment set
-    pa_ground = host.bits_between(z_c, a_set)
+    pa_ground = host.bits_between(z_c, a)
     h2 = h_mask & pa_ground
-    n2 = frozenset(v for v in z_c if h2 & host.bits_at.get(v, 0))
+    n2 = _touched(host, h2, z_c)
     pa_members = []
-    for s in submasks(pa_ground & ~h2):
-        m = h2 | s
-        hit = frozenset(v for v in z_c if m & host.bits_at.get(v, 0))
-        if not (set(t_set) <= hit <= (set(s_set) | set(t_set))):
+    for sub in submasks(pa_ground & ~h2):
+        m = h2 | sub
+        hit = _touched(host, m, z_c)
+        if t & ~hit or hit & ~(s | t):
             continue
-        if not q_set and not hit:
+        if not q and not hit:
             continue
         pa_members.append(m)
     if not pa_members:
         raise ConstructionError("empty attachment block in a non-empty type")
-    if not a_set:
+    if not a:
         pa_family, pa_pairs = tuple(pa_members), ()
     else:
-        freebits = host.bits_between(sorted(set(n2) | set(s_set)), a_set) & ~h2
+        freebits = host.bits_between(n2 | s, a) & ~h2
         if freebits:
             e = min(mask_bits(freebits))
             pa_pairs, _, pa_rest = boolean_matching(pa_members, e)
@@ -465,42 +460,39 @@ def _fyc_type_pairs(host, h_mask, v0, a_set, c_x, c_y, z_c, s_set, t_set, member
             pa_family = tuple(pa_members)
         else:
             blocks = [JoinPart.single(h2)]
-            t_minus = tuple(v for v in t_set if v not in n2)
+            t_minus = t & ~n2
             if t_minus:
-                parts = [host.bits_between((z,), a_set) for z in sorted(t_minus)]
+                parts = [host.bits_between(1 << zv, a) for zv in mask_bits(t_minus)]
                 full = (1 << len(parts)) - 1
                 lift = projection_matching(parts, 0, [full], [])
-                blocks.append(JoinPart.make(host.bits_between(t_minus, a_set), lift.family, lift.pairs))
+                blocks.append(JoinPart.make(host.bits_between(t_minus, a), lift.family, lift.pairs))
             res = _checked_join(blocks, pa_members, "attachment block join")
             pa_family, pa_pairs = res.family, res.pairs
 
     # block between the unconstrained x part and the attachment set
-    pq_ground = host.bits_between(q_set, a_set)
+    pq_ground = host.bits_between(q, a)
     hq = h_mask & pq_ground
-    pq_family = tuple(hq | s for s in submasks(pq_ground & ~hq))
+    pq_family = tuple(hq | sub for sub in submasks(pq_ground & ~hq))
     pq_pairs = _interval_pairs(pq_family, pq_ground, hq)
 
     return _checked_join(
         [JoinPart.make(pv_ground, pv_family, pv_pairs),
          JoinPart.make(pa_ground, pa_family, pa_pairs),
          JoinPart.make(pq_ground, pq_family, pq_pairs),
-         _bfc_join_part(host, c_x, c_y_minus, h_mask, r_set)],
+         _bfc_part(host, c_x, c_y & ~v0_bit, h_mask, r)],
         members, "type join",
     ).pairs
 
 
-@_memo_on_host(lambda host, side_x, side_y, h_mask, z_subset=(): (
-    host, (_vs(side_x), _vs(side_y), _vs(z_subset), h_mask & host.bits_between(side_x, side_y))))
-def _bfc_join_part(host, side_x, side_y, h_mask, z_subset=()) -> JoinPart:
-    ground = host.bits_between(side_x, side_y)
-    sub = build_bfc_matching(sorted(side_x), sorted(side_y), z_subset, h_mask & ground, host=host)
+def _bfc_part(host, x, y, h_mask, z=0) -> JoinPart:
+    ground = host.bits_between(x, y)
+    sub = _bfc(host, x, y, z, h_mask & ground)
     return JoinPart.make(ground, sub.family, sub.pairs)
 
 
-@_memo_on_host(lambda host, comp, h_mask: (host, (_vs(comp), h_mask & host.bits_within(comp))))
-def _fc_join_part(host, comp, h_mask) -> JoinPart:
+def _fc_part(host, comp, h_mask) -> JoinPart:
     ground = host.bits_within(comp)
-    sub = build_fc_matching(sorted(comp), h_mask & ground, host=host)
+    sub = _fc(host, comp, h_mask & ground)
     return JoinPart.make(ground, sub.family, sub.pairs)
 
 
@@ -509,64 +501,62 @@ def _fc_join_part(host, comp, h_mask) -> JoinPart:
 # ---------------------------------------------------------------------------
 
 
-@_memo_on_host(lambda host, d_groups, a_list, z_group_count, tau: (
-    host, (tuple(_vs(group) for group in d_groups), _vs(a_list), z_group_count, tau)))
-def _lifted_bfc_projection(host: EdgeHost, d_groups, a_list, z_group_count: int, tau: int):
-    """Matching on bipartite graphs between the missable part and ``a_list``
-    whose group-contraction is factor critical on the a side.
+@_memo_on_host
+def _lifted_bfc_projection(host: EdgeHost, d_groups: tuple, a: int, z_group_count: int, tau: int):
+    """Matching on bipartite graphs between the missable part and the
+    vertex mask ``a`` whose group-contraction is factor critical on the a
+    side.
 
-    ``d_groups`` are disjoint vertex groups; the contraction sends all edges
+    ``d_groups`` are disjoint vertex masks; the contraction sends all edges
     between one group and one a-vertex to a single index edge.  The index
     family is a BFC family on a fresh host, matched recursively and lifted
     through the partition projection.
     """
     g_count = len(d_groups)
-    a_sorted = sorted(a_list)
-    parts = []
-    for gi in range(g_count):
-        for a in a_sorted:
-            parts.append(host.bits_between(d_groups[gi], (a,)))
+    a_list = list(mask_bits(a))
+    parts = [host.bits_between(group, 1 << av) for group in d_groups for av in a_list]
     # local bipartite host on fresh labels: groups then a-vertices
-    local_x = tuple(range(g_count))
-    local_y = tuple(range(g_count, g_count + len(a_sorted)))
-    local_edges = bipartite_edge_list(local_x, local_y)
-    local = edge_host(GroundSet(tuple(local_edges)))
+    local_x = (1 << g_count) - 1
+    local_y = ((1 << len(a_list)) - 1) << g_count
+    local = edge_host(_bipartite_ground(local_x, local_y))
+    local_edges = local.edges
     # parts order must agree with the local ground order
     order_check = [
         (min(gi, g_count + ai), max(gi, g_count + ai))
-        for gi in local_x
-        for ai in range(len(a_sorted))
+        for gi in range(g_count)
+        for ai in range(len(a_list))
     ]
-    if tuple(local_edges) != tuple(order_check):
+    if local_edges != tuple(order_check):
         raise ConstructionError("projection part order drifted from the index ground")
     q_h = 0
     for pos, pm in enumerate(parts):
         if tau & pm:
             q_h |= 1 << pos
-    q = build_bfc_matching(local_x, local_y, tuple(range(z_group_count)), q_h, host=local)
+    q = _bfc(local, local_x, local_y, (1 << z_group_count) - 1, q_h)
     return projection_matching(parts, tau, q.family, q.pairs)
 
 
-@_memo_on_host(lambda host, a_set, c_list, tau: (host, (_vs(a_set), _vs(c_list), tau)))
-def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int):
+@_memo_on_host
+def _lifted_fc_projection(host: EdgeHost, a: int, c: int, tau: int):
     """Matching on graphs over (A x C) union (C x C) whose contraction of the
-    whole set A to one point is factor critical; lifted from an FC family on
-    a fresh host with |C|+1 vertices (contracted point labelled 0)."""
-    c_sorted = sorted(c_list)
-    local_n = 1 + len(c_sorted)
+    whole vertex mask ``a`` to one point is factor critical; lifted from an
+    FC family on a fresh host with |C|+1 vertices (contracted point labelled
+    0)."""
+    c_list = list(mask_bits(c))
+    local_n = 1 + len(c_list)
     local_edges = complete_edge_list(local_n)
     parts = []
     for (i, j) in local_edges:
         if i == 0:
-            parts.append(host.bits_between(a_set, (c_sorted[j - 1],)))
+            parts.append(host.bits_between(a, 1 << c_list[j - 1]))
         else:
-            parts.append(1 << host.index[normalize_edge(c_sorted[i - 1], c_sorted[j - 1])])
+            parts.append(1 << host.index[c_list[i - 1], c_list[j - 1]])
     local = edge_host(GroundSet(tuple(local_edges)))
     q_h = 0
     for pos, pm in enumerate(parts):
         if tau & pm:
             q_h |= 1 << pos
-    q = build_fc_matching(tuple(range(local_n)), q_h, host=local)
+    q = _fc(local, (1 << local_n) - 1, q_h)
     return projection_matching(parts, tau, q.family, q.pairs)
 
 
@@ -575,7 +565,6 @@ def _lifted_fc_projection(host: EdgeHost, a_set, c_list, tau: int):
 # ---------------------------------------------------------------------------
 
 
-@_memo_on_host(_builder_key(1))
 def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on perfectly matchable supergraphs of ``h``.
 
@@ -585,12 +574,14 @@ def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
     vertex set is non-empty.  An odd vertex set gives the empty family (and
     an empty matching on it); the empty vertex set gives {empty graph}.
     """
-    vs = tuple(sorted(vertices))
-    if host is None:
-        host = edge_host(_complete_ground(vs))
-    h_mask = _h_mask(host, h)
-    bound = 3 * len(vs) // 2 + h_mask.bit_count()
-    strict = len(vs) > 0
+    vs = vertex_bits(vertices)
+    return _door(_pm, host, lambda: _complete_ground(vs), vs, h=h)
+
+
+@_memo_on_host
+def _pm(host: EdgeHost, vs: int, h_mask: int) -> ConstructionResult:
+    bound = 3 * vs.bit_count() // 2 + h_mask.bit_count()
+    strict = vs != 0
     kv = host.bits_within(vs)
     if h_mask & ~kv:
         raise ValueError("subgraph leaves the host vertex set")
@@ -602,8 +593,8 @@ def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
 
     def fiber_pairs(key, members):
         ordered = _components_ordered_for(key[2], v0, w0)
-        d_groups = [[c] for c in ordered[:-2]] + [ordered[-2:]]
-        return _matched_join_pairs(host, h_mask, vs, key, members, d_groups)
+        groups = ordered[:-2] + (ordered[-2] | ordered[-1],)
+        return _matched_join_pairs(host, h_mask, vs, key, members, ordered, groups)
 
     pairs = _peel_cluster_lift(host, _toggle_peel(family, e0_bit), 1 << e0_bit, vs, fiber_pairs)
     return _result("PM", host, family, pairs, bound, strict)
@@ -611,41 +602,39 @@ def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
 
 def _components_ordered_for(comps, v0, w0):
     """Components with the ones containing v0 / w0 moved to the last two slots."""
-    comp_v = next(c for c in comps if v0 in c)
-    comp_w = next(c for c in comps if w0 in c)
+    comp_v = next(c for c in comps if c >> v0 & 1)
+    comp_w = next(c for c in comps if c >> w0 & 1)
     if comp_v == comp_w:
         raise ConstructionError("toggle endpoints landed in one missable component")
-    others = [c for c in comps if c is not comp_v and c is not comp_w]
-    return others + [comp_v, comp_w]
+    return tuple(c for c in comps if c != comp_v and c != comp_w) + (comp_v, comp_w)
 
 
-def _matched_join_pairs(host, h_mask, universe, key, members, d_groups):
+def _matched_join_pairs(host, h_mask, universe, key, members, comps, groups):
     """Matching on one Gallai-Edmonds fiber of the PM or complete-link family.
 
     Unless a free edge at A gives a complete toggle, members are the join of
-    FC families on the components of D, a projection family between D and
-    A, a PM family on C, and the forced edges at A.  ``d_groups`` lists the
-    components of D in join order, grouped: each group is contracted to one
-    index vertex of the projection (PM merges the components of the toggle
-    edge's endpoints; the link family keeps every component apart).
+    FC families on the components ``comps`` of D, a projection family
+    between D and A, a PM family on C, and the forced edges at A.  Each of
+    ``groups``, a union of components, is contracted to one index vertex of
+    the projection (PM merges the components of the toggle edge's
+    endpoints; the link family keeps every component apart).
     """
-    d_set, da_set, _ = key
-    a_set = da_set - d_set
-    c_set = frozenset(universe) - da_set
+    d, da, _ = key
+    a = da & ~d
+    c = universe & ~da
 
-    free = (host.bits_within(a_set) | host.bits_between(a_set, c_set)) & ~h_mask
+    free = (host.bits_within(a) | host.bits_between(a, c)) & ~h_mask
     if free:
         return _complete_toggle(members, free, "decomposition-preserving toggle")
 
-    parts = [_fc_join_part(host, comp, h_mask) for group in d_groups for comp in group]
-    proj = _lifted_bfc_projection(host, [frozenset().union(*group) for group in d_groups],
-                                  sorted(a_set), 0, h_mask & host.bits_between(d_set, a_set))
-    subpm = build_pm_matching(sorted(c_set), h_mask & host.bits_within(c_set), host=host)
+    parts = [_fc_part(host, comp, h_mask) for comp in comps]
+    proj = _lifted_bfc_projection(host, groups, a, 0, h_mask & host.bits_between(d, a))
+    subpm = _pm(host, c, h_mask & host.bits_within(c))
     parts += [
-        JoinPart.make(host.bits_between(d_set, a_set), proj.family, proj.pairs),
-        JoinPart.make(host.bits_within(c_set), subpm.family, subpm.pairs),
-        JoinPart.single(host.bits_within(a_set)),
-        JoinPart.single(host.bits_between(a_set, c_set)),
+        JoinPart.make(host.bits_between(d, a), proj.family, proj.pairs),
+        JoinPart.make(host.bits_within(c), subpm.family, subpm.pairs),
+        JoinPart.single(host.bits_within(a)),
+        JoinPart.single(host.bits_between(a, c)),
     ]
     return _checked_join(parts, members, "matched join").pairs
 
@@ -655,7 +644,6 @@ def _matched_join_pairs(host, h_mask, universe, key, members, d_groups):
 # ---------------------------------------------------------------------------
 
 
-@_memo_on_host(_builder_key(1))
 def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on factor critical supergraphs of ``h``.
 
@@ -664,19 +652,21 @@ def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
     Critical faces satisfy |sigma| <= (3/2)(|V|-1) + |H|, strictly when ``h``
     has an edge.
     """
-    vs = tuple(sorted(vertices))
-    if len(vs) % 2 == 0:
+    vs = vertex_bits(vertices)
+    if vs.bit_count() % 2 == 0:
         raise ValueError("factor critical families need an odd vertex count")
-    if host is None:
-        host = edge_host(_complete_ground(vs))
-    h_mask = _h_mask(host, h)
-    bound = 3 * (len(vs) - 1) // 2 + h_mask.bit_count()
-    strict = h_mask.bit_count() >= 1
+    return _door(_fc, host, lambda: _complete_ground(vs), vs, h=h)
+
+
+@_memo_on_host
+def _fc(host: EdgeHost, vs: int, h_mask: int) -> ConstructionResult:
+    bound = 3 * (vs.bit_count() - 1) // 2 + h_mask.bit_count()
+    strict = h_mask != 0
     kv = host.bits_within(vs)
     if h_mask & ~kv:
         raise ValueError("subgraph leaves the host vertex set")
     family = _fc_masks(host, vs, h_mask)
-    if len(vs) == 1 or h_mask == kv:
+    if vs.bit_count() == 1 or h_mask == kv:
         return _result("FC", host, family, [], bound, strict)
 
     e0_bit, v0, w0 = _pick_e0_complete(host, vs, h_mask)
@@ -688,26 +678,26 @@ def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
 
 
 def _fc_subfamily_pairs(host, vs, h_mask, v0, w0, key, members):
-    d_set, da_set, comps = key
-    a_set = da_set - d_set
-    c_set = frozenset(vs) - da_set
-    if not a_set:
+    d, da, comps = key
+    a = da & ~d
+    c = vs & ~da
+    if not a:
         raise ConstructionError("near-critical members must have attachment vertices")
 
-    free = host.bits_within(a_set) & ~h_mask
+    free = host.bits_within(a) & ~h_mask
     if free:
         return _complete_toggle(members, free, "decomposition-preserving toggle")
 
     ordered = _components_ordered_for(comps, v0, w0)
-    parts = [_fc_join_part(host, comp, h_mask) for comp in ordered]
-    proj = _lifted_bfc_projection(host, ordered, sorted(a_set), len(ordered) - 2,
-                                  h_mask & host.bits_between(d_set, a_set))
-    ac_ground = host.bits_between(a_set, c_set) | host.bits_within(c_set)
-    proj2 = _lifted_fc_projection(host, sorted(a_set), sorted(c_set), h_mask & ac_ground)
+    parts = [_fc_part(host, comp, h_mask) for comp in ordered]
+    proj = _lifted_bfc_projection(host, ordered, a, len(ordered) - 2,
+                                  h_mask & host.bits_between(d, a))
+    ac_ground = host.bits_between(a, c) | host.bits_within(c)
+    proj2 = _lifted_fc_projection(host, a, c, h_mask & ac_ground)
     parts += [
-        JoinPart.make(host.bits_between(d_set, a_set), proj.family, proj.pairs),
+        JoinPart.make(host.bits_between(d, a), proj.family, proj.pairs),
         JoinPart.make(ac_ground, proj2.family, proj2.pairs),
-        JoinPart.single(host.bits_within(a_set)),
+        JoinPart.single(host.bits_within(a)),
     ]
     return _checked_join(parts, members, "factor-critical join").pairs
 
@@ -723,15 +713,21 @@ def _interval_pairs(family, within: int, h_mask: int):
     return _complete_toggle(family, free, "interval toggle") if free else []
 
 
-def _star_peel(host, family, h_mask, v, w_set, k: int):
+def _min_h_degree(host, vs: int, h_mask: int) -> int:
+    """The vertex of ``vs`` with the fewest h-edges, the least on a tie."""
+    return min(mask_bits(vs), key=lambda u: ((h_mask & host.bits_at.get(u, 0)).bit_count(), u))
+
+
+def _star_peel(host, family, h_mask, v, w, k: int):
     """Complete matching on the members with an addable free star edge at v.
 
-    The free star is the edges from ``v`` to ``w_set``.  Members cluster by
-    their star-free part; each cluster is a toggle cube over its addable
-    star edges.  Returns ((pairs, the other members), the h-edges at v);
-    every member left over meets v in exactly those h-edges.
+    The free star is the edges from ``v`` to the vertex mask ``w``.  Members
+    cluster by their star-free part; each cluster is a toggle cube over its
+    addable star edges.  Returns ((pairs, the other members), the h-edges
+    at v); every member left over meets v in exactly those h-edges.
     """
-    s_bits = host.bits_between(w_set, (v,))
+    nu = host.nu
+    s_bits = host.bits_between(w, 1 << v)
     if not s_bits:
         raise ConstructionError("minimum-degree vertex has a full star")
     f0, f1 = [], []
@@ -742,11 +738,11 @@ def _star_peel(host, family, h_mask, v, w_set, k: int):
         if addable is None:
             addable = 0
             for b in mask_bits(s_bits):
-                if host.nu_of(base | (1 << b)) < k:
+                if nu[base | (1 << b)] < k:
                     addable |= 1 << b
             addable_of_base[base] = addable
         # an addable edge already present also witnesses membership in f0
-        if addable & m or any(host.nu_of(m | (1 << b)) < k for b in mask_bits(s_bits & ~m)):
+        if addable & m or any(nu[m | (1 << b)] < k for b in mask_bits(s_bits & ~m)):
             f0.append(m)
         else:
             f1.append(m)
@@ -763,44 +759,46 @@ def _star_peel(host, family, h_mask, v, w_set, k: int):
     return (pairs, f1), vstar
 
 
+def _link_h_mask(host, within: int, h, k: int) -> int:
+    """``h`` as a host mask inside the edges ``within``, with 1 <= nu(h) < k."""
+    h_mask = _h_mask(host, h)
+    if h_mask & ~within:
+        raise ValueError("subgraph leaves the host")
+    if not (1 <= host.nu[h_mask] < k):
+        raise ValueError(f"need 1 <= nu(h) < k, got nu(h)={host.nu[h_mask]}, k={k}")
+    return h_mask
+
+
 def build_link_matching_complete(vertices, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
     """Acyclic matching on {G within the complete host : nu(G) < k, h in G}.
 
     Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 3k-4+|H|.
     """
-    vs = tuple(sorted(vertices))
+    vs = vertex_bits(vertices)
     if host is None:
         host = edge_host(_complete_ground(vs))
-    h_mask = _h_mask(host, h)
     kv = host.bits_within(vs)
-    if h_mask & ~kv:
-        raise ValueError("subgraph leaves the host vertex set")
-    nu_h = host.nu_of(h_mask)
-    if not (1 <= nu_h < k):
-        raise ValueError(f"need 1 <= nu(h) < k, got nu(h)={nu_h}, k={k}")
+    h_mask = _link_h_mask(host, kv, h, k)
     bound = 3 * k - 4 + h_mask.bit_count()
     family = _nmlink_masks(host, kv, h_mask, k)
 
-    if len(vs) < 2 * k:
+    if vs.bit_count() < 2 * k:
         return _result("NMLINK_COMPLETE", host, family,
                        _interval_pairs(family, kv, h_mask), bound, False)
 
-    deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in vs}
-    v = min(vs, key=lambda u: (deg[u], u))
-    n_h_v = host.vertex_set(host.neighbor_bits(h_mask, v))
-    w_set = tuple(u for u in vs if u != v and u not in n_h_v)
-    peel, vstar = _star_peel(host, family, h_mask, v, w_set, k)
+    v = _min_h_degree(host, vs, h_mask)
+    v_rest = vs & ~(1 << v)
+    w = v_rest & ~host.neighbor_bits(h_mask, v)
+    peel, vstar = _star_peel(host, family, h_mask, v, w, k)
 
-    v_rest = tuple(u for u in vs if u != v)
     for m in peel[1]:
-        if host.nu_of(m & ~vstar) != k - 1:
+        if host.nu[m & ~vstar] != k - 1:
             raise ConstructionError("starless member has the wrong matching number")
 
     def fiber_pairs(key, members):
-        if key[0] != frozenset(w_set):
+        if key[0] != w:
             raise ConstructionError("missable set of a starless member is not the free star")
-        return _matched_join_pairs(host, h_mask & ~vstar, v_rest, key, members,
-                                   [[c] for c in key[2]])
+        return _matched_join_pairs(host, h_mask & ~vstar, v_rest, key, members, key[2], key[2])
 
     pairs = _peel_cluster_lift(host, peel, vstar, v_rest, fiber_pairs)
     return _result("NMLINK_COMPLETE", host, family, pairs, bound, False)
@@ -811,61 +809,49 @@ def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: EdgeHost |
 
     Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 2k-3+|H|.
     """
-    xs, ys = tuple(sorted(x_side)), tuple(sorted(y_side))
+    x, y = _sides(x_side, y_side)
     if host is None:
-        host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
-    h_mask = _h_mask(host, h)
-    kxy = host.bits_between(xs, ys)
-    if h_mask & ~kxy:
-        raise ValueError("subgraph leaves the bipartite host")
-    nu_h = host.nu_of(h_mask)
-    if not (1 <= nu_h < k):
-        raise ValueError(f"need 1 <= nu(h) < k, got nu(h)={nu_h}, k={k}")
+        host = edge_host(_bipartite_ground(x, y))
+    kxy = host.bits_between(x, y)
+    h_mask = _link_h_mask(host, kxy, h, k)
     bound = 2 * k - 3 + h_mask.bit_count()
     family = _nmlink_masks(host, kxy, h_mask, k)
 
-    if min(len(xs), len(ys)) < k:
+    if min(x.bit_count(), y.bit_count()) < k:
         return _result("NMLINK_BIPARTITE", host, family,
                        _interval_pairs(family, kxy, h_mask), bound, False)
 
-    deg = {u: (h_mask & host.bits_at.get(u, 0)).bit_count() for u in xs + ys}
-    v0 = min(xs + ys, key=lambda u: (deg[u], u))
-    own, other = (ys, xs) if v0 in ys else (xs, ys)
-    n_h_v = host.vertex_set(host.neighbor_bits(h_mask, v0))
-    w_set = tuple(u for u in other if u not in n_h_v)
-    peel, vstar = _star_peel(host, family, h_mask, v0, w_set, k)
+    v0 = _min_h_degree(host, x | y, h_mask)
+    own, other = (y, x) if y >> v0 & 1 else (x, y)
+    n_h_v = host.neighbor_bits(h_mask, v0)
+    w = other & ~n_h_v
+    peel, vstar = _star_peel(host, family, h_mask, v0, w, k)
 
-    own_rest = tuple(u for u in own if u != v0)
+    own_rest = own & ~(1 << v0)
     pairs = _peel_cluster_lift(
-        host, peel, vstar, tuple(u for u in xs + ys if u != v0),
+        host, peel, vstar, other | own_rest,
         lambda key, members: _link_bipartite_subfamily_pairs(
-            host, h_mask & ~vstar, other, own_rest, w_set, n_h_v, key, members),
+            host, h_mask & ~vstar, other, own_rest, w, n_h_v, key, members),
     )
     return _result("NMLINK_BIPARTITE", host, family, pairs, bound, False)
 
 
-def _link_bipartite_subfamily_pairs(host, h_mask, other, own_rest, w_set, n_h_v, key, members):
-    d_set, da_set, _comps = key
-    a_set = da_set - d_set
-    universe = frozenset(other) | frozenset(own_rest)
-    c_set = universe - da_set
-    d_x = d_set & frozenset(other)
-    if d_x != frozenset(w_set):
+def _link_bipartite_subfamily_pairs(host, h_mask, other, own_rest, w, n_h_v, key, members):
+    d, da, _comps = key
+    a = da & ~d
+    c = (other | own_rest) & ~da
+    if d & other != w:
         raise ConstructionError("missable set on the star side is not the free star")
-    a_x = a_set & frozenset(other)
-    a_y = a_set & frozenset(own_rest)
-    c_x = c_set & frozenset(other)
-    c_y = c_set & frozenset(own_rest)
-    d_y = d_set & frozenset(own_rest)
+    a_x, a_y = a & other, a & own_rest
+    c_x, c_y = c & other, c & own_rest
 
     if not n_h_v:
-        inner = build_bfc_matching(other, sorted(a_y), (),
-                                   h_mask & host.bits_between(other, a_y), host=host)
+        inner = _bfc(host, other, a_y, 0, h_mask & host.bits_between(other, a_y))
         if set(inner.family) != set(members):
             raise ConstructionError("attachment family does not reproduce the subfamily")
         return inner.pairs
 
-    if frozenset(n_h_v) != a_x | c_x:
+    if n_h_v != a_x | c_x:
         raise ConstructionError("forced neighbourhood is not the matched-or-attachment part")
     forced_cy = host.bits_between(a_x | c_x, c_y) & ~h_mask
     if forced_cy:
@@ -875,8 +861,8 @@ def _link_bipartite_subfamily_pairs(host, h_mask, other, own_rest, w_set, n_h_v,
         return _complete_toggle(members, free, "decomposition-preserving toggle")
 
     parts = [
-        _bfc_join_part(host, d_x, a_y, h_mask),
-        _bfc_join_part(host, d_y, a_x, h_mask),
+        _bfc_part(host, w, a_y, h_mask),
+        _bfc_part(host, d & own_rest, a_x, h_mask),
         JoinPart.single(host.bits_between(a_x | c_x, a_y | c_y)),
     ]
     return _checked_join(parts, members, "bipartite link join").pairs

@@ -8,7 +8,9 @@ For the exhaustive sweeps the package works with *edge bitmasks*: a host
 graph fixes a lexicographically ordered list of edge slots and a subgraph is
 the integer whose set bits select slots.  :func:`subset_matching_numbers`
 tabulates the matching number of every subgraph of a host in one pass, which
-is what makes decompositions of tens of thousands of subgraphs cheap.
+is what makes decompositions of tens of thousands of subgraphs cheap.  Its
+recurrence, the NM walk and the rainbow scan read one edge-conflict table,
+:func:`edge_conflicts`.
 
 The matching number of a single graph comes from one search over *vertex*
 bitmasks, :func:`nu_within`: per-vertex neighbour masks, a memo keyed by
@@ -19,8 +21,8 @@ check all call it.
 
 :func:`gallai_edmonds` computes the decomposition straight from its
 definition; it is the oracle for the mask-level decomposer the Morse
-builders use (:meth:`nonmatching.complexes.EdgeHost.decompose_masks`, which
-:meth:`~nonmatching.complexes.EdgeHost.decompose` hands out as frozensets).
+builders use (:meth:`nonmatching.complexes.EdgeHost.decompose_masks`, whose
+parts are vertex masks).
 Whether a decomposition has the structural properties is checked for a
 whole chunk of graphs in one array pass, by
 :func:`nonmatching.sweeps.ge_violations`: about 4 ms for 2,048 subgraphs of
@@ -148,9 +150,6 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(u if w == v else w for (u, w) in self.edges if v in (u, w))
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def neighborhood(self, vertices) -> frozenset[int]:
         """Vertices outside ``vertices`` adjacent to at least one of them."""
         vs = frozenset(vertices)
@@ -209,28 +208,6 @@ class Graph:
         w = self.vertex_count
         es = (self.edges - {e}) | {normalize_edge(u, w), normalize_edge(v, w)}
         return Graph(self.vertex_count + 1, es, None)
-
-    def is_bipartite_graph(self) -> bool:
-        """Two-colorability of the underlying graph (ignores the declared classes)."""
-        color = {}
-        adj = {v: set() for v in range(self.vertex_count)}
-        for (u, v) in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        for s in range(self.vertex_count):
-            if s in color:
-                continue
-            color[s] = 0
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in color:
-                        color[w] = 1 - color[u]
-                        stack.append(w)
-                    elif color[w] == color[u]:
-                        return False
-        return True
 
 
 def subdivided_complete_graph(n: int) -> Graph:
@@ -754,6 +731,16 @@ def bipartite_subgraph_classes(a: int, b: int) -> list[Graph]:
 # ---------------------------------------------------------------------------
 
 
+def edge_conflicts(edges) -> list[int]:
+    """Per edge of a list, the mask of the edges sharing an end with it, the
+    edge itself and any parallel copy of it included."""
+    at: dict[int, int] = {}
+    for i, (u, v) in enumerate(edges):
+        at[u] = at.get(u, 0) | 1 << i
+        at[v] = at.get(v, 0) | 1 << i
+    return [at[u] | at[v] for u, v in edges]
+
+
 def subset_matching_numbers(
     edges: list[tuple[int, int]], cap: int = DEFAULT_SUBSET_CAP
 ) -> np.ndarray:
@@ -767,11 +754,7 @@ def subset_matching_numbers(
     m = len(edges)
     if (1 << m) > cap:
         raise CapExceededError(f"2^{m} subsets exceeds the enumeration cap {cap}")
-    conflict = np.zeros(m, dtype=np.int64)
-    for i, (u, v) in enumerate(edges):
-        for j, (x, y) in enumerate(edges):
-            if {u, v} & {x, y}:
-                conflict[i] |= 1 << j
+    conflict = np.array(edge_conflicts(edges), dtype=np.int64)
     nu = np.zeros(1 << m, dtype=np.uint8)
     # masks with lowest set bit b reference masks whose lowest bit is larger,
     # so sweep b from high to low

@@ -26,6 +26,7 @@ from .graphs import (
     Graph,
     Matching,
     adjacency_masks,
+    edge_conflicts,
     format_graph,
     normalize_edge,
     nu_within,
@@ -260,8 +261,7 @@ def k2_counterexamples(slots, host_mask: int, m: int, lo: int = 1, hi: int | Non
     if host_mask < 0 or host_mask >> len(slots):
         raise ValueError("host mask has bits outside the slots")
     nu = edge_host(GroundSet(slots)).nu
-    ends = [1 << u | 1 << v for (u, v) in slots]
-    disjoint = [sum(1 << j for j, f in enumerate(ends) if not e & f) for e in ends]
+    disjoint = [host_mask & ~c for c in edge_conflicts(slots)]  # host edges off each edge
     found = []
     checked = 0
 

@@ -259,8 +259,8 @@ def _ge_tables(n: int):
     matchings of :func:`_all_matchings` grouped by size, each group as its
     edge masks and the slots of each matching's edges."""
     host = edge_host(GroundSet(tuple(complete_edge_list(n))))
-    within = np.array([host._within(s) for s in range(1 << n)], np.int64)
-    touch = np.array([host._touch(s) for s in range(1 << n)], np.int64)
+    within = np.array([host.bits_within(s) for s in range(1 << n)], np.int64)
+    touch = np.array([host.bits_touching(s) for s in range(1 << n)], np.int64)
     groups: list[list[int]] = [[] for _ in range(n // 2 + 1)]
     for m in _all_matchings(n):
         groups[m.bit_count()].append(m)
@@ -322,7 +322,7 @@ def run_ge_chunk(params: dict) -> dict:
     """
     n, lo, hi = params["n"], params["lo"], params["hi"]
     host, within, touch, _ = _ge_tables(n)
-    vs = range(n)
+    vs = (1 << n) - 1
     rows = [host.decompose_masks(mask, vs) for mask in range(lo, hi)]
     counts = np.array([len(row[4]) for row in rows])
     width = max(n, counts.max())

@@ -9,7 +9,7 @@ import pytest
 
 from nonmatching import sweeps
 from nonmatching.cache import digest_of
-from nonmatching.complexes import EdgeHost, build_nm_complex
+from nonmatching.complexes import EdgeHost, build_nm_complex, mask_bits
 from nonmatching.graphs import subdivided_complete_graph
 from nonmatching.homology import GF2, GFP, LARGE_PRIME, reduced_betti
 
@@ -69,6 +69,13 @@ GE_MUTATIONS = {
     "largest-d-vertex-dropped": _drop_largest_d,
     "singleton-component-to-c": _singleton_to_c,
 }
+
+
+def _vertex_lists(claim):
+    """A decomposer row's components, A and C as the vertex lists
+    :func:`sweeps.ge_violation` reads."""
+    _, _, a, c, comps = claim
+    return [list(mask_bits(k)) for k in comps], list(mask_bits(a)), list(mask_bits(c))
 
 
 def run_suite(name: str, seed: int = 0):
@@ -162,8 +169,8 @@ class TestAcceptance:
             assert not out["passed"] and out["violations"], name
             # each failing mask names the property the mutated claim fails
             for mask, reason in out["violations"]:
-                _, _, a, c, comps = host.decompose(mask, range(5))
-                assert reason == sweeps.ge_violation(5, mask, comps, a, c), (name, mask)
+                claim = host.decompose_masks(mask, 0b11111)
+                assert reason == sweeps.ge_violation(5, mask, *_vertex_lists(claim)), (name, mask)
 
     def test_criterion_8_rainbow(self):
         """No k=2 counterexample: three sets on every K3,3 host class, and
@@ -210,14 +217,12 @@ def test_ge_violations_rows_are_independent():
     host = sweeps._ge_tables(6)[0]
     claims = []
     for mask in range(0, 1 << 15, 97):
-        row = host.decompose_masks(mask, range(6))
+        row = host.decompose_masks(mask, 0b111111)
         claims += [(mask, row)] + [(mask, mutate(*row)) for mutate in GE_MUTATIONS.values()]
     codes = sweeps.ge_violations(
         6, [mask for mask, _ in claims],
         [list(row[4]) + [0] * (6 - len(row[4])) for _, row in claims],
         [len(row[4]) for _, row in claims], [row[2] for _, row in claims], [row[3] for _, row in claims])
-    one_row = [sweeps.ge_violation(6, mask, [host.vertex_set(k) for k in comps],
-                                   host.vertex_set(a), host.vertex_set(c))
-               for mask, (_, _, a, c, comps) in claims]
+    one_row = [sweeps.ge_violation(6, mask, *_vertex_lists(row)) for mask, row in claims]
     assert [None if i < 0 else sweeps.GE_PROPERTIES[i] for i in codes.tolist()] == one_row
     assert None in one_row and len(set(one_row)) > 3

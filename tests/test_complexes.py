@@ -20,6 +20,7 @@ from nonmatching.complexes import (
     link,
     mask_bits,
     order_complex,
+    vertex_bits,
 )
 import nonmatching.complexes as complexes_module
 from nonmatching.errors import CapExceededError, InternalCheckError
@@ -505,7 +506,7 @@ class TestFamilies:
             for within in (full, h | rng.getrandbits(len(edges))):
                 free = within & ~h
                 want = sorted(h | s for s in range(free + 1)
-                              if s & ~free == 0 and host.nu_of(h | s) < k)
+                              if s & ~free == 0 and host.nu[h | s] < k)
                 assert complexes_module._nmlink_masks(host, within, h, k) == want, (h, within)
 
 
@@ -517,9 +518,10 @@ class TestEdgeHost:
         host = edge_host(GroundSet(tuple(bipartite_edge_list(xs, ys))))
         assert len(host.edges) == 9
         for mask in range(1 << 9):
-            _, _, a, c, comps = host.decompose(mask, xs + ys)
+            _, _, a, c, comps = host.decompose_masks(mask, vertex_bits(xs + ys))
             ge = gallai_edmonds(Graph.from_edges(6, host.ground.decode(mask)))
-            assert (comps, a, c) == (ge.components, ge.a_set, ge.c_set), mask
+            assert (comps, a, c) == (tuple(map(vertex_bits, ge.components)), vertex_bits(ge.a_set),
+                                     vertex_bits(ge.c_set)), mask
 
     def test_hall_matches_oracles_on_k33(self):
         # every subgraph of K3,3 in one array, with either side as the cover
@@ -535,8 +537,9 @@ class TestEdgeHost:
         perfect = [2 * n == len(xs + ys) for n in nu]
         for cover, other in ((ys, xs), (xs, ys)):
             fc = [is_y_factor_critical(g, other, cover) for g in graphs]
-            assert complexes_module.hall_holds(host, masks, cover, other, 1).tolist() == fc, cover
-            assert complexes_module.hall_holds(host, masks, cover, other, 0).tolist() == perfect, cover
+            cm, om = vertex_bits(cover), vertex_bits(other)
+            assert complexes_module.hall_holds(host, masks, cm, om, 1).tolist() == fc, cover
+            assert complexes_module.hall_holds(host, masks, cm, om, 0).tolist() == perfect, cover
 
     def test_memo_shares_one_host_per_ground(self):
         edges = tuple(bipartite_edge_list((0, 1), (2, 3)))
@@ -565,19 +568,21 @@ class TestEdgeHost:
             return sum(1 << i for i, (u, v) in enumerate(host.edges) if keep(u, v))
 
         for s in subsets:
-            assert host.bits_within(s) == scan(lambda u, v: u in s and v in s), s
+            assert host.bits_within(vertex_bits(s)) == scan(lambda u, v: u in s and v in s), s
+            assert host.bits_touching(vertex_bits(s)) == scan(lambda u, v: u in s or v in s), s
             for t in subsets:
                 want = scan(lambda u, v: (u in s and v in t) or (u in t and v in s))
-                assert host.bits_between(s, t) == want, (s, t)
+                assert host.bits_between(vertex_bits(s), vertex_bits(t)) == want, (s, t)
 
     def test_decompose_matches_definition_on_k5(self):
         host = edge_host(GroundSet(tuple(complete_edge_list(5))))
         for mask in range(1 << 10):
-            nu, d, a, c, comps = host.decompose(mask, range(5))
+            nu, d, a, c, comps = host.decompose_masks(mask, 0b11111)
             g = mask_to_graph(5, mask)
             ge = gallai_edmonds(g)
-            assert (comps, a, c) == (ge.components, ge.a_set, ge.c_set), mask
-            assert nu == matching_number(g) and d == frozenset().union(*comps), mask
+            assert (comps, a, c) == (tuple(map(vertex_bits, ge.components)), vertex_bits(ge.a_set),
+                                     vertex_bits(ge.c_set)), mask
+            assert nu == matching_number(g) and d == sum(comps), mask
 
 
 class TestFromMasks:

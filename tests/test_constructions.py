@@ -289,15 +289,17 @@ def _memo_grid():
     rng = random.Random(21)
     grid = []
     for n, count in ((2, 2), (4, 11), (6, 16)):
+        kn = cons._complete_ground((1 << n) - 1)
         for h in rng.sample(graph_isomorphism_classes(n), count):
-            grid.append((build_pm_matching, cons._complete_ground(range(n)), (range(n),), {"h": sorted(h.edges)}))
+            grid.append((build_pm_matching, kn, (range(n),), {"h": sorted(h.edges)}))
     for n, count in ((3, 4), (5, 10)):
+        kn = cons._complete_ground((1 << n) - 1)
         for h in rng.sample(graph_isomorphism_classes(n), count):
-            grid.append((build_fc_matching, cons._complete_ground(range(n)), (range(n),), {"h": sorted(h.edges)}))
+            grid.append((build_fc_matching, kn, (range(n),), {"h": sorted(h.edges)}))
     for n, k in ((5, 2), (5, 3), (6, 2), (6, 3)):
         hs = [h for h in graph_isomorphism_classes(n) if 1 <= matching_number(h) < k]
         for h in rng.sample(hs, min(len(hs), 4)):
-            grid.append((build_link_matching_complete, cons._complete_ground(range(n)),
+            grid.append((build_link_matching_complete, cons._complete_ground((1 << n) - 1),
                          (range(n),), {"h": sorted(h.edges), "k": k}))
     xs, ys = (0, 1, 2, 3), (4, 5, 6)
     k43 = GroundSet(tuple(bipartite_edge_list(xs, ys)))
@@ -341,7 +343,7 @@ class TestHostMemo:
 
     def test_memo_holds_no_top_level_result(self):
         h = [(0, 1), (2, 3)]
-        host = edge_host(cons._complete_ground(range(6)))
+        host = edge_host(cons._complete_ground(0b111111))
         host.memo.clear()
         res = build_pm_matching(range(6), h)
         assert host.memo, "the sub-solves are kept on the shared host"
@@ -353,10 +355,10 @@ class TestHostMemo:
     def test_projection_bridge_keyed_on_its_z_count(self):
         # the same groups, a side and tau with each z count in turn, on one
         # memoised host and on a host that keeps nothing
-        ground = cons._complete_ground(range(6))
+        ground = cons._complete_ground(0b111111)
         memoised, fresh = EdgeHost(ground), EdgeHost(ground)
         fresh.memo = _KeepsNothing()
-        groups, a_side = [{0}, {1, 2}, {3}], [4, 5]
+        groups, a_side = (0b1, 0b110, 0b1000), 0b110000
         got = []
         for z_count in (0, 1):  # z-factor criticality into two a-vertices caps |z| at 1
             res, want = (cons._lifted_bfc_projection(host, groups, a_side, z_count, 0)
@@ -364,3 +366,48 @@ class TestHostMemo:
             assert res == want, z_count
             got.append(res.family)
         assert got[0] != got[1]
+
+
+# (builder, vertex arguments as ranges, the rest); every builder reaches its
+# recursion on these
+_DOOR_CASES = [
+    (build_pm_matching, (range(6),), {"h": [(0, 1), (2, 3)]}),
+    (build_fc_matching, (range(5),), {"h": [(0, 1)]}),
+    (build_bfc_matching, (range(4), range(4, 7), range(2)), {"h": [(0, 4)]}),
+    (build_link_matching_complete, (range(6),), {"h": [(0, 1)], "k": 3}),
+    (build_link_matching_bipartite, (range(3), range(3, 6)), {"h": [(0, 3)], "k": 2}),
+]
+
+
+class TestDoors:
+    @pytest.mark.parametrize("builder, sides, rest", _DOOR_CASES,
+                             ids=[case[0].__name__ for case in _DOOR_CASES])
+    def test_any_iterable_of_vertices(self, builder, sides, rest):
+        # a range, an unsorted tuple and a set give one result, with and
+        # without the shared host
+        want = assert_good(builder(*sides, **rest))
+        host = edge_host(want.ground)
+        for form in (lambda r: tuple(r)[1:] + tuple(r)[:1], set):
+            got = builder(*map(form, sides), **rest)
+            assert got == want, form
+            assert builder(*map(form, sides), **rest, host=host) == want, form
+
+    def test_bad_arguments_refused(self):
+        k6 = edge_host(cons._complete_ground(0b111111))
+        for call in (
+            lambda: build_bfc_matching([0, 1], [1, 2], []),  # overlapping sides
+            lambda: build_bfc_matching([0, 1], [1, 2], [], host=k6),
+            lambda: build_link_matching_bipartite([0, 1], [1, 2], [(0, 2)], 2),
+            lambda: build_link_matching_bipartite([0, 1], [1, 2], [(0, 2)], 2, host=k6),
+            lambda: build_bfc_matching(range(2), range(2, 4), {2}),  # z outside x
+            lambda: build_pm_matching(range(4), [(4, 5)]),  # h leaves the host
+            lambda: build_pm_matching(range(4), [(4, 5)], host=k6),
+            lambda: build_fc_matching(range(3), [(3, 4)], host=k6),
+            lambda: build_bfc_matching([0, 1], [2, 3], [], [(0, 1)]),
+            lambda: build_bfc_matching([0, 1], [2, 3], [], [(0, 4)], host=k6),
+            lambda: build_link_matching_complete(range(4), [(4, 5)], 2, host=k6),
+            lambda: build_link_matching_bipartite([0, 1], [2, 3], [(0, 1)], 2),
+            lambda: build_link_matching_bipartite([0, 1], [2, 3], [(0, 4)], 2, host=k6),
+        ):
+            with pytest.raises(ValueError):
+                call()
