@@ -19,7 +19,9 @@ and the result is lifted back by the peeled face.  The PM and complete-link
 groups share one join, :func:`_matched_join_pairs`.  Claimed decompositions
 are re-verified along the way (join structures are checked for exact
 equality with the definitional member lists; cluster maps are checked
-monotone; lifts must reproduce the unmatched members).  The bipartite
+monotone on the covering pairs of each clustered family, which suffices
+because every such family is convex and every key order transitive; lifts
+must reproduce the unmatched members).  The bipartite
 factor-criticality and perfect-matching filters are one Hall check,
 :func:`nonmatching.complexes.hall_holds`, over every candidate at once.  The
 guaranteed critical-size bounds, with their strictness clauses, are recorded
@@ -221,6 +223,10 @@ def _clustered_pairs(members, key_fn, leq, fiber_pairs):
 
     Keys are computed once per member; ``fiber_pairs(key, fiber)`` matches
     one fiber, and :func:`cluster_union` checks monotonicity and acyclicity.
+    Monotonicity is checked on covering pairs only, so every caller must
+    pass a transitive ``leq`` and members that meet the chain condition:
+    each two members sigma < tau are joined by a chain of members one edge
+    apart (a convex family meets it).
     """
     key_of = {m: key_fn(m) for m in members}
     fibers: dict = {}
@@ -241,6 +247,8 @@ def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs: int, fiber_pairs) ->
     """
     pairs0, unmatched = peel
     f_members = sorted(m & ~face for m in unmatched)
+    # convex: a toggle leaves unmatched a convex part of an up-closed PM, FC
+    # or BFC family, and the star peel's f1 is convex; _ge_leq is transitive
     f_pairs = _clustered_pairs(f_members, lambda m: _ge_key(host, m, vs), _ge_leq, fiber_pairs)
     if not f_members:
         return list(pairs0)
@@ -397,6 +405,8 @@ def _fyc_matching(host, y, h_mask, v0, a, c_x, c_y, z_c):
         s, st = key
         return _fyc_type_pairs(host, h_mask, v0, a, c_x, c_y, z_c, s, st & ~s, group)
 
+    # convex: each Hall filter is up-closed within the interval; type_leq is
+    # the subset order on both halves, so transitive
     return tuple(members), tuple(_clustered_pairs(members, type_key, type_leq, type_pairs))
 
 
@@ -514,20 +524,13 @@ def _lifted_bfc_projection(host: EdgeHost, d_groups: tuple, a: int, z_group_coun
     """
     g_count = len(d_groups)
     a_list = list(mask_bits(a))
-    parts = [host.bits_between(group, 1 << av) for group in d_groups for av in a_list]
-    # local bipartite host on fresh labels: groups then a-vertices
+    # local bipartite host on fresh labels: groups then a-vertices; its edge
+    # (i, j) stands for the edges between group i and the (j - g_count)-th
+    # vertex of a
     local_x = (1 << g_count) - 1
     local_y = ((1 << len(a_list)) - 1) << g_count
     local = edge_host(_bipartite_ground(local_x, local_y))
-    local_edges = local.edges
-    # parts order must agree with the local ground order
-    order_check = [
-        (min(gi, g_count + ai), max(gi, g_count + ai))
-        for gi in range(g_count)
-        for ai in range(len(a_list))
-    ]
-    if local_edges != tuple(order_check):
-        raise ConstructionError("projection part order drifted from the index ground")
+    parts = [host.bits_between(d_groups[i], 1 << a_list[j - g_count]) for i, j in local.edges]
     q_h = 0
     for pos, pm in enumerate(parts):
         if tau & pm:
@@ -752,6 +755,8 @@ def _star_peel(host, family, h_mask, v, w, k: int):
             raise ConstructionError("cluster fiber with no addable star edge")
         return _complete_toggle(fiber, addable_of_base[base], "star fiber toggle")
 
+    # convex: an edge addable to a star-free part stays addable below it;
+    # the subset order is transitive
     pairs = _clustered_pairs(f0, lambda m: m & ~s_bits, lambda a, b: a & ~b == 0, fiber_pairs)
     vstar = h_mask & host.bits_at.get(v, 0)
     if any(m & host.bits_at.get(v, 0) != vstar for m in f1):

@@ -13,9 +13,8 @@ what it claims (acyclicity, critical-set structure) instead of trusting it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .complexes import GroundSet, SimplicialComplex, mask_bits, submasks
 from .errors import EmptyFamilyError, InternalCheckError, MonotonicityError
@@ -91,51 +90,63 @@ def is_acyclic(family, pairs) -> tuple[bool, tuple[int, ...] | None]:
 
     Any directed cycle alternates matched up-steps with cover down-steps, so
     only faces that occur in pairs can lie on one; the search therefore runs
-    on the digraph whose nodes are the pairs themselves.  The witness, when a
-    cycle exists, is the face sequence (sigma_0, tau_0, sigma_1, tau_1, ...)
-    with every (sigma_i, tau_i) matched and sigma_{i+1} a cover below tau_i.
+    on the digraph whose nodes are the pairs themselves, with an arc from
+    (sigma, tau) to every pair whose lower face is tau less one element of
+    sigma.  The pairs must form a valid matching (see
+    :func:`validate_matching`).  Pairs nothing points to are peeled off
+    until none is left (acyclic) or every pair left has a predecessor left;
+    walking predecessors from one of those then closes a cycle.  The
+    witness, when a cycle exists, is the face sequence (sigma_0, tau_0,
+    sigma_1, tau_1, ...) with every (sigma_i, tau_i) matched and sigma_{i+1}
+    a cover below tau_i.
     """
     plist = list(pairs)
     lower = {s: idx for idx, (s, _) in enumerate(plist)}
-    # succ[i]: the pairs whose lower face is a cover below tau_i, other than sigma_i
     succ: list[list[int]] = []
+    indeg = [0] * len(plist)
     for s, t in plist:
         out = []
-        rest = t
+        rest = s
         while rest:
             low = rest & -rest
             rest ^= low
             j = lower.get(t ^ low)
-            if j is not None and t ^ low != s:
+            if j is not None:
                 out.append(j)
+                indeg[j] += 1
         succ.append(out)
 
-    color = [0] * len(plist)  # 0 unseen, 1 on the current chain, 2 done
-    for start in range(len(plist)):
-        if color[start]:
-            continue
-        color[start] = 1
-        chain, ptr = [start], [0]  # the DFS path, and each node's next successor
-        while chain:
-            nxts = succ[chain[-1]]
-            i = ptr[-1]
-            while i < len(nxts) and color[nxts[i]] == 2:
-                i += 1
-            if i == len(nxts):
-                color[chain.pop()] = 2
-                ptr.pop()
-                continue
-            nxt = nxts[i]
-            ptr[-1] = i + 1
-            if color[nxt] == 1:
-                faces: list[int] = []
-                for p in chain[chain.index(nxt):]:
-                    faces.extend(plist[p])
-                return False, tuple(faces)
-            color[nxt] = 1
-            chain.append(nxt)
-            ptr.append(0)
-    return True, None
+    ready = [i for i, d in enumerate(indeg) if not d]
+    left = len(plist)
+    while ready:
+        i = ready.pop()
+        left -= 1
+        for j in succ[i]:
+            indeg[j] -= 1
+            if not indeg[j]:
+                ready.append(j)
+    if not left:
+        return True, None
+
+    # the pairs left are those with indeg > 0, each counting its arcs from
+    # pairs left; walk one predecessor back from each until a pair repeats
+    pred = {}
+    for i, out in enumerate(succ):
+        if indeg[i]:
+            for j in out:
+                if indeg[j]:
+                    pred.setdefault(j, i)
+    node = next(i for i, d in enumerate(indeg) if d)
+    seen: dict[int, int] = {}
+    walk = []
+    while node not in seen:
+        seen[node] = len(walk)
+        walk.append(node)
+        node = pred[node]
+    faces: list[int] = []
+    for p in reversed(walk[seen[node]:]):
+        faces.extend(plist[p])
+    return False, tuple(faces)
 
 
 def witness_has_alternating_shape(witness, pairs) -> bool:
@@ -197,51 +208,47 @@ def boolean_matching(family, e0_bit: int) -> tuple[list[Pair], list[int], list[i
 
 
 def _verify_monotone(family, key_of, leq):
-    ms = sorted(family)
-    if not ms:
-        return
-    keys = []
-    key_id = {}
-    kid = np.empty(len(ms), dtype=np.int32)
-    for i, m in enumerate(ms):
-        k = key_of[m]
-        if k not in key_id:
-            key_id[k] = len(keys)
-            keys.append(k)
-        kid[i] = key_id[k]
-    nk = len(keys)
-    leqmat = np.zeros((nk, nk), dtype=bool)
-    for a in range(nk):
-        for b in range(nk):
-            leqmat[a, b] = bool(leq(keys[a], keys[b]))
-    # uint64 when every mask fits in 64 bits, Python ints otherwise; the
-    # subset filter is the same expression on both
-    arr = np.array(ms, dtype=np.uint64 if ms[-1].bit_length() <= 64 else object)
-    chunk = 512
-    for i0 in range(0, len(ms), chunk):
-        a = arr[i0:i0 + chunk]
-        ka = kid[i0:i0 + chunk]
-        for j0 in range(0, len(ms), chunk):
-            b = arr[j0:j0 + chunk]
-            kb = kid[j0:j0 + chunk]
-            subset = (a[:, None] & ~b[None, :]) == 0
-            ok = leqmat[ka[:, None], kb[None, :]]
-            bad = subset & ~ok
-            if bad.any():
-                i, j = map(int, np.argwhere(bad)[0])
+    """Check ``leq(key(sigma), key(tau))`` on every covering pair of members.
+
+    Covering pairs (tau and tau less one element, both members) imply every
+    comparable pair when each two members sigma < tau are joined by a chain
+    of members, one element apart, and ``leq`` is transitive.  ``leq`` is
+    called once per distinct pair of distinct keys; equal keys pass, since
+    it is reflexive.
+    """
+    key_ids: dict = {}
+    kid = {m: key_ids.setdefault(key_of[m], len(key_ids)) for m in family}
+    keys = list(key_ids)
+    ordered: set[tuple[int, int]] = set()
+    for tau in family:
+        kt = kid[tau]
+        rest = tau
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ks = kid.get(tau ^ low, kt)
+            if ks == kt or (ks, kt) in ordered:
+                continue
+            if not leq(keys[ks], keys[kt]):
                 raise MonotonicityError(
-                    f"key map not monotone: {ms[i0 + i]:x} subset of {ms[j0 + j]:x} "
+                    f"key map not monotone: {tau ^ low:x} subset of {tau:x} "
                     f"but keys are not ordered"
                 )
+            ordered.add((ks, kt))
 
 
 def cluster_union(family, key_fn, leq, part_pairs) -> list[Pair]:
     """Union of per-fiber matchings for a monotone key into a poset.
 
-    ``key_fn`` maps faces to keys, ``leq`` is the poset order on keys (must
-    be reflexive), ``part_pairs`` maps keys to that fiber's matching.
-    Monotonicity (sigma subset of tau implies key(sigma) <= key(tau)) is
-    verified, and the union is re-checked for acyclicity.
+    ``key_fn`` maps faces to keys, ``leq`` is the poset order on keys
+    (reflexive and transitive), ``part_pairs`` maps keys to that fiber's
+    matching.  Monotonicity (sigma subset of tau implies key(sigma) <=
+    key(tau)) is verified on the covering pairs of the family, which
+    implies it for every pair only when the family meets the chain
+    condition: every two members sigma < tau are joined by a chain of
+    members, each one element larger than the last (a convex family, such
+    as an interval or an up-closed family, meets it).  The union is
+    re-checked for acyclicity.
     """
     fam_sorted = sorted(set(family))
     key_of = {m: key_fn(m) for m in fam_sorted}
@@ -274,7 +281,9 @@ class JoinPart:
 
     @classmethod
     def make(cls, ground_mask, family, pairs) -> "JoinPart":
-        return cls(ground_mask, tuple(sorted(set(family))), tuple(pairs))
+        # pairs as tuples, so that the part hashes (join_matching keys its
+        # part checks by value)
+        return cls(ground_mask, tuple(sorted(set(family))), tuple(map(tuple, pairs)))
 
     @classmethod
     def single(cls, face_mask: int, ground_mask: int | None = None) -> "JoinPart":
@@ -290,6 +299,26 @@ class FamilyMatching:
     family: tuple[int, ...]
     pairs: tuple[Pair, ...]
     criticals: tuple[int, ...]
+
+
+@functools.lru_cache(maxsize=4096)
+def _part_criticals(part: JoinPart) -> tuple[int, ...]:
+    """The critical faces of a join part, after checking that its faces lie
+    in its ground and its matching is valid and acyclic.
+
+    Kept per part value, so a part reused by many joins is checked once;
+    a part that fails raises on every call.
+    """
+    for m in part.family:
+        if m & ~part.ground_mask:
+            raise ValueError("family face leaves its part ground")
+    rep = validate_matching(part.family, part.pairs)
+    if not rep.valid:
+        raise ValueError(f"invalid part matching: {rep.problems[:1]}")
+    ok, _ = is_acyclic(part.family, part.pairs)
+    if not ok:
+        raise ValueError("cyclic part matching handed to join")
+    return rep.critical
 
 
 def join_matching(parts) -> FamilyMatching:
@@ -309,18 +338,7 @@ def join_matching(parts) -> FamilyMatching:
         if p.ground_mask & used:
             raise ValueError("join parts must have disjoint grounds")
         used |= p.ground_mask
-        for m in p.family:
-            if m & ~p.ground_mask:
-                raise ValueError("family face leaves its part ground")
-    crit = []
-    for p in parts:
-        rep = validate_matching(p.family, p.pairs)
-        if not rep.valid:
-            raise ValueError(f"invalid part matching: {rep.problems[:1]}")
-        ok, _ = is_acyclic(p.family, p.pairs)
-        if not ok:
-            raise ValueError("cyclic part matching handed to join")
-        crit.append(rep.critical)
+    crit = [_part_criticals(p) for p in parts]
 
     order = sorted(range(len(parts)), key=lambda i: (len(crit[i]), i))
     m = len(parts)

@@ -1,10 +1,17 @@
 """Element matchings: validation, acyclicity, and the four combinators."""
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonmatching.complexes import GroundSet, SimplicialComplex, build_nm_complex, order_complex
+import morse_oracles
+import nonmatching.constructions as cons
+import nonmatching.morse as morse
+from nonmatching import sweeps
+from nonmatching.complexes import EdgeHost, GroundSet, SimplicialComplex, build_nm_complex, order_complex
 from nonmatching.constructions import build_pm_matching
 from nonmatching.errors import EmptyFamilyError, MonotonicityError
 from nonmatching.graphs import Graph
@@ -24,6 +31,35 @@ from nonmatching.morse import (
 )
 
 SQUARE = [0, 1, 2, 3]  # the full family over two elements
+
+
+@st.composite
+def matched_families(draw):
+    """A family over at most 5 elements and a valid matching on it: all
+    subsets but a drawn few, covering pairs taken greedily in a drawn order
+    while both their faces are free, then a drawn few dropped (cyclic
+    matchings included)."""
+    width = draw(st.integers(1, 5))
+    removed = draw(st.sets(st.integers(0, (1 << width) - 1), max_size=4))
+    family = [m for m in range(1 << width) if m not in removed]
+    members = set(family)
+    covers = [(m, m | 1 << b) for m in family for b in range(width)
+              if not m >> b & 1 and m | 1 << b in members]
+    used, pairs = set(), []
+    for s, t in draw(st.permutations(covers)):
+        if s not in used and t not in used:
+            used |= {s, t}
+            pairs.append((s, t))
+    dropped = draw(st.sets(st.integers(0, max(len(pairs) - 1, 0)), max_size=3))
+    return family, [p for i, p in enumerate(pairs) if i not in dropped]
+
+
+def _monotone_verdict(check, family, key_of, leq):
+    try:
+        check(family, key_of, leq)
+    except MonotonicityError:
+        return False
+    return True
 
 
 class TestValidate:
@@ -87,6 +123,34 @@ class TestAcyclic:
         # complete on f0 by definition
         matched = {f for p in pairs for f in p}
         assert matched == set(f0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(matched_families())
+    def test_agrees_with_the_depth_first_oracle(self, drawn):
+        family, pairs = drawn
+        assert validate_matching(family, pairs).valid
+        ok, witness = is_acyclic(family, pairs)
+        assert ok == morse_oracles.dfs_is_acyclic(family, pairs)[0]
+        assert (witness is None) if ok else witness_has_alternating_shape(witness, pairs)
+
+    def test_cycles_found_on_the_cube(self):
+        # seeded maximal matchings on all 32 subsets of 5 elements: both
+        # verdicts occur, and each agrees with the oracle
+        rng = random.Random(5)
+        covers = [(m, m | 1 << b) for m in range(32) for b in range(5) if not m >> b & 1]
+        verdicts = []
+        for _ in range(200):
+            rng.shuffle(covers)
+            used, pairs = set(), []
+            for s, t in covers:
+                if s not in used and t not in used:
+                    used |= {s, t}
+                    pairs.append((s, t))
+            ok, witness = is_acyclic(range(32), pairs)
+            assert ok == morse_oracles.dfs_is_acyclic(range(32), pairs)[0]
+            assert ok or witness_has_alternating_shape(witness, pairs)
+            verdicts.append(ok)
+        assert 0 < sum(verdicts) < len(verdicts)
 
 
 class TestBooleanMatching:
@@ -184,6 +248,36 @@ class TestClusterUnion:
         out = cluster_union(fam, key, lambda a, b: a <= b, part_pairs)
         assert out == []
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_covering_check_agrees_with_all_pairs_on_convex_families(self, data):
+        # a convex family (an up-set meets a down-set) and a key into a
+        # transitive order: a random table under <=, or the bits under a
+        # drawn mask under the subset order
+        width = data.draw(st.integers(1, 5))
+        full = (1 << width) - 1
+        lows = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+        highs = data.draw(st.lists(st.integers(0, full), min_size=1, max_size=3))
+        family = [m for m in range(full + 1)
+                  if any(lo & ~m == 0 for lo in lows) and any(m & ~hi == 0 for hi in highs)]
+        if data.draw(st.booleans()):
+            key_of = {m: data.draw(st.integers(0, 3)) for m in family}
+            leq = lambda a, b: a <= b
+        else:
+            mask = data.draw(st.integers(0, full))
+            key_of = {m: m & mask for m in family}
+            leq = lambda a, b: a & ~b == 0
+        assert (_monotone_verdict(morse._verify_monotone, family, key_of, leq)
+                == _monotone_verdict(morse_oracles.all_pairs_monotone, family, key_of, leq))
+
+    def test_covering_pairs_need_the_chain_condition(self):
+        # 0 below 0b11 with no member between: no covering pair, so the key
+        # order is never compared; the all-pairs oracle sees the violation
+        key_of = {0: 1, 0b11: 0}
+        leq = lambda a, b: a <= b
+        assert _monotone_verdict(morse._verify_monotone, [0, 0b11], key_of, leq)
+        assert not _monotone_verdict(morse_oracles.all_pairs_monotone, [0, 0b11], key_of, leq)
+
 
 class TestJoin:
     def test_identity_with_point(self):
@@ -231,6 +325,22 @@ class TestJoin:
         assert set(res.criticals) == expect
         rep = check_matching(res.family, res.pairs)
         assert rep.valid and rep.acyclic
+
+    def test_parts_given_as_lists(self):
+        res = join_matching([(0b11, SQUARE, [[0, 1], [2, 3]]), [0b100, [0, 4], []]])
+        assert len(res.family) == 8 and res.criticals == ()
+
+    def test_bad_part_raises_on_every_call(self):
+        # part checks are kept per part value; a failing one is not kept
+        good = JoinPart.make(0b1000, [0, 0b1000], [(0, 0b1000)])
+        gap_two = JoinPart.make(0b11, SQUARE, [(0, 3)])
+        cyclic = JoinPart.make(0b111, [1, 2, 4, 3, 5, 6], [(1, 3), (2, 6), (4, 5)])
+        stray = JoinPart(0b1, (0, 0b10), ())
+        for part, message in ((gap_two, "invalid part"), (cyclic, "cyclic part"), (stray, "leaves its part")):
+            for _ in range(3):
+                with pytest.raises(ValueError, match=message):
+                    join_matching([good, part])
+        assert join_matching([good]).criticals == ()
 
 
 class TestProjection:
@@ -335,8 +445,9 @@ class TestMorseInequality:
 
 
 class TestBigMaskFallback:
+    # the monotonicity check has one path for every face width; these keep
+    # faces past the 64-bit word in it
     def test_cluster_union_beyond_word_size(self):
-        # faces wider than 64 bits go through an object array of Python ints
         big = 1 << 80
         fam = [0, big, big | 1, 1]
         pairs, f0, f1 = boolean_matching(fam, 0)
@@ -370,7 +481,41 @@ class TestBigMaskFallback:
 
     @pytest.mark.parametrize("top", [63, 64])
     def test_violation_at_the_word_edge(self, top):
-        # bit 63 still fits uint64, bit 64 does not
+        # either side of the 64-bit word
         fam = [1 << top, (1 << top) | 1]
         with pytest.raises(MonotonicityError):
             cluster_union(fam, lambda m: -m.bit_count(), lambda a, b: a <= b, {})
+
+
+class TestAgainstOracles:
+    def test_morse_bounds_checks_agree(self, monkeypatch):
+        # every monotonicity check and every acyclicity check the seed-0
+        # morse-bounds suite makes, against the all-pairs and depth-first
+        # oracles, on fresh hosts and with no part check kept from before
+        fast_monotone, fast_acyclic = morse._verify_monotone, morse.is_acyclic
+        calls = {"monotone": 0, "acyclic": 0, "cyclic": 0}
+
+        def monotone(family, key_of, leq):
+            calls["monotone"] += 1
+            verdict = _monotone_verdict(fast_monotone, family, key_of, leq)
+            assert verdict == _monotone_verdict(morse_oracles.all_pairs_monotone, family, key_of, leq)
+            return fast_monotone(family, key_of, leq)
+
+        def acyclic(family, pairs):
+            calls["acyclic"] += 1
+            ok, witness = fast_acyclic(family, pairs)
+            assert ok == morse_oracles.dfs_is_acyclic(family, pairs)[0]
+            assert ok or witness_has_alternating_shape(witness, pairs)
+            calls["cyclic"] += not ok
+            return ok, witness
+
+        monkeypatch.setattr(morse, "_verify_monotone", monotone)
+        monkeypatch.setattr(morse, "is_acyclic", acyclic)
+        monkeypatch.setattr(cons, "edge_host", functools.cache(EdgeHost))
+        morse._part_criticals.cache_clear()
+        try:
+            results = [sweeps.run_case(spec) for spec in sweeps.expand_suite("morse-bounds", 0)]
+        finally:
+            morse._part_criticals.cache_clear()
+        assert all(r.passed for r in results)
+        assert calls["monotone"] > 500 and calls["acyclic"] > 1000 and calls["cyclic"] == 0, calls
