@@ -42,7 +42,6 @@ from .complexes import (
     build_nm_complex,
     enumerate_family,
     induced_subcomplex,
-    join_complexes,
     link,
 )
 from .homology import (
@@ -50,7 +49,6 @@ from .homology import (
     RATIONAL,
     BettiTable,
     FieldSpec,
-    boundary_matrix,
     check_leray,
     check_near_leray,
     reduced_betti,
@@ -65,7 +63,6 @@ from .morse import (
     join_matching,
     projection_matching,
     validate_matching,
-    verify_morse_inequality,
 )
 from .constructions import (
     build_bfc_matching,

@@ -1,24 +1,25 @@
 """Simplicial complexes over edge ground sets, and the special graph families.
 
 A complex is stored as its faces by size (:attr:`SimplicialComplex.levels`):
-entry s is the sorted array of the faces of size s, each an integer bitmask
-over the positions of an ordered :class:`GroundSet`.  Ground-set order is
-fixed for the lifetime of a complex: it is the orientation convention every
-boundary matrix uses.  The levels are the one face layout: the rank engine,
-the link checks and the dimension counts read them; a link or an induced
-subcomplex is one subset filter per level, membership is a
-``searchsorted`` whose hit is compared, and heredity is checked on them.
+entry s is the sorted int64 array of the faces of size s, each a bitmask
+over the positions of an ordered :class:`GroundSet` of at most 63
+elements.  Ground-set order is fixed for the lifetime of a complex: it is
+the orientation convention every boundary matrix uses.  The levels are the
+one face layout: the rank engine, the link checks and the dimension counts
+read them; a link or an induced subcomplex is one subset filter per level,
+membership is a ``searchsorted`` whose hit is compared, and heredity is
+checked on them.
 
 Every non-matching complex, the labelled one of
 :func:`nonmatching.rainbow.labelled_nm_complex` included, comes from the
 level walk :func:`_nm_faces` with nu memoised per face, which produces the
-levels directly.  The two link families of the Morse builders and
-:func:`order_complex` come from :func:`_faces_between`, a walk up a
-hereditary family given by a predicate: nu below k, or strict
-comparability.  The other special graph families (PM, FC, BFC) are closed
-upward, so they are filters over the submasks above h.  All five work on
-the edge masks of a shared :class:`EdgeHost` and take their vertex sets as
-vertex masks, for the Morse builders and :func:`enumerate_family`.
+levels directly.  The two link families of the Morse builders come from
+:func:`_faces_between`, a walk up a hereditary family given by a
+predicate, nu below k.  The other special graph families (PM, FC, BFC)
+are closed upward, so they are filters over the submasks above h.  All
+five work on the edge masks of a shared :class:`EdgeHost` and take their
+vertex sets as vertex masks, for the Morse builders and
+:func:`enumerate_family`.
 """
 
 from __future__ import annotations
@@ -304,13 +305,12 @@ class SimplicialComplex:
     """Hereditary family of subsets of a ground set, stored as its faces by
     size: ``levels[s]`` is the sorted array of the faces of size s, for
     s = 0..dim+1.  The void complex (no faces at all) has no levels; every
-    other complex has the empty face alone at level 0.  The arrays are int64
-    on a ground of up to 63 elements and ``object`` (Python ints) on a wider
-    one, and read-only.
+    other complex has the empty face alone at level 0.  The arrays are int64,
+    so the ground has at most 63 elements, and read-only.
 
-    The constructor trusts its levels, as handed over by the NM walk, the
-    link filters, joins and order complexes; :meth:`from_masks` is the way
-    in from arbitrary masks, and checks heredity.  ``==`` and ``hash`` are
+    The constructor trusts its levels, as handed over by the NM walk and the
+    link filters; :meth:`from_masks` is the way in from arbitrary masks, and
+    checks the ground's width and heredity.  ``==`` and ``hash`` are
     taken over the ground and the levels.
     """
 
@@ -335,8 +335,11 @@ class SimplicialComplex:
     @classmethod
     def from_masks(cls, ground: GroundSet, masks) -> "SimplicialComplex":
         """The complex of the given face masks, which must form a hereditary
-        family (``ValueError`` otherwise)."""
-        cx = cls(ground, _levels_of(set(masks), len(ground)))
+        family (``ValueError`` otherwise), over a ground of at most 63
+        elements (:class:`CapExceededError` otherwise)."""
+        if len(ground) > 63:
+            raise CapExceededError(f"{len(ground)} ground elements exceeds the 63 bits of a face mask")
+        cx = cls(ground, _levels_of(set(masks)))
         if not cx.is_hereditary():
             raise ValueError("face set is not hereditary")
         return cx
@@ -345,7 +348,7 @@ class SimplicialComplex:
     def full_simplex(cls, ground: GroundSet, cap: int = DEFAULT_SUBSET_CAP) -> "SimplicialComplex":
         if (1 << len(ground)) > cap:
             raise CapExceededError(f"2^{len(ground)} faces exceeds the cap {cap}")
-        return cls(ground, _levels_of(range(1 << len(ground)), len(ground)))
+        return cls(ground, _levels_of(range(1 << len(ground))))
 
     @classmethod
     def void(cls, ground: GroundSet) -> "SimplicialComplex":
@@ -360,7 +363,7 @@ class SimplicialComplex:
         """The faces of size >= ``size`` in one array, by size and ascending
         within a size."""
         levels = self.levels[size:]
-        return np.concatenate(levels) if levels else np.zeros(0, _mask_dtype(len(self.ground)))
+        return np.concatenate(levels) if levels else np.zeros(0, np.int64)
 
     def is_void(self) -> bool:
         return not self.levels
@@ -394,17 +397,11 @@ class SimplicialComplex:
         return sorted(np.concatenate(out + list(self.levels[-1:])).tolist()) if self.levels else []
 
 
-def _mask_dtype(n: int):
-    """The array dtype of face masks over an n-element ground."""
-    return np.int64 if n <= 63 else object
-
-
-def _levels_of(faces, n: int) -> tuple[np.ndarray, ...]:
-    """The distinct face masks over an n-element ground by size, each level
-    sorted."""
+def _levels_of(faces) -> tuple[np.ndarray, ...]:
+    """The distinct face masks by size, each level sorted."""
     if not faces:
         return ()
-    masks = np.fromiter(faces, _mask_dtype(n), len(faces))
+    masks = np.fromiter(faces, np.int64, len(faces))
     sizes = np.fromiter(map(int.bit_count, faces), np.intp, len(faces))
     masks = masks[sizes.argsort()]
     ends = np.cumsum(np.bincount(sizes)).tolist()
@@ -478,18 +475,23 @@ def _faces_within(cx: SimplicialComplex, base: int, allowed: int) -> SimplicialC
     bits (``base`` is a face, disjoint from ``allowed``).
 
     Each level is one subset filter: f minus ``allowed`` must be ``base``.
-    The kept faces agree on every dropped bit, so packing the others keeps
-    the level sorted.  By heredity, the first level with no face ends them.
+    By heredity, the first level with no face ends them.  The kept faces of
+    all levels are packed in one pass and split back by level; within a
+    level they agree on every dropped bit, so each slice stays sorted.
     """
     ground = GroundSet(tuple(cx.ground.elements[i] for i in mask_bits(allowed)))
     drop = ((1 << len(cx.ground)) - 1) & ~allowed
-    levels = []
+    kept = []
     for level in cx.levels[base.bit_count():]:
-        kept = level[(level & drop) == base]
-        if not len(kept):
+        level = level[(level & drop) == base]
+        if not len(level):
             break
-        levels.append(_pack(kept, allowed).astype(_mask_dtype(len(ground)), copy=False))
-    return SimplicialComplex(ground, tuple(levels))
+        kept.append(level)
+    if not kept:
+        return SimplicialComplex(ground, ())
+    packed = _pack(np.concatenate(kept), allowed)
+    ends = list(itertools.accumulate(map(len, kept)))
+    return SimplicialComplex(ground, tuple(packed[a:b] for a, b in zip([0] + ends, ends)))
 
 
 def link(cx: SimplicialComplex, sigma) -> SimplicialComplex:
@@ -510,22 +512,6 @@ def induced_subcomplex(cx: SimplicialComplex, subset) -> SimplicialComplex:
     """Faces of the complex contained in the given subset of the ground."""
     smask = subset if isinstance(subset, int) else cx.ground.mask_of(subset)
     return _faces_within(cx, 0, smask & ((1 << len(cx.ground)) - 1))
-
-
-def join_complexes(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
-    """Join of two complexes on disjoint grounds: unions of one face from each.
-
-    If either factor is the void complex the join is void.
-    """
-    if set(a.ground.elements) & set(b.ground.elements):
-        raise ValueError("join requires disjoint ground sets")
-    ground = GroundSet(a.ground.elements + b.ground.elements)
-    if a.is_void() or b.is_void():
-        return SimplicialComplex.void(ground)
-    shift = len(a.ground)
-    lows, highs = a.faces_from(0).tolist(), b.faces_from(0).tolist()
-    faces = [fa | (fb << shift) for fa in lows for fb in highs]
-    return SimplicialComplex(ground, _levels_of(faces, len(ground)))
 
 
 # ---------------------------------------------------------------------------
@@ -711,27 +697,3 @@ def enumerate_family(spec: FamilySpec, cap: int = DEFAULT_SUBSET_CAP) -> list[Gr
         if not all(is_factor_critical(g, spec.vertices) for g in out):
             raise InternalCheckError("nu-table FC member is not factor critical")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Order complex of a family (faces = chains under inclusion)
-# ---------------------------------------------------------------------------
-
-
-def order_complex(members: list[int]) -> SimplicialComplex:
-    """The complex of chains of a family of sets ordered by inclusion.
-
-    Ground elements are the member indices in the given order.  Equal
-    members are incomparable.  The chains are the walk from the empty chain
-    with the test "pairwise strictly comparable".
-    """
-    ms = list(members)
-    # above_or_below[i]: the members strictly comparable with member i
-    above_or_below = [sum(1 << j for j, b in enumerate(ms) if a != b and (a & b) in (a, b))
-                      for a in ms]
-
-    def is_chain(f: int) -> bool:
-        return all(f & ~above_or_below[i] == 1 << i for i in mask_bits(f))
-
-    faces = _faces_between(is_chain, 0, (1 << len(ms)) - 1)
-    return SimplicialComplex(GroundSet(tuple(range(len(ms)))), _levels_of(faces, len(ms)))

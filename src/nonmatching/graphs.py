@@ -574,9 +574,10 @@ def _slot_images(slots, perms) -> np.ndarray:
     Row p, column i holds ``1 << j`` for the slot j that relabeling
     ``perms[p]`` sends slot i to, so the images of a mask under every
     relabeling are the OR of the columns of its set bits.  The table is
-    ``uint64`` when there are at most 64 slots and ``object`` (Python ints)
-    otherwise; the shift that fills it is the same expression on both.
+    ``uint64``, so more than 64 slots raise :class:`CapExceededError`.
     """
+    if len(slots) > 64:
+        raise CapExceededError(f"{len(slots)} slots exceeds the 64 bits of a slot mask")
     labels = np.array(perms, dtype=np.intp).reshape(len(perms), -1)
     n = labels.shape[1]
     index = np.full((n, n), -1, dtype=np.int64)
@@ -586,8 +587,7 @@ def _slot_images(slots, perms) -> np.ndarray:
     images = index[labels[:, ends[:, 0]], labels[:, ends[:, 1]]]
     if (images < 0).any():
         raise ValueError("a relabeling sends a slot edge outside the slots")
-    dtype = np.uint64 if len(slots) <= 64 else object
-    return np.left_shift(np.ones_like(images, dtype=dtype), images.astype(dtype))
+    return np.left_shift(np.ones_like(images, dtype=np.uint64), images.astype(np.uint64))
 
 
 def _orbit(table: np.ndarray, mask: int) -> np.ndarray:

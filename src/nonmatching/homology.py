@@ -308,27 +308,6 @@ def _reduce(ops, columns, build) -> tuple[dict, dict]:
     return lows, built
 
 
-def boundary_matrix(cx: SimplicialComplex, d: int) -> np.ndarray:
-    """The boundary map from d-faces to (d-1)-faces as a dense +-1 int8 array.
-
-    Rows are indexed by the sorted (d-1)-face masks and columns by the sorted
-    d-face masks; the sign of dropping the j-th smallest element is (-1)^j.
-    Entries are plain integers; reduce mod 2 / mod p to interpret them in a
-    finite field (which changes nothing for +-1 entries except -1 = 1 mod 2).
-    """
-    lo, hi = -1, cx.dim() + 1
-    if not (lo <= d <= hi):
-        raise ValueError(f"dimension {d} out of range [{lo}, {hi}]")
-    levels = cx.levels
-    rows = levels[d] if d >= 0 else np.empty(0, np.int64)
-    cols = levels[d + 1].tolist() if d + 1 < len(levels) else []
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int8)
-    for j, m in enumerate(cols):
-        positions = _facet_positions(m, rows)
-        mat[positions, j] = [(-1) ** i for i in range(len(positions))]
-    return mat
-
-
 # ---------------------------------------------------------------------------
 # Betti numbers
 # ---------------------------------------------------------------------------
@@ -452,15 +431,12 @@ class _FacesAbove:
     within a size: the complex's levels from ``floor`` on, in one array for
     subset filters.
 
-    ``masks`` is a ``uint64`` view of the int64 levels, or the ``object``
-    array of Python ints of a ground wider than 63 elements; the filter is
-    the same expression on both.
+    ``masks`` is a ``uint64`` view of the int64 levels.
     """
 
     def __init__(self, cx: SimplicialComplex, floor: int):
         self.floor = max(floor, 0)
-        faces = cx.faces_from(self.floor)
-        self.masks = faces.view(np.uint64) if faces.dtype == np.int64 else faces
+        self.masks = cx.faces_from(self.floor).view(np.uint64)
         self.starts = np.cumsum([0] + [len(level) for level in cx.levels[self.floor:]])  # of each size
 
     def link_vanishes(self, sigma: int, d0: int, field: FieldSpec, cap: int) -> bool:

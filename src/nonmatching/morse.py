@@ -541,8 +541,3 @@ def morse_inequality_details(cx: SimplicialComplex, pairs, field: FieldSpec = GF
         holds = holds and ok_d
     return {"holds": holds, "per_dim": comparisons, "field": field.label()}
 
-
-def verify_morse_inequality(cx: SimplicialComplex, matching, field: FieldSpec = GF2) -> bool:
-    """True iff per-dimension critical counts dominate the homology ranks."""
-    pairs = matching.pairs if isinstance(matching, ElementMatching) else matching
-    return morse_inequality_details(cx, pairs, field)["holds"]

@@ -27,7 +27,6 @@ from .graphs import (
     Matching,
     adjacency_masks,
     edge_conflicts,
-    format_graph,
     normalize_edge,
     nu_within,
     parse_graph,
@@ -461,10 +460,3 @@ def parse_instance(text: str, k: int | None = None) -> RainbowInstance:
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
-
-def format_instance(inst: RainbowInstance) -> str:
-    out = [format_graph(inst.host).rstrip("\n"), f"k = {inst.k}"]
-    for i, es in enumerate(inst.edge_sets):
-        body = ", ".join(f"{u} {v}" for (u, v) in sorted(es))
-        out.append(f"SET {i}: {body}")
-    return "\n".join(out) + "\n"

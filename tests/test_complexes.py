@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from complex_oracles import order_complex
 from nonmatching.complexes import (
     FamilySpec,
     GroundSet,
@@ -16,10 +17,8 @@ from nonmatching.complexes import (
     edge_host,
     enumerate_family,
     induced_subcomplex,
-    join_complexes,
     link,
     mask_bits,
-    order_complex,
     vertex_bits,
 )
 import nonmatching.complexes as complexes_module
@@ -202,24 +201,16 @@ class TestLevels:
             assert [level.tolist() for level in plain.levels] == scan
             assert all(level.dtype == np.int64 for level in cx.levels + plain.levels)
 
-    def test_derived_levels_past_63_elements(self):
-        # masks over more than 63 elements are kept as Python ints
-        for cx in oracle_complexes()[-3:]:
-            assert max(cx.faces).bit_length() > 63
-            scan = [sorted(m for m in cx.faces if m.bit_count() == size)
-                    for size in range(max(m.bit_count() for m in cx.faces) + 1)]
-            assert [level.tolist() for level in cx.levels] == scan
-            assert all(level.dtype == object for level in cx.levels)
-
     def test_counts_read_the_levels(self):
         # dim, faces_of_dim and face_counts against a scan of the face set,
-        # on a walk-built complex, one of its links, a complex on 70
-        # elements, {empty face} and the void complex
+        # on a walk-built complex, one of its links, a complex on 63
+        # elements, {empty face} and the void complex; every level is int64
         cx = build_nm_complex(subdivided_complete_graph(6), 3)
         lk = link(cx, [cx.ground.elements[0]])
-        ground = GroundSet(tuple(range(70)))
-        for c in (cx, lk, oracle_complexes()[-2], SimplicialComplex.from_masks(ground, {0}),
+        ground = GroundSet(tuple(range(63)))
+        for c in (cx, lk, oracle_complexes()[-1], SimplicialComplex.from_masks(ground, {0}),
                   SimplicialComplex.void(ground)):
+            assert all(level.dtype == np.int64 for level in c.levels)
             sizes = [m.bit_count() for m in c.faces]
             assert c.dim() == max(sizes, default=-1) - 1
             assert c.face_counts() == {s - 1: sizes.count(s) for s in set(sizes)}
@@ -230,8 +221,7 @@ class TestLevels:
     def test_link_and_induced_against_the_walk(self):
         # the level filters against a walk up the face set, on the link of
         # every face and the subcomplexes induced on it and on its
-        # complement, grounds past 63 elements included; a link or
-        # subcomplex on at most 63 elements gets int64 levels
+        # complement, a ground of 63 elements included; every level is int64
         for cx in oracle_complexes():
             full = (1 << len(cx.ground)) - 1
             for m in sorted(cx.faces):
@@ -239,8 +229,7 @@ class TestLevels:
                                            (0, m, induced_subcomplex(cx, m)),
                                            (0, full & ~m, induced_subcomplex(cx, full & ~m))):
                     assert got == SimplicialComplex.from_masks(got.ground, walked_faces(cx, base, allowed))
-                    dtype = np.int64 if len(got.ground) <= 63 else object
-                    assert all(level.dtype == dtype for level in got.levels), (m, base, allowed)
+                    assert all(level.dtype == np.int64 for level in got.levels), (m, base, allowed)
 
 
 def walked_faces(cx: SimplicialComplex, base: int, allowed: int) -> set[int]:
@@ -321,27 +310,6 @@ class TestInducedAndJoin:
                 b = {frozenset(rebuilt.ground.decode(m)) for m in rebuilt.faces}
                 assert a == b
 
-    def test_join_identity(self):
-        cx = build_nm_complex(Graph.complete(4), 2)
-        point = SimplicialComplex.from_masks(GroundSet(("x",)), {0})
-        j = join_complexes(cx, point)
-        assert j.face_count == cx.face_count
-
-    def test_join_with_void(self):
-        cx = build_nm_complex(Graph.complete(4), 2)
-        void = SimplicialComplex.void(GroundSet(("x",)))
-        assert join_complexes(cx, void).is_void()
-
-    def test_join_two_segments(self):
-        seg1 = SimplicialComplex.full_simplex(GroundSet(("a", "b")))
-        seg2 = SimplicialComplex.full_simplex(GroundSet(("c", "d")))
-        assert join_complexes(seg1, seg2).face_count == 16
-
-    def test_join_overlap_rejected(self):
-        seg = SimplicialComplex.full_simplex(GroundSet(("a", "b")))
-        with pytest.raises(ValueError):
-            join_complexes(seg, seg)
-
 
 def from_facets(n: int, facets) -> SimplicialComplex:
     """The complex on vertices 0..n-1 generated by the given facets."""
@@ -351,16 +319,16 @@ def from_facets(n: int, facets) -> SimplicialComplex:
 
 
 def oracle_complexes() -> list[SimplicialComplex]:
-    """Non-matching complexes of three small hosts, then 12 seeded random
-    complexes, the last three on grounds of more than 64 elements."""
+    """Non-matching complexes of three small hosts, then 10 seeded random
+    complexes, the last on 63 elements, the widest ground a face mask holds."""
     out = [build_nm_complex(g, 2) for g in
            (Graph.complete(5), Graph.complete_bipartite(2, 3), Graph.complete_bipartite(3, 3))]
     rng = random.Random(2024)
-    for n in (5, 6, 7, 8, 9, 10, 12, 16, 30, 65, 70, 100):
-        top = rng.sample(range(n), 6) if n > 64 else range(n)  # reach past bit 63
+    for n in (5, 6, 7, 8, 9, 10, 12, 16, 30, 63):
+        top = rng.sample(range(n), 6) if n == 63 else range(n)
         facets = [rng.sample(top, rng.randint(1, 5)) for _ in range(rng.randint(2, 7))]
-        if n > 64:
-            facets.append([0, n - 1, n // 2])
+        if n == 63:
+            facets.append([0, n - 1, n // 2])  # bit 62, the top bit of an int64 mask
         out.append(from_facets(n, facets))
     return out
 
@@ -380,9 +348,9 @@ class TestLinkAndInducedAgainstScan:
 
     def test_oracle_inputs(self):
         cxs = oracle_complexes()
-        assert len(cxs) == 15 and all(cx.is_hereditary() for cx in cxs)
-        assert max(len(cx.ground) for cx in cxs) > 64
-        assert any(m >> 64 for cx in cxs for m in cx.faces)
+        assert len(cxs) == 13 and all(cx.is_hereditary() for cx in cxs)
+        assert max(len(cx.ground) for cx in cxs) == 63
+        assert any(m >> 62 for cx in cxs for m in cx.faces)
 
     def test_link_of_every_face(self):
         for cx in oracle_complexes():
@@ -595,6 +563,12 @@ class TestFromMasks:
             with pytest.raises(ValueError, match="face set is not hereditary"):
                 SimplicialComplex.from_masks(ground, masks)
         assert SimplicialComplex.from_masks(ground, faces + [0b001]).face_count == 7
+
+    def test_ground_past_63_elements_refused(self):
+        # a face mask is an int64, so 63 elements is the widest ground
+        assert SimplicialComplex.from_masks(GroundSet(tuple(range(63))), {0, 1 << 62}).face_count == 2
+        with pytest.raises(CapExceededError, match="64 ground elements"):
+            SimplicialComplex.from_masks(GroundSet(tuple(range(64))), {0})
 
     def test_constructor_takes_levels_only(self):
         # a face set is refused by the trusting constructor

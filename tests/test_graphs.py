@@ -441,24 +441,16 @@ class TestIsomorphismClasses:
         full = [graph_to_mask(g) for g in graph_isomorphism_classes(5) if g.edge_count == 3]
         assert reps == full and len(reps) == 4
 
-    def test_enumerator_past_64_slots(self):
-        # the 66 slots of K12 under the identity and the transposition (0 1):
-        # masks wider than 64 bits go through the table of Python ints
+    def test_orbit_partition_past_64_slots_refused(self):
+        # a slot mask is a uint64: the 66 slots of K12 are refused before the
+        # table is filled, and its first 64, which the transposition (0 1)
+        # maps onto themselves, pass with bit 63 set
         slots = complete_edge_list(12)
         group = [tuple(range(12)), (1, 0) + tuple(range(2, 12))]
-        rng = random.Random(66)
-        masks = [1 << 65, 0]
-        for _ in range(20):
-            m = rng.getrandbits(66) | 1 << 65
-            masks += [m, _image(m, slots, group[1]), m]
-        seen, want = set(), []
-        for m in masks:
-            if m not in seen:
-                want.append(m)
-                seen |= {_image(m, slots, p) for p in group}
-        assert orbit_representatives(slots, group, masks) == want
-        assert len(want) < len(set(masks))
-        assert graphs_module._slot_images(slots, group).dtype == object
+        with pytest.raises(CapExceededError, match="66 slots"):
+            graphs_module.orbit_partition(slots, group, [1 << 65])
+        reps, owner = graphs_module.orbit_partition(slots[:64], group, [1 << 63, 1 << 1])
+        assert reps == [1 << 63, 1 << 1] and owner == {1 << 63: 1 << 63, 1 << 1: 1 << 1, 1 << 11: 1 << 1}
 
     def test_partition_maps_every_orbit_member_to_its_first(self):
         slots = complete_edge_list(4)
