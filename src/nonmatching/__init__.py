@@ -55,7 +55,6 @@ from .homology import (
     vanishing_from,
 )
 from .morse import (
-    ElementMatching,
     MatchingReport,
     boolean_matching,
     cluster_union,

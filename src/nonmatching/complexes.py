@@ -337,8 +337,7 @@ class SimplicialComplex:
         """The complex of the given face masks, which must form a hereditary
         family (``ValueError`` otherwise), over a ground of at most 63
         elements (:class:`CapExceededError` otherwise)."""
-        if len(ground) > 63:
-            raise CapExceededError(f"{len(ground)} ground elements exceeds the 63 bits of a face mask")
+        _refuse_wide(len(ground))
         cx = cls(ground, _levels_of(set(masks)))
         if not cx.is_hereditary():
             raise ValueError("face set is not hereditary")
@@ -346,6 +345,9 @@ class SimplicialComplex:
 
     @classmethod
     def full_simplex(cls, ground: GroundSet, cap: int = DEFAULT_SUBSET_CAP) -> "SimplicialComplex":
+        """Every subset of a ground of at most 63 elements, when there are
+        at most ``cap`` of them (:class:`CapExceededError` otherwise)."""
+        _refuse_wide(len(ground))
         if (1 << len(ground)) > cap:
             raise CapExceededError(f"2^{len(ground)} faces exceeds the cap {cap}")
         return cls(ground, _levels_of(range(1 << len(ground))))
@@ -395,6 +397,13 @@ class SimplicialComplex:
         covered = [np.sort(_facets_of(level)) for level in self.levels[1:]]
         out = [level[~_found(above, level)] for level, above in zip(self.levels, covered)]
         return sorted(np.concatenate(out + list(self.levels[-1:])).tolist()) if self.levels else []
+
+
+def _refuse_wide(n: int) -> None:
+    """The one width check of the complex doors: a face mask is an int64, so
+    a ground of more than 63 elements raises :class:`CapExceededError`."""
+    if n > 63:
+        raise CapExceededError(f"{n} ground elements exceeds the 63 bits of a face mask")
 
 
 def _levels_of(faces) -> tuple[np.ndarray, ...]:
@@ -545,8 +554,7 @@ def _nm_complex(ground: GroundSet, edges: list[tuple[int, int]], k: int, cap: in
     is a 64-bit integer, so more than 63 elements raise
     :class:`CapExceededError`, as do more than ``cap`` faces.
     """
-    if len(edges) > 63:
-        raise CapExceededError(f"{len(edges)} edges exceeds the 63 bits of a face mask")
+    _refuse_wide(len(ground))
     return SimplicialComplex(ground, _nm_faces(edges, k, cap))
 
 

@@ -76,8 +76,8 @@ from .graphs import (
     complete_edge_list,
 )
 from .morse import (
-    ElementMatching,
     JoinPart,
+    Pair,
     boolean_matching,
     cluster_union,
     join_matching,
@@ -165,41 +165,38 @@ def _sides(x_side, y_side) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A built matching on an explicitly materialised family."""
+    """A built matching (``pairs``) on an explicitly materialised, sorted
+    family, with the critical-size bound its construction guarantees; the
+    criticals are derived from the two, not stored."""
 
     kind: str
     ground: GroundSet
     family: tuple[int, ...]
-    matching: ElementMatching
-    criticals: tuple[int, ...]
+    pairs: tuple[Pair, ...]
     bound: int
     strict: bool
 
     @property
-    def pairs(self):
-        return self.matching.pairs
+    def criticals(self) -> tuple[int, ...]:
+        """The unmatched members, ascending."""
+        matched = {m for pair in self.pairs for m in pair}
+        return tuple(m for m in self.family if m not in matched)
 
     def max_critical_size(self) -> int:
         return max((m.bit_count() for m in self.criticals), default=0)
 
     def bound_holds(self) -> bool:
-        mx = self.max_critical_size()
+        return self.admits(self.max_critical_size())
+
+    def admits(self, size: int) -> bool:
+        """Whether critical faces of at most ``size`` elements meet the bound."""
         if not self.family:
             return True
-        return mx < self.bound if self.strict else mx <= self.bound
+        return size < self.bound if self.strict else size <= self.bound
 
 
 def _result(kind, host, family, pairs, bound, strict) -> ConstructionResult:
-    matching = ElementMatching(host.ground, tuple(pairs))
-    return ConstructionResult(
-        kind=kind,
-        ground=host.ground,
-        family=tuple(sorted(family)),
-        matching=matching,
-        criticals=tuple(matching.critical(family)),
-        bound=bound,
-        strict=strict,
-    )
+    return ConstructionResult(kind, host.ground, tuple(sorted(family)), tuple(pairs), bound, strict)
 
 
 def _complete_toggle(family, free: int, what: str):
@@ -255,9 +252,8 @@ def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs: int, fiber_pairs) ->
     ground = 0
     for m in f_members:
         ground |= m
-    lifted = join_matching([JoinPart.make(ground, f_members, f_pairs), JoinPart.single(face)])
-    if set(lifted.family) != set(unmatched):
-        raise ConstructionError("toggle lift does not reproduce the unmatched part")
+    lifted = _checked_join([JoinPart.make(ground, f_members, f_pairs), JoinPart.single(face)],
+                           unmatched, "toggle lift")
     return list(pairs0) + list(lifted.pairs)
 
 

@@ -38,9 +38,8 @@ of a mask under the whole group are one OR-reduction of the columns of its
 set bits, with no loop over relabelings in Python.
 :func:`orbit_representatives` keeps the first mask of each orbit met in any
 iterable of masks, and :func:`canonical_form` takes the least image, from a
-table memoised per (n, classes).  :func:`graph_isomorphism_classes`,
-:func:`bipartite_subgraph_classes` and the rainbow instance key build on
-these.
+table memoised per (n, classes).  :func:`graph_isomorphism_classes` and
+:func:`bipartite_subgraph_classes` build on these.
 """
 
 from __future__ import annotations

@@ -2,44 +2,30 @@
 
 A family is a collection of faces, each face an integer bitmask over a fixed
 ground.  An element matching pairs faces (sigma, tau) with sigma < tau
-differing in exactly one element, each face in at most one pair.  Faces left
-unpaired are critical.  The modified Hasse digraph points matched pairs
-upward and all other one-element covers downward; when it is acyclic the
-number of critical faces per dimension bounds the Betti numbers.
+differing in exactly one element, each face in at most one pair; it is
+passed around as its plain sequence of pairs.  Faces left unpaired are
+critical.  The modified Hasse digraph points matched pairs upward and all
+other one-element covers downward; when it is acyclic the number of
+critical faces per dimension bounds the Betti numbers.
 
-Every combinator here follows a constructive existence proof and re-checks
-what it claims (acyclicity, critical-set structure) instead of trusting it.
+A matching is checked one way, by :func:`validate_matching` (definition
+and criticals) and :func:`is_acyclic`: :func:`check_matching` reports the
+outcome, and :func:`_checked` raises on any matching handed to a combinator
+or the Morse inequality that fails it.  Every combinator follows a
+constructive existence proof and re-checks what it claims (acyclicity,
+critical-set structure) instead of trusting it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .complexes import GroundSet, SimplicialComplex, mask_bits, submasks
+from .complexes import SimplicialComplex, mask_bits, submasks
 from .errors import EmptyFamilyError, InternalCheckError, MonotonicityError
 from .homology import FieldSpec, GF2, reduced_betti
 
 Pair = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ElementMatching:
-    """Ordered face pairs (sigma, tau) over a family of bitmask faces."""
-
-    ground: GroundSet
-    pairs: tuple[Pair, ...]
-
-    def matched_faces(self) -> set[int]:
-        out = set()
-        for (s, t) in self.pairs:
-            out.add(s)
-            out.add(t)
-        return out
-
-    def critical(self, family) -> list[int]:
-        matched = self.matched_faces()
-        return sorted(m for m in family if m not in matched)
 
 
 @dataclass(frozen=True)
@@ -168,21 +154,30 @@ def witness_has_alternating_shape(witness, pairs) -> bool:
 
 
 def check_matching(family, pairs) -> MatchingReport:
-    """Full validation: definition plus independent acyclicity detection."""
+    """Full validation: the report of :func:`validate_matching` (criticals
+    included) with, for a valid matching, the acyclicity verdict of
+    :func:`is_acyclic` and its cycle witness, whose alternating shape is
+    re-checked.  An invalid matching is reported with ``acyclic`` unset."""
     report = validate_matching(family, pairs)
     if not report.valid:
         return report
     ok, witness = is_acyclic(family, pairs)
     if not ok and not witness_has_alternating_shape(witness, pairs):
         raise InternalCheckError("cycle witness lost its alternating shape")
-    return MatchingReport(
-        valid=True,
-        acyclic=ok,
-        critical=report.critical,
-        max_critical_size=report.max_critical_size,
-        witness_cycle=witness,
-        problems=(),
-    )
+    return replace(report, acyclic=ok, witness_cycle=witness)
+
+
+def _checked(family, pairs, what: str) -> MatchingReport:
+    """The report of a matching handed to a combinator, which must be valid
+    and acyclic: a ``ValueError`` that names it, "invalid <what>" or
+    "cyclic <what>", otherwise."""
+    rep = validate_matching(family, pairs)
+    if not rep.valid:
+        raise ValueError(f"invalid {what}: {rep.problems[:1]}")
+    ok, _ = is_acyclic(family, pairs)
+    if not ok:
+        raise ValueError(f"cyclic {what}")
+    return replace(rep, acyclic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +307,7 @@ def _part_criticals(part: JoinPart) -> tuple[int, ...]:
     for m in part.family:
         if m & ~part.ground_mask:
             raise ValueError("family face leaves its part ground")
-    rep = validate_matching(part.family, part.pairs)
-    if not rep.valid:
-        raise ValueError(f"invalid part matching: {rep.problems[:1]}")
-    ok, _ = is_acyclic(part.family, part.pairs)
-    if not ok:
-        raise ValueError("cyclic part matching handed to join")
-    return rep.critical
+    return _checked(part.family, part.pairs, "part matching").critical
 
 
 def join_matching(parts) -> FamilyMatching:
@@ -361,14 +350,11 @@ def join_matching(parts) -> FamilyMatching:
         if not alphas:
             break
     family = tuple(sorted(suffix[0]))
-    criticals = tuple(sorted(alphas)) if alphas else ()
+    criticals = tuple(sorted(alphas))
     if len(family) != len(set(family)):
         raise InternalCheckError("join family has colliding faces")
-    matched = set()
-    for (s, t) in pairs:
-        matched.add(s)
-        matched.add(t)
-    actual = tuple(sorted(set(family) - matched))
+    matched = {f for pair in pairs for f in pair}
+    actual = tuple(f for f in family if f not in matched)
     if actual != criticals:
         raise InternalCheckError("join criticals differ from the join of part criticals")
     return FamilyMatching(family, tuple(pairs), criticals)
@@ -410,12 +396,7 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
     for g in qfam:
         if pi_tau & ~g:
             raise ValueError("projected family member misses pi(tau); lift undefined")
-    rep = validate_matching(qfam, q_pairs)
-    if not rep.valid:
-        raise ValueError(f"invalid projected matching: {rep.problems[:1]}")
-    ok, _ = is_acyclic(qfam, q_pairs)
-    if not ok:
-        raise ValueError("cyclic projected matching handed to the lift")
+    rep = _checked(qfam, q_pairs, "projected matching")
 
     def members_with_projection(gamma: int) -> list[int]:
         out = [tau]
@@ -427,7 +408,6 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
     family: list[int] = []
     pairs: list[Pair] = []
     criticals: list[int] = []
-    seen: set[int] = set()
 
     for (g1, g2) in q_pairs:
         i = next(mask_bits(g2 & ~g1))
@@ -435,10 +415,6 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
         base = members_with_projection(g1)
         subs = submasks(parts[i])
         block = [a | s for a in base for s in subs]
-        for mface in block:
-            if mface in seen:
-                raise InternalCheckError("projection blocks overlap")
-            seen.add(mface)
         family.extend(block)
         pairs.extend((m_, m_ | bit) for m_ in block if not m_ & bit)
 
@@ -469,10 +445,6 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
                 # part fully inside tau: contributes nothing beyond tau itself
                 join_parts.append(JoinPart.make(0, (0,), ()))
         res = join_matching(join_parts)
-        for mface in res.family:
-            if mface in seen:
-                raise InternalCheckError("projection blocks overlap")
-            seen.add(mface)
         family.extend(res.family)
         pairs.extend(res.pairs)
         criticals.extend(res.criticals)
@@ -483,7 +455,10 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
             if c.bit_count() != expect:
                 raise InternalCheckError("lifted critical has the wrong size")
 
+    if len(set(family)) != len(family):
+        raise InternalCheckError("projection blocks overlap")
     pis = set()
+    q_crit = set(rep.critical)
     for c in criticals:
         pc = 0
         for i, pm in enumerate(parts):
@@ -492,7 +467,7 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
         if pc in pis:
             raise InternalCheckError("lifted criticals do not inject")
         pis.add(pc)
-        if pc not in set(rep.critical):
+        if pc not in q_crit:
             raise InternalCheckError("lifted critical projects outside projected criticals")
     ok, _ = is_acyclic(family, pairs)
     if not ok:
@@ -514,12 +489,7 @@ def morse_inequality_details(cx: SimplicialComplex, pairs, field: FieldSpec = GF
     unreduced rank while the reduced variant is reported alongside.
     """
     family = cx.faces_from(1).tolist()
-    rep = validate_matching(family, pairs)
-    if not rep.valid:
-        raise ValueError(f"invalid matching: {rep.problems[:1]}")
-    ok, _ = is_acyclic(family, pairs)
-    if not ok:
-        raise ValueError("matching is not acyclic")
+    rep = _checked(family, pairs, "matching")
     crit_by_dim: dict[int, int] = {}
     for m in rep.critical:
         d = m.bit_count() - 1

@@ -207,17 +207,20 @@ def run_morse_family(params: dict) -> dict:
         res = cons.build_link_matching_bipartite(params["x_side"], params["y_side"], h, params["k"])
     else:
         raise ValueError(f"unknown kind {kind}")
+    # the criticals and the bound are judged on the independent check's
+    # report, not on the builder's own record
     rep = check_matching(res.family, res.pairs)
-    ok = rep.valid and bool(rep.acyclic) and res.bound_holds()
+    bound_holds = res.admits(rep.max_critical_size)
+    ok = rep.valid and bool(rep.acyclic) and bound_holds
     details = {
         "family_size": len(res.family),
-        "criticals": len(res.criticals),
-        "max_critical_size": res.max_critical_size(),
+        "criticals": len(rep.critical),
+        "max_critical_size": rep.max_critical_size,
         "bound": res.bound,
         "strict": res.strict,
         "valid": rep.valid,
         "acyclic": rep.acyclic,
-        "bound_holds": res.bound_holds(),
+        "bound_holds": bound_holds,
     }
     if rep.acyclic is False and rep.witness_cycle:
         details["witness_cycle"] = [f"{m:x}" for m in rep.witness_cycle]

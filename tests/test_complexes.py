@@ -570,6 +570,15 @@ class TestFromMasks:
         with pytest.raises(CapExceededError, match="64 ground elements"):
             SimplicialComplex.from_masks(GroundSet(tuple(range(64))), {0})
 
+    def test_every_door_refuses_the_same_width(self):
+        # the full simplex refuses a 64-element ground by width even when the
+        # cap would admit its 2^64 faces, and the NM walk by the same check
+        ground = GroundSet(tuple(range(64)))
+        with pytest.raises(CapExceededError, match="64 ground elements"):
+            SimplicialComplex.full_simplex(ground, cap=1 << 70)
+        with pytest.raises(CapExceededError, match="66 ground elements"):
+            build_nm_complex(Graph.complete(12), 1)
+
     def test_constructor_takes_levels_only(self):
         # a face set is refused by the trusting constructor
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 """The five family constructions: validity, acyclicity, and size bounds."""
 
+import dataclasses
 import random
 
 import pytest
@@ -169,6 +170,26 @@ class TestBFC:
             run_morse_family(params)
         assert run_morse_family({**params, "x_side": [0], "y_side": [1]}) == {
             "passed": True, "empty_family": True}
+
+    def test_sweep_judges_the_checked_criticals(self, monkeypatch):
+        # a builder whose result drops every pair leaves the whole family
+        # critical; the sweep case reads its criticals from the independent
+        # check and fails on the bound
+        real = cons.build_bfc_matching
+
+        def unmatched(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), pairs=())
+
+        params = {"kind": "BFC", "x_side": [0, 1, 2], "y_side": [3, 4], "z_subset": [0], "h": []}
+        assert run_morse_family(params)["passed"]
+        monkeypatch.setattr(cons, "build_bfc_matching", unmatched)
+        details = run_morse_family(params)
+        res = unmatched(params["x_side"], params["y_side"], params["z_subset"], [])
+        rep = check_matching(res.family, res.pairs)
+        assert details["criticals"] == len(rep.critical) == len(res.family) > 1
+        assert details["max_critical_size"] == rep.max_critical_size
+        assert details["valid"] and details["acyclic"]
+        assert not details["bound_holds"] and not details["passed"]
 
     def test_family_is_definitional(self):
         for xs, ys in (((0, 1), (2,)), ((0, 1, 2), (3, 4))):

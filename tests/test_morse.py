@@ -373,6 +373,19 @@ class TestProjection:
         with pytest.raises(ValueError):
             projection_matching([0b1, 0b10], 0b1, [0b10], [])
 
+    def test_bad_projected_matching_named(self):
+        # a size gap of two, a face used twice, and a cycle through all
+        # three singletons of the projected family
+        parts = [0b1, 0b10, 0b100]
+        cases = (
+            (range(8), [(0, 3)], "invalid projected matching"),
+            (range(8), [(0, 1), (1, 3)], "invalid projected matching"),
+            ([1, 2, 4, 3, 5, 6], [(1, 3), (2, 6), (4, 5)], "cyclic projected matching"),
+        )
+        for qfam, qpairs, message in cases:
+            with pytest.raises(ValueError, match=message):
+                projection_matching(parts, 0, list(qfam), qpairs)
+
     def test_size_formula(self):
         parts = [0b11, 0b1100, 0b10000]
         tau = 0b100
@@ -414,6 +427,15 @@ class TestMorseInequality:
         pairs = [(1, 3), (2, 6), (4, 5)]
         with pytest.raises(ValueError):
             morse_inequality_details(cx, pairs, GF2)
+
+    def test_bad_matching_named(self):
+        # the hollow-triangle complex with its full cone of faces: sigma not
+        # below tau, and a cycle through the three vertices
+        cx = SimplicialComplex.from_masks(GroundSet(tuple("abc")), range(7))
+        with pytest.raises(ValueError, match="invalid matching"):
+            morse_inequality_details(cx, [(1, 6)], GF2)
+        with pytest.raises(ValueError, match="cyclic matching"):
+            morse_inequality_details(cx, [(1, 3), (2, 6), (4, 5)], GF2)
 
     def test_details_reduced_reported(self):
         cx = build_nm_complex(Graph.complete(4), 2)
