@@ -8,13 +8,14 @@ empty face.  Betti numbers come from boundary ranks,
 
 computed by one column reduction for every field: each column is reduced by
 the stored pivot column of its lowest nonzero row until it is zero or has a
-new lowest row.  A small field adapter supplies the column arithmetic:
-packed-int columns reduced by XOR over GF(2), dicts of Python ints mod p
-over GF(p), and dicts of ``Fraction``s over Q.  Dimensions are reduced from
-the top down with clearing (Chen & Kerber, "Persistent homology computation
-with a twist", 2011): a d-face that is the lowest row of a reduced column of
-bd_{d+1} is the lowest entry of a d-cycle, so its column of bd_d lies in the
-span of the columns before it and is skipped.
+new lowest row.  One field adapter supplies the column arithmetic for
+every field: a column is a dict from row to coefficient, Python ints mod p
+over GF(p), with p = 2 for GF(2), and ints or ``Fraction``s over Q.
+Dimensions are reduced from the top down with clearing (Chen & Kerber,
+"Persistent homology computation with a twist", 2011): a d-face that is the
+lowest row of a reduced column of bd_{d+1} is the lowest entry of a d-cycle,
+so its column of bd_d lies in the span of the columns before it and is
+skipped.
 
 Columns are built only when the reduction needs them, as in Ripser's
 emergent pairs (Bauer, "Ripser: efficient computation of Vietoris-Rips
@@ -196,38 +197,17 @@ def _facet_positions(m: int, rows: np.ndarray) -> list[int]:
     return rows.searchsorted(np.array(facets, dtype=rows.dtype)).tolist()
 
 
-class _PackedGF2:
-    """GF(2): a column is an int with one bit per row, reduced by XOR."""
-
-    @staticmethod
-    def column(positions):
-        col = 0
-        for r in positions:
-            col |= 1 << r
-        return col
-
-    @staticmethod
-    def low(col):
-        return col.bit_length() - 1
-
-    @staticmethod
-    def pivot(col, low):
-        return col
-
-    @staticmethod
-    def eliminate(col, piv, low):
-        return col ^ piv
-
-
 class _SparseField:
-    """GF(p) or Q: a column is a dict from row to a nonzero coefficient.
+    """The one column form for every field: a dict from row to a nonzero
+    coefficient, mod p over GF(p), with p = 2 for GF(2), and exact over Q.
 
     GF(p) keeps Python ints reduced mod p, which cannot overflow for any
-    prime.  Q (``p`` = 0) keeps Python ints, exact and unbounded, for as long
-    as every pivot has lowest entry +-1, and ``Fraction``s only from a pivot
-    with any other lowest entry on.  Pivot columns are stored scaled so that
-    their lowest entry is 1; a column whose lowest entry is already 1 is
-    stored as it is.
+    prime; over GF(2) the signs (1, p - 1) are (1, 1), so every entry is 1
+    and every column is already a pivot.  Q (``p`` = 0) keeps Python ints,
+    exact and unbounded, for as long as every pivot has lowest entry +-1,
+    and ``Fraction``s only from a pivot with any other lowest entry on.
+    Pivot columns are stored scaled so that their lowest entry is 1; a
+    column whose lowest entry is already 1 is stored as it is.
     """
 
     def __init__(self, p: int = 0):
@@ -267,10 +247,8 @@ class _SparseField:
         return col
 
 
-def _field_ops(field: FieldSpec):
-    if field.kind == "GF2":
-        return _PackedGF2
-    return _SparseField(field.p if field.kind == "GFP" else 0)
+def _field_ops(field: FieldSpec) -> _SparseField:
+    return _SparseField({"GF2": 2, "GFP": field.p}.get(field.kind, 0))
 
 
 def _reduce(ops, columns, build) -> tuple[dict, dict]:

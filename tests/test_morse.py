@@ -14,7 +14,7 @@ import nonmatching.morse as morse
 from nonmatching import sweeps
 from nonmatching.complexes import EdgeHost, GroundSet, SimplicialComplex, build_nm_complex
 from nonmatching.constructions import build_pm_matching
-from nonmatching.errors import EmptyFamilyError, MonotonicityError
+from nonmatching.errors import EmptyFamilyError, InternalCheckError, MonotonicityError
 from nonmatching.graphs import Graph
 from nonmatching.homology import GF2, reduced_betti
 from nonmatching.morse import (
@@ -278,6 +278,20 @@ class TestClusterUnion:
         assert _monotone_verdict(morse._verify_monotone, [0, 0b11], key_of, leq)
         assert not _monotone_verdict(morse_oracles.all_pairs_monotone, [0, 0b11], key_of, leq)
 
+    def test_cyclic_union_guard_fires(self, monkeypatch):
+        # one pair per fiber, and the three close the cycle 3 > 2 < 6 > 4 < 5
+        # > 1 < 3; the key is not monotone (2 < 3 but key 1 > key 0), so only
+        # a monotonicity check that passes everything lets the union through
+        fam = [1, 2, 3, 4, 5, 6]
+        key = {1: 0, 3: 0, 2: 1, 6: 1, 4: 2, 5: 2}.get
+        part_pairs = {0: [(1, 3)], 1: [(2, 6)], 2: [(4, 5)]}
+        leq = lambda a, b: a <= b
+        with pytest.raises(MonotonicityError):
+            cluster_union(fam, key, leq, part_pairs)
+        monkeypatch.setattr(morse, "_verify_monotone", lambda family, key_of, leq: None)
+        with pytest.raises(InternalCheckError, match="cluster union came out cyclic"):
+            cluster_union(fam, key, leq, part_pairs)
+
 
 class TestJoin:
     def test_identity_with_point(self):
@@ -341,6 +355,21 @@ class TestJoin:
                 with pytest.raises(ValueError, match=message):
                     join_matching([good, part])
         assert join_matching([good]).criticals == ()
+
+    def test_criticals_guard_fires(self, monkeypatch):
+        # a part check that drops a critical makes the join of the part
+        # criticals miss faces the join leaves unmatched
+        parts = [JoinPart.make(0b1, [0, 1], []), JoinPart.make(0b10, [0, 2], [])]
+        real = morse._part_criticals
+        monkeypatch.setattr(morse, "_part_criticals", lambda part: real(part)[1:])
+        real.cache_clear()
+        try:
+            with pytest.raises(InternalCheckError, match="join criticals differ"):
+                join_matching(parts)
+        finally:
+            real.cache_clear()
+        monkeypatch.undo()
+        assert join_matching(parts).criticals == (0, 1, 2, 3)
 
 
 class TestProjection:
