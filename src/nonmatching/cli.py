@@ -26,7 +26,7 @@ from .cache import (CAPS_VERSION, ResultCache, RunManifest, canonical_json, code
                     digest_of, now)
 from .complexes import build_nm_complex
 from .errors import CapExceededError, FormatError, HypothesisError, NonmatchingError
-from .graphs import DEFAULT_CANONICAL_VERTEX_CAP, automorphisms, load_graph
+from .graphs import DEFAULT_CANONICAL_VERTEX_CAP, DEFAULT_FACE_CAP, automorphisms, load_graph
 from .homology import BettiTable, check_leray, check_near_leray, parse_field, reduced_betti
 from .rainbow import is_tightness_witness, parse_instance, search_tightness, verify_theorem
 
@@ -54,8 +54,8 @@ def cmd_homology(args) -> int:
         betti = {int(d): b for d, b in cached["betti"].items()}
         faces = cached["faces"]
     else:
-        cx = build_nm_complex(g, args.k)
-        betti = reduced_betti(cx, field).betti
+        cx = build_nm_complex(g, args.k, args.cap)
+        betti = reduced_betti(cx, field, args.cap).betti
         faces = cx.face_count
         cache.put(key, {"betti": {str(d): b for d, b in betti.items()}, "faces": faces})
     bound = _vanishing_bound(g, args.k)
@@ -81,7 +81,7 @@ def cmd_homology(args) -> int:
 def cmd_leray(args) -> int:
     g = load_graph(args.graph_file)
     field = parse_field(args.field)
-    cx = build_nm_complex(g, args.k)
+    cx = build_nm_complex(g, args.k, args.cap)
     # one link per Aut(G)-orbit on the exhaustive checks when G has a
     # non-trivial automorphism; a sample stays per face, since each sampled
     # face would pay an orbit of |Aut(G)| images
@@ -93,11 +93,11 @@ def cmd_leray(args) -> int:
     if args.near:
         policy = "SAMPLED" if args.sample else "EXHAUSTIVE"
         report = check_near_leray(cx, args.d0, field, policy, sample_count=args.sample or 0,
-                                  seed=args.seed, symmetry=symmetry)
+                                  seed=args.seed, cap=args.cap, symmetry=symmetry)
     elif args.induced:
-        report = check_leray(cx, args.d0, field, "INDUCED")
+        report = check_leray(cx, args.d0, field, "INDUCED", cap=args.cap)
     else:
-        report = check_leray(cx, args.d0, field, "LINKS", symmetry=symmetry)
+        report = check_leray(cx, args.d0, field, "LINKS", cap=args.cap, symmetry=symmetry)
     print(report.to_json())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
@@ -255,9 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     # value from being clobbered by a default
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--cache-dir", default=argparse.SUPPRESS)
+    # the face cap of the complex commands, raised for one run
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=DEFAULT_FACE_CAP,
+                        help=f"most faces the complex may have (default {DEFAULT_FACE_CAP})")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("homology", parents=[common],
+    p = sub.add_parser("homology", parents=[common, capped],
                        help="Betti table of a non-matching complex")
     p.add_argument("graph_file")
     p.add_argument("--k", type=int, required=True)
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true")
     p.set_defaults(fn=cmd_homology)
 
-    p = sub.add_parser("leray", parents=[common], help="vanishing checks for links or induced subcomplexes")
+    p = sub.add_parser("leray", parents=[common, capped], help="vanishing checks for links or induced subcomplexes")
     p.add_argument("graph_file")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d0", type=int, required=True)

@@ -216,9 +216,6 @@ def edge_host(ground: GroundSet) -> EdgeHost:
 # ---------------------------------------------------------------------------
 
 
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], np.uint8)
-
-
 def _above(h_mask: int, free: int) -> np.ndarray:
     """The masks h_mask | s for every submask s of ``free`` minus h_mask,
     ascending."""
@@ -255,10 +252,7 @@ def hall_holds(host: EdgeHost, masks: np.ndarray, cover: int, other: int, surplu
                 nb |= ((masks & edge) != 0).astype(np.int64) << j
         for s in range(len(unions)):
             u = unions[s] | nb
-            count = _POPCOUNT8[u & 0xFF]
-            for shift in range(8, len(slot), 8):
-                count = count + _POPCOUNT8[u >> shift & 0xFF]
-            ok &= count >= s.bit_count() + 1 + surplus
+            ok &= np.bitwise_count(u) >= s.bit_count() + 1 + surplus
             unions.append(u)
     return ok
 
@@ -572,31 +566,33 @@ def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> tuple[np.ndarra
 
     where N[e] is the edges sharing an end with e, e and any parallel copy
     of it included, so the recurrence holds with parallel edges too.  f - N[e]
-    is a subset of f, so it is a face already found, and its nu is one
-    ``searchsorted`` in the sorted array of every face so far.  The
-    candidates of a level are taken in blocks ordered by e and then by f,
-    which is the ascending order of f + e, so the new level comes out sorted
-    and a refused input holds at most ``cap`` faces plus one block.
+    is a subset of f, so it is a face of a level already walked, the level
+    of its own size; each level keeps its nu in an array beside it, and
+    :func:`_nu_in_levels` looks the subsets up there, one ``searchsorted``
+    per size.  The candidates of a level are taken in blocks ordered by e
+    and then by f, which is the ascending order of f + e, so the new level
+    comes out sorted and a refused input holds at most ``cap`` faces plus
+    one block.
     """
     apart = ~np.array(edge_conflicts(edges), dtype=np.int64)  # edges off N[e]
     bits = np.left_shift(1, np.arange(len(edges), dtype=np.int64))
-    faces, nu = np.zeros(1, np.int64), np.zeros(1, np.uint8)  # every face so far, ascending
-    level, level_nu = faces, nu
-    levels = [level]
+    levels, nus = [np.zeros(1, np.int64)], [np.zeros(1, np.uint8)]
+    count = 1
     for size in itertools.count(1):
+        level, level_nu = levels[-1], nus[-1]
         parents = level.searchsorted(bits)  # per edge e: the faces below 2^e
         ends = parents.cumsum()
         total = int(ends[-1]) if len(ends) else 0
         if not total:
             break
         starts = ends - parents
-        found, found_nu, count = [], [], len(faces)
+        found, found_nu = [], []
         for lo in range(0, total, _WALK_BLOCK):
             slot = np.arange(lo, min(lo + _WALK_BLOCK, total))
             e = ends.searchsorted(slot, side="right")
             parent = slot - starts[e]
             f = level[parent]
-            up_nu = np.maximum(level_nu[parent], nu[faces.searchsorted(f & apart[e])] + 1)
+            up_nu = np.maximum(level_nu[parent], _nu_in_levels(f & apart[e], levels, nus) + 1)
             keep = up_nu < k
             found.append((f | bits[e])[keep])
             found_nu.append(up_nu[keep])
@@ -604,14 +600,28 @@ def _nm_faces(edges: list[tuple[int, int]], k: int, cap: int) -> tuple[np.ndarra
             if count > cap:
                 raise CapExceededError(
                     f"NM_{k} has more than {cap} faces (the cap), passed at size {size}")
-        level, level_nu = np.concatenate(found), np.concatenate(found_nu)
+        level = np.concatenate(found)
         if not len(level):
             break
         levels.append(level)
-        faces = np.concatenate((faces, level))
-        order = faces.argsort(kind="stable")  # merges the two sorted runs
-        faces, nu = faces[order], np.concatenate((nu, level_nu))[order]
+        nus.append(np.concatenate(found_nu))
     return tuple(levels)
+
+
+def _nu_in_levels(masks: np.ndarray, levels: list[np.ndarray], nus: list[np.ndarray]) -> np.ndarray:
+    """The nu of each of ``masks``, each a face, found in the level of its
+    own size: the masks are grouped by size with one stable ``argsort`` and
+    one ``bincount``, then each group is one ``searchsorted``."""
+    sizes = np.bitwise_count(masks)
+    order = sizes.argsort(kind="stable")
+    out = np.empty(len(masks), np.uint8)
+    lo = 0
+    for size, many in enumerate(np.bincount(sizes).tolist()):
+        if many:
+            at = order[lo:lo + many]
+            out[at] = nus[size][levels[size].searchsorted(masks[at])]
+            lo += many
+    return out
 
 
 # ---------------------------------------------------------------------------

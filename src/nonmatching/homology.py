@@ -34,11 +34,16 @@ never decrease.  For faces a < b of one size whose highest differing bit is
 h (set in b), b's largest facet keeps bit h, so it is above a's, unless h is
 b's least bit; then a has exactly one bit below h, and both facets are the
 bits the two share above h.  So the first claim of each row, the first
-column to reach it, is where the lowest row changes.  The first claims go
-to the reduction first, as deferred pivots with raw boundary columns, then
-the colliding columns in mask order.  The order changes no result: the pivot rows of any reduced basis of a column space are the
-lowest rows of its nonzero vectors, so the ranks, the rows cleared and the
-Betti tables are those of plain mask order.
+column to reach it, is where the lowest row changes.  Each dimension keeps
+one int64 claim table indexed by row: the mask of the column that holds the
+row as its pivot, or -1 while the row is free.  The first claims are
+written into it in one pass, as deferred pivots with raw boundary columns;
+only the colliding columns enter the Python loop, in mask order, and each
+row a reduced column reaches is claimed there.  The rows claimed are the
+rows cleared from the next dimension down.  The order changes no result:
+the pivot rows of any reduced basis of a column space are the lowest rows
+of its nonzero vectors, so the ranks, the rows cleared and the Betti
+tables are those of plain mask order.
 
 Link checks read only the top of each link.  For d >= d0, the homology
 H_d(lk sigma) involves bd_d and bd_{d+1}, whose rows and columns are link
@@ -251,39 +256,43 @@ def _field_ops(field: FieldSpec) -> _SparseField:
     return _SparseField({"GF2": 2, "GFP": field.p}.get(field.kind, 0))
 
 
-def _reduce(ops, columns, build) -> tuple[dict, dict]:
+def _reduce(ops, claim: np.ndarray, columns, build) -> int:
     """Lowest-row column reduction that builds a column only when needed.
 
-    ``columns`` yields ``(key, low)`` for each column, where ``low`` is its
-    lowest nonzero row, and ``build(key)`` returns the column in the form of
-    ``ops``.  A column whose lowest row no pivot holds yet becomes a deferred
-    pivot, recorded by its key alone; only a column whose lowest row is taken
-    is built and reduced, and a deferred pivot is built the first time it is
-    needed to eliminate.  Returns the pivot rows, each with the key of the
-    column that reached it, and the pivot columns built, scaled to lowest
-    entry 1, keyed by pivot row.
+    ``claim`` is the claim table of the rows, indexed by row: the key of the
+    column that holds the row as its pivot, or -1 while the row is free.
+    ``columns`` yields ``(key, low)`` for each further column, where ``low``
+    is its lowest nonzero row and ``key`` a non-negative int, and
+    ``build(key)`` returns the column in the form of ``ops``.  A column
+    whose lowest row is free claims it as a deferred pivot, by its key
+    alone; only a column whose lowest row is taken is built and reduced,
+    and a deferred pivot is built the first time it is needed to eliminate.
+    Each pivot built is stored scaled to lowest entry 1.  Returns the number
+    of rows claimed.
     """
-    lows: dict = {}
+    added = 0
     built: dict = {}
     low, pivot, eliminate = ops.low, ops.pivot, ops.eliminate
     for key, r in columns:
-        if r not in lows:
-            lows[r] = key
+        if claim[r] < 0:
+            claim[r] = key
+            added += 1
             continue
         col = build(key)
         while True:
             piv = built.get(r)
             if piv is None:
-                piv = built[r] = pivot(build(lows[r]), r)
+                piv = built[r] = pivot(build(int(claim[r])), r)
             col = eliminate(col, piv, r)
             if not col:
                 break
             r = low(col)
-            if r not in lows:
-                lows[r] = key
+            if claim[r] < 0:
+                claim[r] = key
+                added += 1
                 built[r] = pivot(col, r)
                 break
-    return lows, built
+    return added
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +318,23 @@ def _betti_of_sizes(levels, field: FieldSpec, lo: int, cap: int) -> dict[int, in
     ops = _field_ops(field)
     column = ops.column
     ranks: dict[int, int] = {}
-    cleared: dict = {}
+    claim = None
     for d in range(dim, max(lo, 0) - 1, -1):
         rows, cols = levels[d], levels[d + 1]
-        if cleared:
-            live = np.ones(len(cols), bool)
-            live[list(cleared)] = False
-            cols = cols[live]
+        if claim is not None:
+            cols = cols[claim < 0]  # clearing: the rows claimed one dimension up
         # the lowest rows never decrease along the columns, so a row's first
-        # claim is where they change; first claims first, each part in mask order
+        # claim is where they change; the first claims go straight into the
+        # claim table, the colliding columns to the reduction in mask order
         lows = rows.searchsorted(cols ^ (cols & -cols))
-        repeat = np.zeros(len(lows), bool)
-        repeat[1:] = lows[1:] == lows[:-1]
-        order = repeat.argsort(kind="stable")
-        cleared, _ = _reduce(ops, zip(cols[order].tolist(), lows[order].tolist()),
-                             lambda m: column(_facet_positions(m, rows)))
-        ranks[d] = len(cleared)
+        first = np.ones(len(lows), bool)
+        first[1:] = lows[1:] != lows[:-1]
+        claim = np.full(len(rows), -1, np.int64)
+        claim[lows[first]] = cols[first]
+        rest = ~first
+        added = _reduce(ops, claim, zip(cols[rest].tolist(), lows[rest].tolist()),
+                        lambda m: column(_facet_positions(m, rows)))
+        ranks[d] = int(np.count_nonzero(first)) + added
     betti = {}
     for d in range(lo, dim + 1):
         f_d = len(levels[d + 1]) if d >= -1 else 0

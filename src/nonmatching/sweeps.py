@@ -17,7 +17,6 @@ import numpy as np
 from . import constructions as cons
 from . import rainbow as rb
 from .complexes import (
-    _POPCOUNT8,
     GroundSet,
     SimplicialComplex,
     build_nm_complex,
@@ -427,7 +426,7 @@ def ge_violations(n: int, masks, comps, counts, a, c) -> np.ndarray:
     width = comps.shape[1]
     claimed = np.arange(width) < counts[:, None]
     verts = np.arange(n)
-    pop = _POPCOUNT8
+    pop = np.bitwise_count
     nu_table = host.nu_array
     nu = nu_table[masks]
     weight, ends, keep, star = _ge_layout(n)
@@ -450,20 +449,20 @@ def ge_violations(n: int, masks, comps, counts, a, c) -> np.ndarray:
             break
         own = grown
     low = comps & -comps
-    least = np.minimum(pop[low - 1], n).astype(np.intp)  # the least vertex; n for none
+    least = pop((low - 1) & ((1 << n) - 1)).astype(np.intp)  # the least vertex; n for none
     found = np.take_along_axis(np.pad(own, ((0, 0), (0, 1))), least, axis=1)
     fails.append((claimed & ((comps == 0) | (found != comps))).any(axis=1)
                  | (claimed[:, 1:] & (low[:, 1:] <= low[:, :-1])).any(axis=1))
 
-    a_size, c_size = pop[a].astype(np.int64), pop[c].astype(np.int64)
+    a_size, c_size = pop(a).astype(np.int64), pop(c).astype(np.int64)
     fails.append(2 * nu_table[masks & within[c]] != c_size)
 
     # every maximum matching against the split, by the weights of its edges;
     # a component is labelled by its least vertex, A by n and C by n + 1
     own_low = own & -own
-    label = np.where(in_d, pop[own_low - 1], n + (c[:, None] >> verts & 1)).astype(np.intp)
+    label = np.where(in_d, pop(own_low - 1), n + (c[:, None] >> verts & 1)).astype(np.intp)
     edge_weight = weight.ravel()[label[:, ends[:, 0]] * (n + 2) + label[:, ends[:, 1]]]
-    halves = np.where(claimed, (pop[comps].astype(np.int64) - 1) >> 1, 0)
+    halves = np.where(claimed, (pop(comps).astype(np.int64) - 1) >> 1, 0)
     target = c_size // 2 << _FIELD * _IN_C | a_size << _FIELD * _A_TO_D
     target |= np.bitwise_or.reduce(halves << _FIELD * (_IN_K + least), axis=1)
     split = np.zeros(len(masks), bool)
@@ -481,7 +480,7 @@ def ge_violations(n: int, masks, comps, counts, a, c) -> np.ndarray:
 
     # each vertex of a component, deleted from it, leaves (|K|-1)/2
     left = masks[:, None] & within[own] & ~touch[1 << verts]
-    fails.append((in_d & (nu_table[left] != (pop[own].astype(np.int64) - 1) >> 1)).any(axis=1))
+    fails.append((in_d & (nu_table[left] != (pop(own).astype(np.int64) - 1) >> 1)).any(axis=1))
 
     # Hall: every non-empty S within A meets more components than |S|, so A
     # matches into them with any one component left out; each component
@@ -498,7 +497,7 @@ def ge_violations(n: int, masks, comps, counts, a, c) -> np.ndarray:
     for col in comp_nbrs.T:
         hits += (col[:, None] & subsets) != 0
     within_a = (subsets & ~a[at, None]) == 0
-    hall[at] = (within_a & (hits <= pop[subsets])).any(axis=1)
+    hall[at] = (within_a & (hits <= pop(subsets))).any(axis=1)
     fails.append(hall)
 
     first = np.full(len(masks), -1, np.int8)

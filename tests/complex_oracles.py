@@ -5,8 +5,13 @@
 the rows found by a dict, where the rank engine builds sparse columns on
 demand and finds their rows by ``searchsorted``; ``order_complex`` grows
 each chain by index and hands the chains to
-``SimplicialComplex.from_masks``, which checks heredity.
+``SimplicialComplex.from_masks``, which checks heredity;
+``nm_levels_by_facets`` walks the levels of a non-matching complex from its
+minimal non-faces, where the walk of ``build_nm_complex`` carries matching
+numbers.
 """
+
+import itertools
 
 import numpy as np
 
@@ -52,3 +57,41 @@ def order_complex(members: list[int]) -> SimplicialComplex:
                 chains.append(chain | 1 << i)
                 stack.append((chain | 1 << i, idx + [i]))
     return SimplicialComplex.from_masks(GroundSet(tuple(range(len(ms)))), chains)
+
+
+def _in_sorted(level: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Whether each of ``masks`` is an entry of the ascending ``level``."""
+    pos = np.minimum(np.searchsorted(level, masks), max(len(level) - 1, 0))
+    return level[pos] == masks if len(level) else np.zeros(len(masks), bool)
+
+
+def nm_levels_by_facets(edges: list[tuple[int, int]], k: int) -> tuple[np.ndarray, ...]:
+    """The levels of NM_k over the ground ``edges`` (equal entries are
+    parallel copies of one edge), each an ascending int64 array, found with
+    no matching number at all.
+
+    The minimal non-faces of NM_k are the k-matchings: a set with nu >= k
+    holds a k-matching, and a k-matching has no proper subset with nu >= k.
+    So a set is a face iff every facet of it is a face and it is not itself
+    a k-matching, that is k elements no two of which share a vertex (two
+    parallel copies share both).  Each level's candidates are the faces one
+    size down with one element above their highest added.
+    """
+    touching = [(a, b) for a, b in itertools.combinations(range(len(edges)), 2)
+                if set(edges[a]) & set(edges[b])]
+    levels = [np.zeros(1, np.int64)]
+    while True:
+        level = levels[-1]
+        cands = np.concatenate([level[level < 1 << b] | 1 << b for b in range(len(edges))] or [level[:0]])
+        keep = np.ones(len(cands), bool)
+        for b in range(len(edges)):
+            has = (cands >> b & 1) == 1
+            keep[has] &= _in_sorted(level, cands[has] ^ 1 << b)
+        if len(levels) == k:
+            shared = np.zeros(len(cands), bool)
+            for a, b in touching:
+                shared |= ((cands >> a) & (cands >> b) & 1) == 1
+            keep &= shared
+        if not keep.any():
+            return tuple(levels)
+        levels.append(np.sort(cands[keep]))

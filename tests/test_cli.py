@@ -77,8 +77,21 @@ class TestHomologyCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 3 and "cap" in err.lower()
+        assert code == 3
+        assert err == ("resource cap exceeded: NM_3 has more than 1048576 faces (the cap), "
+                       "passed at size 9\n")
         assert peak < 200 << 20
+
+    def test_cap_option_raises_the_cap(self, tmp_path, capsys, cache_dir):
+        # the same complex with the cap raised for the run, over GF(2) and
+        # GF(65521); its one nonzero reduced Betti number is beta_5 = 784
+        path = write_graph(tmp_path, Graph.complete(9))
+        for field in ("gf2", "gf65521"):
+            code, out, _ = run_cli(capsys, cache_dir, "homology", path, "--k", "3", "--field", field,
+                                   "--format", "json", "--no-cache", "--cap", str(1 << 21))
+            payload = json.loads(out)
+            assert code == 0 and payload["faces"] == 1253680
+            assert {d: b for d, b in payload["betti"].items() if b} == {"5": 784}
 
     def test_cache_hit_identical(self, tmp_path, capsys, cache_dir):
         path = write_graph(tmp_path, Graph.complete(4))
@@ -144,6 +157,16 @@ class TestLerayCommand:
         assert code == 1
         payload = json.loads(out)
         assert not payload["passed"] and payload["violations"]
+
+    @pytest.mark.parametrize("flags", [("--near",), (), ("--induced",)])
+    def test_cap_option(self, tmp_path, capsys, cache_dir, flags):
+        # NM_2(K4) has 27 faces: a cap one below refuses the walk in every
+        # mode, and a cap of 27 admits it, as the default does
+        path = write_graph(tmp_path, Graph.complete(4))
+        argv = ("leray", path, "--k", "2", "--d0", "3", *flags)
+        code, _, err = run_cli(capsys, cache_dir, *argv, "--cap", "26")
+        assert code == 3 and "NM_2 has more than 26 faces (the cap)" in err
+        assert run_cli(capsys, cache_dir, *argv, "--cap", "27")[0] == run_cli(capsys, cache_dir, *argv)[0] == 0
 
     def test_sampled(self, tmp_path, capsys, cache_dir):
         path = write_graph(tmp_path, Graph.complete(5))

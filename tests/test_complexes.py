@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from complex_oracles import order_complex
+from complex_oracles import nm_levels_by_facets, order_complex
 from nonmatching.complexes import (
     FamilySpec,
     GroundSet,
@@ -139,6 +139,36 @@ class TestNMWalk:
                 if k > matching_number(g):
                     assert len(faces) == 1 << g.edge_count
 
+    def test_levels_against_the_facet_walk(self):
+        # the walk's levels, byte for byte, against the walk that knows no
+        # matching number (a set is a face iff its facets are and it is no
+        # k-matching), on K4-K7, subdivided K6, K4,4, the seeded random
+        # hosts, and ground lists with parallel copies of an edge, the
+        # labelled complex's among them
+        hosts = [Graph.complete(n).sorted_edges() for n in (4, 5, 6, 7)]
+        hosts += [subdivided_complete_graph(6).sorted_edges(),
+                  Graph.complete_bipartite(4, 4).sorted_edges()]
+        hosts += [g.sorted_edges() for g in walk_inputs()[-20:]]
+        hosts.append([(0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3), (1, 3), (0, 1)])
+        inst = RainbowInstance.make(Graph.complete(5), [[(0, 1), (2, 3), (3, 4)], [(0, 1), (1, 2), (2, 3)],
+                                                        [(0, 4), (2, 3), (1, 3)]], 3)
+        hosts.append([e for (e, _) in labelled_nm_complex(inst).ground.elements])
+        compared = 0
+        for edges in hosts:
+            for k in (1, 2, 3, 4):
+                if 1 << len(edges) > DEFAULT_FACE_CAP and k > matching_number(Graph.from_edges(9, edges)):
+                    continue  # the full simplex, over the face cap (K7 at k=4)
+                walked = complexes_module._nm_faces(edges, k, DEFAULT_FACE_CAP)
+                oracle = nm_levels_by_facets(edges, k)
+                assert len(walked) == len(oracle), (edges, k)
+                for a, b in zip(walked, oracle):
+                    assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes(), (edges, k)
+                compared += 1
+        assert compared == 4 * len(hosts) - 1
+        labelled = labelled_nm_complex(inst)
+        assert [level.tobytes() for level in labelled.levels] == [
+            level.tobytes() for level in nm_levels_by_facets([e for (e, _) in labelled.ground.elements], 3)]
+
     def test_k8_face_counts(self):
         counts = build_nm_complex(Graph.complete(8), 3).face_counts()
         by_size = [counts[d] for d in range(-1, max(counts) + 1)]
@@ -162,8 +192,8 @@ class TestNMWalk:
 
     def test_refused_input_holds_the_cap_and_one_block(self):
         # NM_3(K9) passes the 2^20 face cap at size 9; the faces found so far
-        # (9 bytes each, twice while a level is merged in) and one block of
-        # candidates stay far below the ~75 MiB of one unblocked level
+        # (9 bytes each: the mask and its nu) and one block of candidates
+        # stay far below the ~75 MiB of one unblocked level
         tracemalloc.start()
         try:
             with pytest.raises(CapExceededError, match="passed at size 9"):

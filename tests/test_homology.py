@@ -1,5 +1,6 @@
 """Reduced homology, the rank engine, and Leray checks."""
 
+import copy
 import itertools
 import os
 import random
@@ -181,25 +182,28 @@ class TestReducedBetti:
         # the boundary of a hollow triangle's three edges has rank 2 over Q
         ops = _field_ops(RATIONAL)
         cols = {0: [0, 1], 1: [1, 2], 2: [0, 2]}
-        lows, _ = _reduce(ops, [(j, max(rows)) for j, rows in cols.items()], lambda j: ops.column(cols[j]))
-        assert len(lows) == 2
+        claim = np.full(3, -1, np.int64)
+        added = _reduce(ops, claim, [(j, max(rows)) for j, rows in cols.items()], lambda j: ops.column(cols[j]))
+        assert added == 2 and claim.tolist() == [-1, 0, 1]
 
     def test_rational_non_unit_pivot(self):
         # integer columns whose lowest entries are not +-1 (2 on the very
         # first column) take the Fraction path; ranks against numpy, and
         # every stored pivot must end in 1
-        ops = _field_ops(RATIONAL)
+        ops, pivots = recorded_pivots(_field_ops(RATIONAL))
         rng = random.Random(3)
         mats = [np.array([[1, 1, 2, 0], [2, 0, 4, 2], [0, -3, 0, -3]])]
         mats += [np.array([[rng.randint(-2, 2) for _ in range(5)] for _ in range(4)]) for _ in range(40)]
         fractions = 0
         for mat in mats:
             cols = {j: {r: int(x) for r, x in enumerate(mat[:, j]) if x} for j in range(mat.shape[1])}
-            lows, pivots = _reduce(ops, [(j, max(col)) for j, col in cols.items() if col],
-                                   lambda j: dict(cols[j]))
-            assert len(lows) == np.linalg.matrix_rank(mat.astype(float)), mat
-            assert all(piv[r] == 1 for r, piv in pivots.items())
-            fractions += any(type(v) is not int for piv in pivots.values() for v in piv.values())
+            pivots.clear()
+            claim = np.full(mat.shape[0], -1, np.int64)
+            added = _reduce(ops, claim, [(j, max(col)) for j, col in cols.items() if col],
+                            lambda j: dict(cols[j]))
+            assert added == np.count_nonzero(claim >= 0) == np.linalg.matrix_rank(mat.astype(float)), mat
+            assert all(piv[r] == 1 and claim[r] >= 0 for r, piv in pivots)
+            fractions += any(type(v) is not int for _, piv in pivots for v in piv.values())
         assert fractions
 
     def test_torsion_separates_fields(self):
@@ -236,6 +240,45 @@ class TestReducedBetti:
                 for d in range(cx.dim(), -1, -1):
                     ranks[d] = above = counts[d] - table.get(d) - above
                 assert ranks == oracle, (field, sorted(cx.faces))
+
+
+def recorded_pivots(ops) -> tuple:
+    """A copy of a field adapter whose ``pivot`` appends each pivot it
+    stores, as ``(low, column)``, to the list returned beside it."""
+    ops, stored = copy.copy(ops), []
+    real = ops.pivot
+
+    def pivot(col, low):
+        piv = real(col, low)
+        stored.append((low, piv))
+        return piv
+
+    ops.pivot = pivot
+    return ops, stored
+
+
+def recorded_reductions(monkeypatch) -> list:
+    """Hook ``homology._reduce`` so that each call appends to the list
+    returned: the claim table as handed over (the first claims), the
+    columns, the claim table after, the count returned, the keys built, and
+    the pivots stored, each as ``(low, column)``."""
+    real = homology._reduce
+    runs = []
+
+    def recording(ops, claim, columns, build):
+        firsts, columns, built = claim.copy(), list(columns), []
+        ops, pivots = recorded_pivots(ops)
+
+        def building(key):
+            built.append(key)
+            return build(key)
+
+        added = real(ops, claim, columns, building)
+        runs.append((firsts, columns, claim.copy(), added, built, pivots))
+        return added
+
+    monkeypatch.setattr(homology, "_reduce", recording)
+    return runs
 
 
 def rank_mod(mat: np.ndarray, p: int) -> int:
@@ -298,35 +341,33 @@ class TestDeferredColumns:
             complexes = [build_nm_complex(subdivided_complete_graph(6), 3)]
         else:
             complexes = seeded_random_complexes()
-        real = homology._reduce
-        ops = _field_ops(field)
-        runs = []
-
-        def recording(ops, columns, build):
-            columns = list(columns)
-            lows, pivots = real(ops, columns, build)
-            runs.append((dict(columns), lows, pivots))
-            return lows, pivots
-
-        monkeypatch.setattr(homology, "_reduce", recording)
+        runs = recorded_reductions(monkeypatch)
+        low = _field_ops(field).low
         deferred_built = reached_new_low = 0
         for cx in complexes:
             runs.clear()
             reduced_betti(cx, field)
+            ranks = [int(np.count_nonzero(after >= 0)) for _, _, after, _, _, _ in runs]
             if family == "nm3_subdivided_k6":
-                assert [len(lows) for _, lows, _ in runs] == SUBDIVIDED_K6_RANKS
+                assert ranks == SUBDIVIDED_K6_RANKS
             else:
-                assert [len(lows) for _, lows, _ in runs] == dense_ranks(cx, field), sorted(cx.faces)
-            for first_low, lows, pivots in runs:
-                assert set(pivots) <= set(lows)
-                for r, piv in pivots.items():
-                    assert ops.low(piv) == r
-                    assert piv[r] == 1
+                assert ranks == dense_ranks(cx, field), sorted(cx.faces)
+            for firsts, columns, after, added, built, pivots in runs:
+                assert added == np.count_nonzero(after >= 0) - np.count_nonzero(firsts >= 0)
+                for r, piv in pivots:
+                    assert after[r] >= 0 and low(piv) == r and piv[r] == 1
                     if field == GF2:
                         assert set(piv.values()) == {1}
-                    if first_low[lows[r]] == r:
-                        deferred_built += 1
-                reached_new_low += sum(first_low[key] != r for r, key in lows.items())
+                # every column handed over collides with a first claim, so a
+                # key built that was not handed over is a deferred first claim
+                assert all(firsts[r] >= 0 for _, r in columns)
+                first_low = dict(columns)
+                deferred = set(built) - set(first_low)
+                assert deferred <= set(firsts[firsts >= 0].tolist())
+                deferred_built += len(deferred)
+                for r in np.flatnonzero((firsts < 0) & (after >= 0)).tolist():
+                    assert first_low[int(after[r])] != r
+                    reached_new_low += 1
         assert deferred_built and reached_new_low
 
 
@@ -406,14 +447,14 @@ class TestLerayChecks:
         assert '"passed": true' in report.to_json()
 
 
-def mask_order_reductions(cx: SimplicialComplex, field: FieldSpec) -> list[tuple[list[int], dict]]:
+def mask_order_reductions(cx: SimplicialComplex, field: FieldSpec) -> list[tuple[list[int], list[int], list[int]]]:
     """Per dimension, top down: the columns of bd_d left by clearing, in
-    plain mask order, and the pivot rows ``_reduce`` reaches on them, with
-    the levels and the lowest rows taken from a scan of the face set and
-    row dicts."""
+    plain mask order, their lowest rows, and the pivot rows ``_reduce``
+    reaches on them from a table with every row free, with the levels and
+    the lowest rows taken from a scan of the face set and row dicts."""
     ops = _field_ops(field)
     levels = [sorted(m for m in cx.faces if m.bit_count() == size) for size in range(cx.dim() + 2)]
-    out, cleared = [], {}
+    out, cleared = [], set()
     for d in range(cx.dim(), -1, -1):
         index = {m: i for i, m in enumerate(levels[d])}
         cols = [m for j, m in enumerate(levels[d + 1]) if j not in cleared]
@@ -422,49 +463,43 @@ def mask_order_reductions(cx: SimplicialComplex, field: FieldSpec) -> list[tuple
             bits = [1 << b for b in range(m.bit_length()) if m >> b & 1]
             return ops.column([index[m ^ bit] for bit in bits])
 
-        cleared, _ = _reduce(ops, [(m, index[m ^ (m & -m)]) for m in cols], build)
-        out.append((cols, cleared))
+        lows = [index[m ^ (m & -m)] for m in cols]
+        claim = np.full(len(levels[d]), -1, np.int64)
+        _reduce(ops, claim, zip(cols, lows), build)
+        cleared = set(np.flatnonzero(claim >= 0).tolist())
+        out.append((cols, lows, sorted(cleared)))
     return out
 
 
 class TestFirstClaimsFirst:
-    """Each dimension hands ``_reduce`` the first claim of every lowest row
-    (the column of least mask with that row) first, then the colliding
-    columns in mask order.  The pivot rows of a reduction are the lowest
-    rows of the column space, whatever the order, so they, and the ranks,
-    must be those of the same columns reduced in plain mask order."""
+    """Each dimension puts the first claim of every lowest row (the column
+    of least mask with that row) in the claim table before the reduction
+    runs, and hands ``_reduce`` only the colliding columns, in mask order.
+    The pivot rows of a reduction are the lowest rows of the column space,
+    whatever the order, so they, and the ranks, must be those of the same
+    columns reduced in plain mask order."""
 
     @pytest.mark.parametrize("field", [GF2, GFP(LARGE_PRIME), RATIONAL], ids=["gf2", "gfp", "q"])
     def test_pivot_rows_match_mask_order(self, monkeypatch, field):
         complexes = [rp2_complex(), build_nm_complex(subdivided_complete_graph(6), 3),
                      build_nm_complex(Graph.complete(7), 3)] + seeded_random_complexes()
-        real = homology._reduce
-        runs = []
-
-        def recording(ops, columns, build):
-            columns = list(columns)
-            lows, pivots = real(ops, columns, build)
-            runs.append((columns, lows))
-            return lows, pivots
-
-        monkeypatch.setattr(homology, "_reduce", recording)
+        runs = recorded_reductions(monkeypatch)
         collisions = 0
         for cx in complexes:
             runs.clear()
             reduced_betti(cx, field)
             oracle = mask_order_reductions(cx, field)
             assert len(runs) == len(oracle)
-            for (columns, lows), (cols, want) in zip(runs, oracle):
-                assert sorted(key for key, _ in columns) == cols
-                assert set(lows) == set(want) and len(lows) == len(want)
-                firsts = len({r for _, r in columns})
-                head, tail = columns[:firsts], columns[firsts:]
-                assert head == sorted(head) and tail == sorted(tail)
+            for (firsts, columns, after, _, _, _), (cols, lows, want) in zip(runs, oracle):
+                heads = {r: key for r, key in enumerate(firsts.tolist()) if key >= 0}
+                assert sorted(list(heads.values()) + [key for key, _ in columns]) == cols
+                assert np.flatnonzero(after >= 0).tolist() == want
+                assert columns == sorted(columns)
                 first_claim = {}
-                for key, r in sorted(columns):
+                for key, r in zip(cols, lows):
                     first_claim.setdefault(r, key)
-                assert head == sorted((key, r) for r, key in first_claim.items())
-                collisions += len(tail)
+                assert heads == first_claim
+                collisions += len(columns)
         assert collisions
 
 
@@ -649,13 +684,8 @@ class TestLinkChecksByOrbit:
 class TestRankGuards:
     def test_extra_pivot_trips_negative_betti(self, monkeypatch):
         real = homology._reduce
-
-        def one_too_many(*args):
-            lows, pivots = real(*args)
-            lows[-1] = None  # a pivot row that no column has
-            return lows, pivots
-
-        monkeypatch.setattr(homology, "_reduce", one_too_many)
+        # one claim more than the reduction made: a pivot row that no column has
+        monkeypatch.setattr(homology, "_reduce", lambda *args: real(*args) + 1)
         cx = build_nm_complex(Graph.complete(4), 2)
         with pytest.raises(InternalCheckError, match="negative betti"):
             reduced_betti(cx)

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from complex_oracles import order_complex
 import nonmatching.constructions as cons
 import nonmatching.morse as morse
 from nonmatching import sweeps
-from nonmatching.complexes import EdgeHost, GroundSet, SimplicialComplex, build_nm_complex
+from nonmatching.complexes import EdgeHost, GroundSet, SimplicialComplex, build_nm_complex, submasks
 from nonmatching.constructions import build_pm_matching
 from nonmatching.errors import EmptyFamilyError, InternalCheckError, MonotonicityError
 from nonmatching.graphs import Graph
@@ -371,6 +372,17 @@ class TestJoin:
         monkeypatch.undo()
         assert join_matching(parts).criticals == (0, 1, 2, 3)
 
+    def test_colliding_faces_guard_fires(self, monkeypatch):
+        # a part check that lets a face leave its part ground makes two
+        # joins of faces from different parts coincide
+        stray = [JoinPart(0b1, (0, 0b10), ()), JoinPart(0b10, (0, 0b10), ())]
+        with pytest.raises(ValueError, match="leaves its part ground"):
+            join_matching(stray)
+        monkeypatch.setattr(morse, "_part_criticals",
+                            lambda part: morse._checked(part.family, part.pairs, "part matching").critical)
+        with pytest.raises(InternalCheckError, match="join family has colliding faces"):
+            join_matching(stray)
+
 
 class TestProjection:
     def test_singleton_parts_isomorphic_lift(self):
@@ -414,6 +426,56 @@ class TestProjection:
         for qfam, qpairs, message in cases:
             with pytest.raises(ValueError, match=message):
                 projection_matching(parts, 0, list(qfam), qpairs)
+
+    # each check of projection_matching against one mutated helper, on a
+    # lift the real helpers pass: (parts, tau, projected family and pairs,
+    # helper, its mutation from the real one, the message)
+    GUARD_CASES = {
+        # the toggle of the free bits on an element outside them
+        "toggle off the free bits": (
+            [0b11], 0b1, [0b1], [], "boolean_matching", lambda real: lambda fam, e: real(fam, e + 1),
+            "expected a complete toggle matching"),
+        # a toggle matching that drops its first pair: on a part that tau
+        # meets the block is no longer complete, elsewhere a critical grows
+        "toggle drops a pair, part meets tau": (
+            [0b11], 0b1, [0b1], [], "boolean_matching",
+            lambda real: lambda fam, e: (real(fam, e)[0][1:],) + real(fam, e)[1:],
+            "complete block produced criticals"),
+        "toggle drops a pair, part misses tau": (
+            [0b11], 0, [0b1], [], "boolean_matching",
+            lambda real: lambda fam, e: (real(fam, e)[0][1:],) + real(fam, e)[1:],
+            "lifted critical has the wrong size"),
+        # a part that tau misses may be met by the empty set
+        "choices keep the empty intersection": (
+            [0b1, 0b10], 0, range(4), [(0, 1), (2, 3)], "_part_choices",
+            lambda real: lambda part, tau: [(part & tau) | s for s in submasks(part & ~tau)],
+            "projection blocks overlap"),
+        # a join that reports each critical twice, or one bit up
+        "join repeats its criticals": (
+            [0b11], 0, [0b1], [], "join_matching",
+            lambda real: lambda parts: replace(real(parts), criticals=real(parts).criticals * 2),
+            "lifted criticals do not inject"),
+        "join moves its criticals": (
+            [0b1, 0b10], 0, [0b1], [], "join_matching",
+            lambda real: lambda parts: replace(real(parts), criticals=tuple(c << 1 for c in real(parts).criticals)),
+            "lifted critical projects outside projected criticals"),
+        # a check of the projected matching that skips its acyclicity
+        "check skips acyclicity": (
+            [0b1, 0b10, 0b100], 0, [1, 2, 4, 3, 5, 6], [(1, 3), (2, 6), (4, 5)], "_checked",
+            lambda real: lambda fam, pairs, what: validate_matching(fam, pairs),
+            "projection lift came out cyclic"),
+    }
+
+    @pytest.mark.parametrize("case", GUARD_CASES)
+    def test_guard_fires_under_a_mutated_helper(self, monkeypatch, case):
+        parts, tau, qfam, qpairs, helper, mutate, message = self.GUARD_CASES[case]
+        if helper != "_checked":  # the cyclic projected matching is refused as it should be
+            res = projection_matching(parts, tau, list(qfam), qpairs)
+            rep = check_matching(res.family, res.pairs)
+            assert rep.valid and rep.acyclic and rep.critical == res.criticals
+        monkeypatch.setattr(morse, helper, mutate(getattr(morse, helper)))
+        with pytest.raises(InternalCheckError, match=message):
+            projection_matching(parts, tau, list(qfam), qpairs)
 
     def test_size_formula(self):
         parts = [0b11, 0b1100, 0b10000]
