@@ -16,6 +16,7 @@ import argparse
 import concurrent.futures
 import functools
 import json
+import os
 import random
 import sys
 import traceback
@@ -199,8 +200,10 @@ def cmd_sweep(args) -> int:
         else:
             todo.append(spec)
     if todo:
-        if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # no more workers than cases to run or CPUs to run them on
+        workers = min(args.jobs, len(todo), os.cpu_count() or 1)
+        if workers > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 for spec, payload in zip(todo, pool.map(_run_spec, todo)):
                     results[spec.case_id] = payload
         else:
@@ -315,6 +318,8 @@ def main(argv=None) -> int:
             ap.error("leray --sample needs --near")
         if args.induced and args.near:
             ap.error("leray --induced and --near exclude each other")
+    if args.command == "sweep" and args.jobs < 1:
+        ap.error("sweep --jobs must be at least 1")
     try:
         return args.fn(args)
     except CapExceededError as exc:

@@ -6,16 +6,18 @@ over the positions of an ordered :class:`GroundSet` of at most 63
 elements.  Ground-set order is fixed for the lifetime of a complex: it is
 the orientation convention every boundary matrix uses.  The levels are the
 one face layout: the rank engine, the link checks and the dimension counts
-read them; a link or an induced subcomplex is one subset filter per level,
-membership is a ``searchsorted`` whose hit is compared, and heredity is
-checked on them.
+read them; membership is a ``searchsorted`` whose hit is compared, and
+heredity is checked on them.  The faces between a base face and a superset
+of it are one level filter, :func:`_faces_above`, one subset filter per
+level; a link, an induced subcomplex, a link check and a Morse link family
+are each that cut.
 
 Every non-matching complex, the labelled one of
 :func:`nonmatching.rainbow.labelled_nm_complex` included, comes from the
 level walk :func:`_nm_faces` with nu memoised per face, which produces the
-levels directly.  The two link families of the Morse builders come from
-:func:`_faces_between`, a walk up a hereditary family given by a
-predicate, nu below k.  The other special graph families (PM, FC, BFC)
+levels directly; it is the only face walk.  The two link families of the
+Morse builders, nu below k above h, are the faces above h in NM_k of their
+host, cut from its levels.  The other special graph families (PM, FC, BFC)
 are closed upward, so they are filters over the submasks above h.  All
 five work on the edge masks of a shared :class:`EdgeHost` and take their
 vertex sets as vertex masks, for the Morse builders and
@@ -123,7 +125,8 @@ class EdgeHost:
                 self.bits_at[a] = self.bits_at.get(a, 0) | (1 << i)
                 self.star[a] = self.star.get(a, ()) + ((1 << i, 1 << b),)
         self._all_vertices = sum(1 << v for v in self.bits_at)
-        # sub-solves of the Morse builders on this host, by their mask arguments
+        # sub-solves of the Morse builders on this host, by their mask
+        # arguments, and the levels of NM_k of the host under ("nm", k)
         self.memo: dict = {}
 
     def mask_of(self, edges) -> int:
@@ -288,10 +291,15 @@ def _bfc_masks(host: EdgeHost, x: int, y: int, z: int, h_mask: int) -> list[int]
 
 
 def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:
-    """Subgraphs of the edges ``within`` with matching number below ``k``:
-    the walk up from ``h_mask`` in NM_k of the host."""
-    nu = host.nu
-    return sorted(_faces_between(lambda m: nu[m] < k, h_mask, within & ~h_mask))
+    """Subgraphs of the edges ``within`` with matching number below ``k``
+    that contain ``h_mask``: the faces above h in NM_k of the host, cut from
+    its levels, which are walked once per k and kept in the host's memo."""
+    levels = host.memo.get(("nm", k))
+    if levels is None:
+        # at most 2^|E| faces, as many as the host's nu table has entries
+        levels = host.memo[("nm", k)] = _nm_faces(list(host.edges), k, 1 << len(host.edges))
+    above = _faces_above(levels, h_mask, within & ~h_mask)
+    return np.sort(np.concatenate(above)).tolist() if above else []
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,35 +437,6 @@ def _facets_of(level: np.ndarray) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _faces_between(test, base: int, allowed: int) -> list[int]:
-    """Every mask f with base <= f <= base | allowed that passes ``test``,
-    each exactly once, where the masks that pass form a hereditary family;
-    none when ``base`` fails.
-
-    The walk starts at ``base`` and adds bits of ``allowed`` in ascending
-    order.  Heredity makes it exact: each chain of additions up to a face
-    passes through faces only, so a face need only be extended by the later
-    bits that still give a face, and those are among the bits that extended
-    the face it came from.
-    """
-    if not test(base):
-        return []
-    keep = [1 << b for b in mask_bits(allowed)]
-    out = [base]
-    emit = out.append
-    # (face, the later bits that each extend it to a face)
-    stack = [(base, [b for b in keep if test(base | b)])]
-    while stack:
-        face, cands = stack.pop()
-        for i, b in enumerate(cands, 1):
-            above = face | b
-            emit(above)
-            rest = [c for c in cands[i:] if test(above | c)]
-            if rest:
-                stack.append((above, rest))
-    return out
-
-
 def _pack(masks: np.ndarray, allowed: int) -> np.ndarray:
     """Each mask's bits at the positions of ``allowed``, moved down in order
     so that the i-th bit of ``allowed`` becomes bit i: one shift per run of
@@ -472,24 +451,35 @@ def _pack(masks: np.ndarray, allowed: int) -> np.ndarray:
     return out
 
 
+def _faces_above(levels, base: int, allowed: int, least: int = 0) -> list[np.ndarray]:
+    """The faces f with base <= f <= base | allowed among the levels of a
+    complex, level by level from size |base| + ``least`` up, each ascending
+    (``base`` disjoint from ``allowed``).
+
+    Each level is one subset filter: f minus ``allowed`` must be ``base``.
+    By heredity, the first level with no such face ends them.
+    """
+    drop = ~allowed
+    out = []
+    for level in levels[base.bit_count() + least:]:
+        level = level[(level & drop) == base]
+        if not len(level):
+            break
+        out.append(level)
+    return out
+
+
 def _faces_within(cx: SimplicialComplex, base: int, allowed: int) -> SimplicialComplex:
     """The faces f with base <= f <= base | allowed, each re-indexed onto
     the bits of ``allowed``, as a complex on the ground elements at those
     bits (``base`` is a face, disjoint from ``allowed``).
 
-    Each level is one subset filter: f minus ``allowed`` must be ``base``.
-    By heredity, the first level with no face ends them.  The kept faces of
-    all levels are packed in one pass and split back by level; within a
-    level they agree on every dropped bit, so each slice stays sorted.
+    The faces come from :func:`_faces_above`; those of all levels are packed
+    in one pass and split back by level.  Within a level they agree on every
+    dropped bit, so each slice stays sorted.
     """
     ground = GroundSet(tuple(cx.ground.elements[i] for i in mask_bits(allowed)))
-    drop = ((1 << len(cx.ground)) - 1) & ~allowed
-    kept = []
-    for level in cx.levels[base.bit_count():]:
-        level = level[(level & drop) == base]
-        if not len(level):
-            break
-        kept.append(level)
+    kept = _faces_above(cx.levels, base, allowed)
     if not kept:
         return SimplicialComplex(ground, ())
     packed = _pack(np.concatenate(kept), allowed)

@@ -48,10 +48,10 @@ tables are those of plain mask order.
 Link checks read only the top of each link.  For d >= d0, the homology
 H_d(lk sigma) involves bd_d and bd_{d+1}, whose rows and columns are link
 faces of size >= d0.  Those are tau - sigma for the faces tau containing
-sigma with |tau| >= |sigma| + d0.  So the checks join the complex's levels
-from the least such size on once, and each sigma costs one vectorised
-subset filter over them, whose hits fall into the link's levels by size;
-no link complex is built unless a link fails.
+sigma with |tau| >= |sigma| + d0.  So each sigma costs one vectorised
+subset filter per level of the complex from that size up, the cut that
+:func:`nonmatching.complexes.link` makes too, ending at the first level
+with no hit; no link complex is built unless a link fails.
 
 Given a group of vertex relabelings that are automorphisms of the complex
 (Aut(G) acts simplicially on NM_k(G)), the checks rank one link per orbit:
@@ -70,7 +70,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _found, induced_subcomplex, link
+from .complexes import SimplicialComplex, _faces_above, _found, induced_subcomplex, link
 from .errors import CapExceededError, InternalCheckError
 from .graphs import DEFAULT_FACE_CAP, orbit_partition
 
@@ -414,41 +414,19 @@ class LerayReport:
         )
 
 
-class _FacesAbove:
-    """The faces of a complex of size >= ``floor``, by size and ascending
-    within a size: the complex's levels from ``floor`` on, in one array for
-    subset filters.
+def _link_vanishes(cx: SimplicialComplex, sigma: int, d0: int, field: FieldSpec, cap: int) -> bool:
+    """True iff H_d(lk sigma) = 0 for every d >= d0 (sigma a face).
 
-    ``masks`` is a ``uint64`` view of the int64 levels.
+    The link faces of size >= max(d0, 0) are tau ^ sigma for the faces tau
+    above sigma with |tau| >= |sigma| + max(d0, 0), cut from the complex's
+    levels by :func:`nonmatching.complexes._faces_above`.  Dropping sigma's
+    bits keeps the order of the other elements, so the masks, and the signs
+    of their boundaries, are those of the re-indexed link; the levels below
+    max(d0, 0) are left empty.
     """
-
-    def __init__(self, cx: SimplicialComplex, floor: int):
-        self.floor = max(floor, 0)
-        self.masks = cx.faces_from(self.floor).view(np.uint64)
-        self.starts = np.cumsum([0] + [len(level) for level in cx.levels[self.floor:]])  # of each size
-
-    def link_vanishes(self, sigma: int, d0: int, field: FieldSpec, cap: int) -> bool:
-        """True iff H_d(lk sigma) = 0 for every d >= d0 (sigma a face, with
-        |sigma| + max(d0, 0) >= floor).
-
-        The link faces of size >= max(d0, 0) are tau ^ sigma for the faces
-        tau above sigma with |tau| >= |sigma| + max(d0, 0), taken from the
-        suffix of that size.  Dropping sigma's bits keeps the order of the
-        other elements, so the masks, and the signs of their boundaries, are
-        those of the re-indexed link, and each size of them is a slice.
-        """
-        least = max(d0, 0)
-        starts = self.starts[sigma.bit_count() + least - self.floor:]
-        if len(starts) < 2:
-            return True
-        masks = self.masks[starts[0]:]
-        hit = np.flatnonzero((masks & sigma) == sigma)
-        tops = masks[hit] ^ sigma
-        cuts = hit.searchsorted(starts - starts[0]).tolist()
-        levels = [tops[:0]] * least + [tops[a:b] for a, b in zip(cuts, cuts[1:])]
-        while levels and not len(levels[-1]):
-            levels.pop()
-        return not any(_betti_of_sizes(levels, field, d0, cap).values())
+    least = max(d0, 0)
+    tops = [level ^ sigma for level in _faces_above(cx.levels, sigma, ~sigma, least)]
+    return not any(_betti_of_sizes([np.zeros(0, np.int64)] * least + tops, field, d0, cap).values())
 
 
 def _orbit_cover(cx: SimplicialComplex, sigmas: list[int], symmetry) -> tuple[list[int], dict]:
@@ -491,10 +469,9 @@ def _link_violations(cx: SimplicialComplex, sigmas: list[int], d0: int, field: F
         reps, owner = sigmas, {}
     else:
         reps, owner = _orbit_cover(cx, sigmas, symmetry)
-    above = _FacesAbove(cx, min(map(int.bit_count, reps)) + d0)
     tables = {}
     for m in reps:
-        if above.link_vanishes(m, d0, field, cap):
+        if _link_vanishes(cx, m, d0, field, cap):
             continue
         table = reduced_betti(link(cx, m), field, cap)
         if not any(b for d, b in table.betti.items() if d >= d0):

@@ -10,10 +10,10 @@ critical faces per dimension bounds the Betti numbers.
 
 A matching is checked one way, by :func:`validate_matching` (definition
 and criticals) and :func:`is_acyclic`: :func:`check_matching` reports the
-outcome, and :func:`_checked` raises on any matching handed to a combinator
-or the Morse inequality that fails it.  Every combinator follows a
-constructive existence proof and re-checks what it claims (acyclicity,
-critical-set structure) instead of trusting it.
+outcome, and :func:`_checked` raises from that report on any matching
+handed to a combinator or the Morse inequality that fails it.  Every
+combinator follows a constructive existence proof and re-checks what it
+claims (acyclicity, critical-set structure) instead of trusting it.
 """
 
 from __future__ import annotations
@@ -168,16 +168,15 @@ def check_matching(family, pairs) -> MatchingReport:
 
 
 def _checked(family, pairs, what: str) -> MatchingReport:
-    """The report of a matching handed to a combinator, which must be valid
-    and acyclic: a ``ValueError`` that names it, "invalid <what>" or
-    "cyclic <what>", otherwise."""
-    rep = validate_matching(family, pairs)
+    """The :func:`check_matching` report of a matching handed to a
+    combinator, which must be valid and acyclic: a ``ValueError`` that names
+    it, "invalid <what>" or "cyclic <what>", otherwise."""
+    rep = check_matching(family, pairs)
     if not rep.valid:
         raise ValueError(f"invalid {what}: {rep.problems[:1]}")
-    ok, _ = is_acyclic(family, pairs)
-    if not ok:
+    if not rep.acyclic:
         raise ValueError(f"cyclic {what}")
-    return replace(rep, acyclic=True)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -282,10 +282,12 @@ class TestSweepCommand:
         # the process-pool branch: same output, digest included, and the same
         # case cache files, byte for byte, as the serial run
         import concurrent.futures
+        import os
 
         pools, real_pool = [], concurrent.futures.ProcessPoolExecutor
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda **kw: pools.append(kw) or real_pool(**kw))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # the pool is sized by the CPUs too
         outs, files = [], []
         for jobs in ("1", "2"):
             cache = tmp_path / f"jobs{jobs}"
@@ -298,6 +300,39 @@ class TestSweepCommand:
         assert "result digest ca27157de536544da05fb0ad53b4c1d67a0ff0e4310839161f745498712795e3" in outs[0]
         assert len(files[0]) == 6 and files[0] == files[1]
         assert pools == [{"max_workers": 2}]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, cache_dir, jobs):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(capsys, cache_dir, "sweep", "concentration", "--jobs", jobs)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_pool_sized_by_the_cases_to_run(self, capsys, cache_dir, monkeypatch):
+        # a recording pool that runs in this process: the 4 cases of the
+        # concentration suite ask for at most 4 workers, whatever --jobs says
+        import concurrent.futures
+        import os
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, **kw):
+                pools.append(kw)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        code, out, _ = run_cli(capsys, cache_dir, "sweep", "concentration", "--jobs", "64")
+        assert code == 0 and "4 passed" in out
+        assert pools == [{"max_workers": 4}]
 
     def test_manifest_written(self, capsys, cache_dir):
         run_cli(capsys, cache_dir, "sweep", "concentration")

@@ -495,8 +495,8 @@ class TestFamilies:
     @pytest.mark.parametrize("k", [2, 3])
     def test_nmlink_walk_against_submask_filter(self, edges, k):
         # every h in the host, inside the whole host and inside a seeded
-        # random edge set: the walk up from h against the filter of all
-        # submasks through the nu table, which the walk replaced
+        # random edge set: the cut above h from the host's NM_k levels
+        # against the filter of all submasks through the nu table
         host = edge_host(GroundSet(tuple(edges)))
         full = (1 << len(edges)) - 1
         rng = random.Random(k)
