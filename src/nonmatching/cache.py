@@ -56,7 +56,6 @@ class RunManifest:
     parameters: dict
     seed: int
     caps: str
-    field: str
     timestamp: float
     result_digest: str
     unreadable: int  # cache entries found but unreadable, so recomputed
@@ -68,7 +67,6 @@ class RunManifest:
                 "parameters": self.parameters,
                 "seed": self.seed,
                 "caps": self.caps,
-                "field": self.field,
             }
         )
 
@@ -79,7 +77,6 @@ class RunManifest:
                 "parameters": self.parameters,
                 "seed": self.seed,
                 "caps": self.caps,
-                "field": self.field,
                 "timestamp": self.timestamp,
                 "result_digest": self.result_digest,
                 "unreadable": self.unreadable,

@@ -232,7 +232,6 @@ def cmd_sweep(args) -> int:
         parameters={"suite": args.suite, "jobs": args.jobs},
         seed=args.seed,
         caps=CAPS_VERSION,
-        field="gf2+gf65521",
         timestamp=now(),
         result_digest=result_digest,
         unreadable=cache.unreadable,

@@ -37,16 +37,18 @@ Faces are bitmasks over the host ground (the complete or complete bipartite
 edge list); recursive calls share the top-level host so that sub-results
 compose by plain union.  Vertex sets are vertex masks (bit v is vertex v)
 from the public doors down: each ``build_*`` function takes any iterable of
-vertices, converts it once, and runs a mask-level solve.  The Gallai-Edmonds
-key of a member is its (D, D | A, components) from
-:meth:`nonmatching.complexes.EdgeHost.decompose_masks`, and the side algebra
-of every split is ``&``, ``|`` and ``~`` on those masks.  Hosts, with their
-nu tables, come from the memoised :func:`nonmatching.complexes.edge_host`,
-so a ground is tabulated once per process; that holds for the small index
-hosts of the projection bridges too.  The recursive sub-solves (the PM, FC
-and BFC solves and the projection bridges) are memoised on their host,
-keyed by their mask arguments, so each distinct sub-family is built and
-checked once per host; a builder called without a host is not kept.
+vertices and ``h`` as a list of host edges, converts them once, and runs a
+mask-level solve.  The Gallai-Edmonds key of a member is its (D, D | A,
+components) from :meth:`nonmatching.complexes.EdgeHost.decompose_masks`,
+and the side algebra of every split is ``&``, ``|`` and ``~`` on those
+masks.  Hosts, with their nu tables, come from the memoised
+:func:`nonmatching.complexes.edge_host`, so a ground is tabulated once per
+process; that holds for the small index hosts of the projection bridges
+too.  A builder runs on the shared host of its own ground.  The recursive
+sub-solves (the PM, FC and BFC solves and the projection bridges) are
+memoised on their host, keyed by their mask arguments, so each distinct
+sub-family is built and checked once per host; the top-level result is not
+kept.
 """
 
 from __future__ import annotations
@@ -70,11 +72,7 @@ from .complexes import (
     vertex_bits,
 )
 from .errors import EmptyFamilyError, InternalCheckError
-from .graphs import (
-    Graph,
-    bipartite_edge_list,
-    complete_edge_list,
-)
+from .graphs import bipartite_edge_list, complete_edge_list
 from .morse import (
     JoinPart,
     Pair,
@@ -91,13 +89,6 @@ def _complete_ground(vs: int) -> GroundSet:
 
 def _bipartite_ground(x: int, y: int) -> GroundSet:
     return GroundSet(tuple(bipartite_edge_list(list(mask_bits(x)), list(mask_bits(y)))))
-
-
-def _h_mask(host: EdgeHost, h) -> int:
-    """The subgraph ``h`` (a mask, a Graph or an edge list) as a host mask."""
-    if isinstance(h, int):
-        return h
-    return host.mask_of(h.edges if isinstance(h, Graph) else h)
 
 
 def _ge_key(host: EdgeHost, mask: int, vs: int):
@@ -128,8 +119,8 @@ def _memo_on_host(fn):
     keyed by its arguments (vertex masks, edge masks and counts).
 
     The results are immutable, so one object serves every caller; a call
-    that raises is not kept.  ``fn.__wrapped__`` is the solve that keeps
-    nothing.
+    that raises is not kept.  ``fn.__wrapped__`` is the solve that does
+    not keep its own result (its sub-solves are still kept).
     """
     @functools.wraps(fn)
     def memoised(host, *args):
@@ -141,13 +132,12 @@ def _memo_on_host(fn):
     return memoised
 
 
-def _door(solve, host: EdgeHost | None, ground, *args, h=()) -> ConstructionResult:
-    """A public builder's way in to its mask-level ``solve``: on ``host``,
-    kept in its memo, or, without a host, on the shared host of
-    ``ground()`` and not kept."""
-    if host is None:
-        host, solve = edge_host(ground()), solve.__wrapped__
-    return solve(host, *args, _h_mask(host, h))
+def _door(solve, ground: GroundSet, *args, h) -> ConstructionResult:
+    """A public builder's way in to its mask-level ``solve``, on the shared
+    host of ``ground``: its sub-solves are kept in the host's memo, the
+    result itself is not."""
+    host = edge_host(ground)
+    return solve.__wrapped__(host, *args, host.mask_of(h))
 
 
 def _sides(x_side, y_side) -> tuple[int, int]:
@@ -215,24 +205,6 @@ def _checked_join(parts, members, what: str):
     return res
 
 
-def _clustered_pairs(members, key_fn, leq, fiber_pairs):
-    """Match each fiber of a monotone key and unite the fibers.
-
-    Keys are computed once per member; ``fiber_pairs(key, fiber)`` matches
-    one fiber, and :func:`cluster_union` checks monotonicity and acyclicity.
-    Monotonicity is checked on covering pairs only, so every caller must
-    pass a transitive ``leq`` and members that meet the chain condition:
-    each two members sigma < tau are joined by a chain of members one edge
-    apart (a convex family meets it).
-    """
-    key_of = {m: key_fn(m) for m in members}
-    fibers: dict = {}
-    for m in members:
-        fibers.setdefault(key_of[m], []).append(m)
-    per_key = {key: fiber_pairs(key, fiber) for key, fiber in fibers.items()}
-    return cluster_union(members, key_of.__getitem__, leq, per_key)
-
-
 def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs: int, fiber_pairs) -> list:
     """The recursion every builder shares, after its first-stage matching.
 
@@ -246,7 +218,7 @@ def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs: int, fiber_pairs) ->
     f_members = sorted(m & ~face for m in unmatched)
     # convex: a toggle leaves unmatched a convex part of an up-closed PM, FC
     # or BFC family, and the star peel's f1 is convex; _ge_leq is transitive
-    f_pairs = _clustered_pairs(f_members, lambda m: _ge_key(host, m, vs), _ge_leq, fiber_pairs)
+    f_pairs = cluster_union(f_members, lambda m: _ge_key(host, m, vs), _ge_leq, fiber_pairs)
     if not f_members:
         return list(pairs0)
     ground = 0
@@ -290,7 +262,7 @@ def _pick_e0_complete(host: EdgeHost, vs: int, h_mask: int) -> tuple[int, int, i
 # ---------------------------------------------------------------------------
 
 
-def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
+def build_bfc_matching(x_side, y_side, z_subset, h=()) -> ConstructionResult:
     """Acyclic matching on the two-level bipartite factor critical family.
 
     Members are the subgraphs of the complete bipartite graph between
@@ -304,7 +276,7 @@ def build_bfc_matching(x_side, y_side, z_subset, h=(), *, host: EdgeHost | None 
     z = vertex_bits(z_subset)
     if z & ~x:
         raise ValueError("z_subset must be contained in x_side")
-    return _door(_bfc, host, lambda: _bipartite_ground(x, y), x, y, z, h=h)
+    return _door(_bfc, _bipartite_ground(x, y), x, y, z, h=h)
 
 
 @_memo_on_host
@@ -313,12 +285,8 @@ def _bfc(host: EdgeHost, x: int, y: int, z: int, h_mask: int) -> ConstructionRes
     strict = h_mask != 0
 
     if not x or not y:
-        if h_mask:
-            raise ValueError("subgraph cannot have edges over an empty side")
         return _result("BFC", host, [0], [], bound, strict)
 
-    if h_mask & ~host.bits_between(x, y):
-        raise ValueError("subgraph leaves the bipartite host")
     family = _bfc_masks(host, x, y, z, h_mask)
     if not family:
         raise EmptyFamilyError(
@@ -403,7 +371,7 @@ def _fyc_matching(host, y, h_mask, v0, a, c_x, c_y, z_c):
 
     # convex: each Hall filter is up-closed within the interval; type_leq is
     # the subset order on both halves, so transitive
-    return tuple(members), tuple(_clustered_pairs(members, type_key, type_leq, type_pairs))
+    return tuple(members), tuple(cluster_union(members, type_key, type_leq, type_pairs))
 
 
 def _touched(host, edges: int, vs: int) -> int:
@@ -564,7 +532,7 @@ def _lifted_fc_projection(host: EdgeHost, a: int, c: int, tau: int):
 # ---------------------------------------------------------------------------
 
 
-def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
+def build_pm_matching(vertices, h=()) -> ConstructionResult:
     """Acyclic matching on perfectly matchable supergraphs of ``h``.
 
     Members are the subgraphs of the complete graph on ``vertices``
@@ -574,7 +542,7 @@ def build_pm_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
     an empty matching on it); the empty vertex set gives {empty graph}.
     """
     vs = vertex_bits(vertices)
-    return _door(_pm, host, lambda: _complete_ground(vs), vs, h=h)
+    return _door(_pm, _complete_ground(vs), vs, h=h)
 
 
 @_memo_on_host
@@ -582,8 +550,6 @@ def _pm(host: EdgeHost, vs: int, h_mask: int) -> ConstructionResult:
     bound = 3 * vs.bit_count() // 2 + h_mask.bit_count()
     strict = vs != 0
     kv = host.bits_within(vs)
-    if h_mask & ~kv:
-        raise ValueError("subgraph leaves the host vertex set")
     family = _pm_masks(host, vs, h_mask)
     if not vs or not family or h_mask == kv:
         return _result("PM", host, family, [], bound, strict)
@@ -643,7 +609,7 @@ def _matched_join_pairs(host, h_mask, universe, key, members, comps, groups):
 # ---------------------------------------------------------------------------
 
 
-def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> ConstructionResult:
+def build_fc_matching(vertices, h=()) -> ConstructionResult:
     """Acyclic matching on factor critical supergraphs of ``h``.
 
     Members are subgraphs of the complete graph on ``vertices`` containing
@@ -654,7 +620,7 @@ def build_fc_matching(vertices, h=(), *, host: EdgeHost | None = None) -> Constr
     vs = vertex_bits(vertices)
     if vs.bit_count() % 2 == 0:
         raise ValueError("factor critical families need an odd vertex count")
-    return _door(_fc, host, lambda: _complete_ground(vs), vs, h=h)
+    return _door(_fc, _complete_ground(vs), vs, h=h)
 
 
 @_memo_on_host
@@ -662,8 +628,6 @@ def _fc(host: EdgeHost, vs: int, h_mask: int) -> ConstructionResult:
     bound = 3 * (vs.bit_count() - 1) // 2 + h_mask.bit_count()
     strict = h_mask != 0
     kv = host.bits_within(vs)
-    if h_mask & ~kv:
-        raise ValueError("subgraph leaves the host vertex set")
     family = _fc_masks(host, vs, h_mask)
     if vs.bit_count() == 1 or h_mask == kv:
         return _result("FC", host, family, [], bound, strict)
@@ -753,33 +717,30 @@ def _star_peel(host, family, h_mask, v, w, k: int):
 
     # convex: an edge addable to a star-free part stays addable below it;
     # the subset order is transitive
-    pairs = _clustered_pairs(f0, lambda m: m & ~s_bits, lambda a, b: a & ~b == 0, fiber_pairs)
+    pairs = cluster_union(f0, lambda m: m & ~s_bits, lambda a, b: a & ~b == 0, fiber_pairs)
     vstar = h_mask & host.bits_at.get(v, 0)
     if any(m & host.bits_at.get(v, 0) != vstar for m in f1):
         raise ConstructionError("starless members carry stray star edges")
     return (pairs, f1), vstar
 
 
-def _link_h_mask(host, within: int, h, k: int) -> int:
-    """``h`` as a host mask inside the edges ``within``, with 1 <= nu(h) < k."""
-    h_mask = _h_mask(host, h)
-    if h_mask & ~within:
-        raise ValueError("subgraph leaves the host")
+def _link_h_mask(host, h, k: int) -> int:
+    """``h`` as a host mask, with 1 <= nu(h) < k."""
+    h_mask = host.mask_of(h)
     if not (1 <= host.nu[h_mask] < k):
         raise ValueError(f"need 1 <= nu(h) < k, got nu(h)={host.nu[h_mask]}, k={k}")
     return h_mask
 
 
-def build_link_matching_complete(vertices, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
+def build_link_matching_complete(vertices, h, k: int) -> ConstructionResult:
     """Acyclic matching on {G within the complete host : nu(G) < k, h in G}.
 
     Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 3k-4+|H|.
     """
     vs = vertex_bits(vertices)
-    if host is None:
-        host = edge_host(_complete_ground(vs))
+    host = edge_host(_complete_ground(vs))
     kv = host.bits_within(vs)
-    h_mask = _link_h_mask(host, kv, h, k)
+    h_mask = _link_h_mask(host, h, k)
     bound = 3 * k - 4 + h_mask.bit_count()
     family = _nmlink_masks(host, kv, h_mask, k)
 
@@ -805,16 +766,15 @@ def build_link_matching_complete(vertices, h, k: int, *, host: EdgeHost | None =
     return _result("NMLINK_COMPLETE", host, family, pairs, bound, False)
 
 
-def build_link_matching_bipartite(x_side, y_side, h, k: int, *, host: EdgeHost | None = None) -> ConstructionResult:
+def build_link_matching_bipartite(x_side, y_side, h, k: int) -> ConstructionResult:
     """Acyclic matching on {G within the bipartite host : nu(G) < k, h in G}.
 
     Requires 1 <= nu(h) < k.  Critical faces satisfy |sigma| <= 2k-3+|H|.
     """
     x, y = _sides(x_side, y_side)
-    if host is None:
-        host = edge_host(_bipartite_ground(x, y))
+    host = edge_host(_bipartite_ground(x, y))
     kxy = host.bits_between(x, y)
-    h_mask = _link_h_mask(host, kxy, h, k)
+    h_mask = _link_h_mask(host, h, k)
     bound = 2 * k - 3 + h_mask.bit_count()
     family = _nmlink_masks(host, kxy, h_mask, k)
 

@@ -231,34 +231,34 @@ def _verify_monotone(family, key_of, leq):
             ordered.add((ks, kt))
 
 
-def cluster_union(family, key_fn, leq, part_pairs) -> list[Pair]:
-    """Union of per-fiber matchings for a monotone key into a poset.
+def cluster_union(family, key_fn, leq, fiber_pairs) -> list[Pair]:
+    """Match each fiber of a monotone key into a poset and unite the fibers.
 
-    ``key_fn`` maps faces to keys, ``leq`` is the poset order on keys
-    (reflexive and transitive), ``part_pairs`` maps keys to that fiber's
-    matching.  Monotonicity (sigma subset of tau implies key(sigma) <=
-    key(tau)) is verified on the covering pairs of the family, which
-    implies it for every pair only when the family meets the chain
-    condition: every two members sigma < tau are joined by a chain of
-    members, each one element larger than the last (a convex family, such
-    as an interval or an up-closed family, meets it).  The union is
-    re-checked for acyclicity.
+    ``key_fn`` maps faces to keys, computed once per face; ``leq`` is the
+    poset order on keys (reflexive and transitive); ``fiber_pairs(key,
+    fiber)`` matches one fiber, called once per fiber with its members
+    ascending, the fibers in the order of their least members, and its
+    pairs must stay inside the fiber.  Monotonicity (sigma subset of tau
+    implies key(sigma) <= key(tau)) is verified on the covering pairs of
+    the family, which implies it for every pair only when the family meets
+    the chain condition: every two members sigma < tau are joined by a
+    chain of members, each one element larger than the last (a convex
+    family, such as an interval or an up-closed family, meets it).  The
+    union, in fiber order, is re-checked for acyclicity.
     """
     fam_sorted = sorted(set(family))
     key_of = {m: key_fn(m) for m in fam_sorted}
     fibers: dict = {}
     for m in fam_sorted:
         fibers.setdefault(key_of[m], []).append(m)
-    for k, pl in part_pairs.items():
-        if k not in fibers and pl:
-            raise ValueError("matching supplied for a key with an empty fiber")
-        fiber = set(fibers.get(k, ()))
-        for (s, t) in pl:
-            if s not in fiber or t not in fiber:
-                raise ValueError("per-part matching leaves its fiber")
+    pairs: list[Pair] = []
+    for key, fiber in fibers.items():
+        members = set(fiber)
+        for pair in fiber_pairs(key, fiber):
+            if not members.issuperset(pair):
+                raise ValueError("per-fiber matching leaves its fiber")
+            pairs.append(pair)
     _verify_monotone(fam_sorted, key_of, leq)
-    order = sorted(fibers, key=lambda k: fibers[k][0])
-    pairs = [p for k in order for p in part_pairs.get(k, ())]
     ok, _ = is_acyclic(fam_sorted, pairs)
     if not ok:
         raise InternalCheckError("cluster union came out cyclic")
@@ -280,10 +280,9 @@ class JoinPart:
         return cls(ground_mask, tuple(sorted(set(family))), tuple(map(tuple, pairs)))
 
     @classmethod
-    def single(cls, face_mask: int, ground_mask: int | None = None) -> "JoinPart":
+    def single(cls, face_mask: int) -> "JoinPart":
         """A one-member family with the empty matching (one critical face)."""
-        gm = face_mask if ground_mask is None else ground_mask
-        return cls(gm, (face_mask,), ())
+        return cls(face_mask, (face_mask,), ())
 
 
 @dataclass(frozen=True)
@@ -312,13 +311,12 @@ def _part_criticals(part: JoinPart) -> tuple[int, ...]:
 def join_matching(parts) -> FamilyMatching:
     """Acyclic matching on a join of families over disjoint ground parts.
 
-    Parts are processed sorted by critical-set size; a pair of the combined
-    matching takes a matched pair of the i-th part, joined with critical
-    faces from earlier parts and arbitrary faces from later parts.  The
-    criticals of the output are exactly the joins of per-part criticals,
-    which is asserted.
+    ``parts`` is a sequence of :class:`JoinPart`, processed sorted by
+    critical-set size; a pair of the combined matching takes a matched pair
+    of the i-th part, joined with critical faces from earlier parts and
+    arbitrary faces from later parts.  The criticals of the output are
+    exactly the joins of per-part criticals, which is asserted.
     """
-    parts = [p if isinstance(p, JoinPart) else JoinPart.make(*p) for p in parts]
     used = 0
     for p in parts:
         if not p.family:
@@ -419,8 +417,9 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
 
     for gamma in rep.critical:
         # X_gamma = join over the parts of gamma of the per-part choice family
-        # (tau bits sit in their own one-face factor)
-        join_parts = [JoinPart.single(tau, tau)] if tau else [JoinPart.make(0, (0,), ())]
+        # (tau bits sit in their own one-face factor; a part wholly inside
+        # tau adds nothing beyond it)
+        join_parts = [JoinPart.single(tau)]
         complete = False
         for i in mask_bits(gamma):
             base = parts[i] & tau
@@ -440,9 +439,6 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
                     raise InternalCheckError("expected a complete toggle matching")
                 complete = True
                 join_parts.append(JoinPart.make(free, choices, p))
-            else:
-                # part fully inside tau: contributes nothing beyond tau itself
-                join_parts.append(JoinPart.make(0, (0,), ()))
         res = join_matching(join_parts)
         family.extend(res.family)
         pairs.extend(res.pairs)

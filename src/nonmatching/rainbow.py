@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 from .complexes import GroundSet, SimplicialComplex, _nm_complex, edge_host
@@ -416,42 +417,53 @@ def verify_topological_helly_conclusion(inst: RainbowInstance, d: int) -> HellyR
 # ---------------------------------------------------------------------------
 
 
+_SET_LINE = re.compile(r"set\s+(\d+)\s*:(.*)", re.IGNORECASE)
+_K_LINE = re.compile(r"k\s*=\s*(\S+)", re.IGNORECASE)
+
+
+def _parse_set(line: str, rest: str) -> frozenset:
+    """The edges "u1 v1, u2 v2, ..." after the colon of the set line ``line``."""
+    if not rest.strip():
+        raise FormatError(f"empty set line {line!r}")
+    edges = []
+    for tok in rest.split(","):
+        try:
+            edges.append(normalize_edge(*map(int, tok.split())))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"bad edge {tok.strip()!r} in line {line!r}") from exc
+    return frozenset(edges)
+
+
 def parse_instance(text: str, k: int | None = None) -> RainbowInstance:
     """Host edge-list header, then one "SET i: u1 v1, u2 v2, ..." line per set.
 
-    An optional "k = <int>" line may follow the host block; an explicit ``k``
-    argument overrides it.
+    Sets are numbered 0, 1, 2, ... in file order.  An optional "k = <int>"
+    line may follow the host block; an explicit ``k`` argument overrides it.
+    Every other line belongs to the host block (see
+    :func:`nonmatching.graphs.parse_graph`), so a malformed line raises a
+    FormatError that names it.
     """
     host_lines = []
-    set_lines = []
+    sets = []
     k_line = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        low = line.lower()
-        if low.startswith("set"):
-            set_lines.append(line)
-        elif low.startswith("k") and "=" in line:
+        if m := _K_LINE.fullmatch(line):
+            if k_line is not None:
+                raise FormatError(f"second k line {line!r}")
             try:
-                k_line = int(line.split("=", 1)[1])
+                k_line = int(m[1])
             except ValueError as exc:
                 raise FormatError(f"bad k line {line!r}") from exc
+        elif m := _SET_LINE.fullmatch(line):
+            if int(m[1]) != len(sets):
+                raise FormatError(f"set line {line!r} out of order: expected SET {len(sets)}")
+            sets.append(_parse_set(line, m[2]))
         else:
             host_lines.append(line)
     host = parse_graph("\n".join(host_lines))
-    sets = []
-    for line in set_lines:
-        _, _, rest = line.partition(":")
-        if not rest.strip():
-            raise FormatError(f"empty set line {line!r}")
-        edges = []
-        for tok in rest.split(","):
-            parts = tok.split()
-            if len(parts) != 2:
-                raise FormatError(f"bad edge token {tok!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        sets.append(frozenset(normalize_edge(*e) for e in edges))
     kk = k if k is not None else k_line
     if kk is None:
         raise FormatError("no k given (neither in the file nor as an argument)")

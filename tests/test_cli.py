@@ -258,6 +258,15 @@ class TestRainbowCommand:
         code, _, err = run_cli(capsys, cache_dir, "rainbow", "verify", str(inst))
         assert code == 2 and err
 
+    @pytest.mark.parametrize("line", ["SET 2: 0 2", "SETTINGS: 0 2", "kappa = 2", "SET 1: 0 x"])
+    def test_verify_misread_line_exit_2(self, tmp_path, capsys, cache_dir, line):
+        # the sets are numbered from 0, and the line that breaks the format
+        # is named on stderr
+        inst = tmp_path / "bad.rbw"
+        inst.write_text(f"4 = 2 2\n0 2\n0 3\n1 2\n1 3\nk = 2\nSET 0: 0 2, 1 3\n{line}\n")
+        code, _, err = run_cli(capsys, cache_dir, "rainbow", "verify", str(inst))
+        assert code == 2 and repr(line) in err
+
     def test_tightness_witness(self, capsys, cache_dir):
         code, out, _ = run_cli(capsys, cache_dir, "rainbow", "tightness", "--k", "2", "--m", "2")
         payload = json.loads(out)
@@ -339,6 +348,9 @@ class TestSweepCommand:
         manifests = list(cache_dir.glob("manifest-*.json"))
         assert manifests
         payload = json.loads(manifests[0].read_text())
+        # no field: most suites rank over GF(2) only, and some rank nothing
+        assert set(payload) == {"command", "parameters", "seed", "caps", "timestamp",
+                                "result_digest", "unreadable", "input_digest"}
         assert payload["command"] == "sweep concentration"
         assert payload["result_digest"]
 

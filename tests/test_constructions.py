@@ -302,6 +302,19 @@ class _KeepsNothing(dict):
         pass
 
 
+def _host_keeping_nothing(ground):
+    host = EdgeHost(ground)
+    host.memo = _KeepsNothing()
+    return host
+
+
+def _route_to(monkeypatch, ground, host):
+    """Make the builders find ``host`` as the host of ``ground``; every other
+    ground, such as the index hosts of the projection bridges, still gets
+    its shared host."""
+    monkeypatch.setattr(cons, "edge_host", lambda g: host if g == ground else edge_host(g))
+
+
 def _memo_grid():
     """(builder, ground, vertex arguments, h and k) over PM, FC, BFC and link
     families on hosts up to 6 vertices and on K4,3, with seeded samples of h."""
@@ -336,24 +349,25 @@ def _memo_grid():
 
 
 class TestHostMemo:
-    def test_memoised_builders_equal_fresh_builds(self):
-        # each ground's memoised host serves the whole grid twice, the
-        # second time warm and with h (and k) as keywords; every result
-        # must equal the build on a host that keeps nothing
+    def test_memoised_builders_equal_fresh_builds(self, monkeypatch):
+        # each ground's shared host, emptied first, serves the whole grid
+        # twice, the second time warm and with h (and k) as keywords; every
+        # result must equal the build on a host that keeps nothing
         memoised, fresh = {}, {}
         grid = _memo_grid()
         for keywords in (False, True):
             for builder, ground, sides, rest in grid:
                 if ground not in memoised:
-                    memoised[ground], fresh[ground] = EdgeHost(ground), EdgeHost(ground)
-                    fresh[ground].memo = _KeepsNothing()
+                    memoised[ground], fresh[ground] = edge_host(ground), _host_keeping_nothing(ground)
+                    memoised[ground].memo.clear()
                 got = []
                 for host in (memoised[ground], fresh[ground]):
+                    _route_to(monkeypatch, ground, host)
                     try:
                         if keywords:
-                            res = builder(*sides, **rest, host=host)
+                            res = builder(*sides, **rest)
                         else:
-                            res = builder(*sides, *rest.values(), host=host)
+                            res = builder(*sides, *rest.values())
                     except EmptyFamilyError:
                         got.append(None)
                         continue
@@ -377,8 +391,7 @@ class TestHostMemo:
         # the same groups, a side and tau with each z count in turn, on one
         # memoised host and on a host that keeps nothing
         ground = cons._complete_ground(0b111111)
-        memoised, fresh = EdgeHost(ground), EdgeHost(ground)
-        fresh.memo = _KeepsNothing()
+        memoised, fresh = EdgeHost(ground), _host_keeping_nothing(ground)
         groups, a_side = (0b1, 0b110, 0b1000), 0b110000
         got = []
         for z_count in (0, 1):  # z-factor criticality into two a-vertices caps |z| at 1
@@ -403,32 +416,37 @@ _DOOR_CASES = [
 class TestDoors:
     @pytest.mark.parametrize("builder, sides, rest", _DOOR_CASES,
                              ids=[case[0].__name__ for case in _DOOR_CASES])
-    def test_any_iterable_of_vertices(self, builder, sides, rest):
-        # a range, an unsorted tuple and a set give one result, with and
-        # without the shared host
+    def test_any_iterable_of_vertices(self, builder, sides, rest, monkeypatch):
+        # a range, an unsorted tuple and a set give one result, on the
+        # shared host and on a host that keeps nothing
         want = assert_good(builder(*sides, **rest))
-        host = edge_host(want.ground)
-        for form in (lambda r: tuple(r)[1:] + tuple(r)[:1], set):
-            got = builder(*map(form, sides), **rest)
-            assert got == want, form
-            assert builder(*map(form, sides), **rest, host=host) == want, form
+        forms = (lambda r: tuple(r)[1:] + tuple(r)[:1], set)
+        for form in forms:
+            assert builder(*map(form, sides), **rest) == want, form
+        _route_to(monkeypatch, want.ground, _host_keeping_nothing(want.ground))
+        for form in forms:
+            assert builder(*map(form, sides), **rest) == want, form
 
     def test_bad_arguments_refused(self):
-        k6 = edge_host(cons._complete_ground(0b111111))
         for call in (
             lambda: build_bfc_matching([0, 1], [1, 2], []),  # overlapping sides
-            lambda: build_bfc_matching([0, 1], [1, 2], [], host=k6),
             lambda: build_link_matching_bipartite([0, 1], [1, 2], [(0, 2)], 2),
-            lambda: build_link_matching_bipartite([0, 1], [1, 2], [(0, 2)], 2, host=k6),
             lambda: build_bfc_matching(range(2), range(2, 4), {2}),  # z outside x
-            lambda: build_pm_matching(range(4), [(4, 5)]),  # h leaves the host
-            lambda: build_pm_matching(range(4), [(4, 5)], host=k6),
-            lambda: build_fc_matching(range(3), [(3, 4)], host=k6),
-            lambda: build_bfc_matching([0, 1], [2, 3], [], [(0, 1)]),
-            lambda: build_bfc_matching([0, 1], [2, 3], [], [(0, 4)], host=k6),
-            lambda: build_link_matching_complete(range(4), [(4, 5)], 2, host=k6),
-            lambda: build_link_matching_bipartite([0, 1], [2, 3], [(0, 1)], 2),
-            lambda: build_link_matching_bipartite([0, 1], [2, 3], [(0, 4)], 2, host=k6),
         ):
             with pytest.raises(ValueError):
+                call()
+
+    def test_h_outside_the_host_refused(self):
+        # the host's own edge lookup is the one check that h lies in it
+        for call in (
+            lambda: build_pm_matching(range(4), [(4, 5)]),
+            lambda: build_fc_matching(range(3), [(3, 4)]),
+            lambda: build_bfc_matching([0, 1], [2, 3], [], [(0, 1)]),  # inside one side
+            lambda: build_bfc_matching([0, 1], [2, 3], [], [(0, 4)]),
+            lambda: build_bfc_matching([], [2, 3], [], [(0, 2)]),  # an empty side
+            lambda: build_link_matching_complete(range(4), [(4, 5)], 2),
+            lambda: build_link_matching_bipartite([0, 1], [2, 3], [(0, 1)], 2),
+            lambda: build_link_matching_bipartite([0, 1], [2, 3], [(0, 4)], 2),
+        ):
+            with pytest.raises(ValueError, match="is not a host edge"):
                 call()

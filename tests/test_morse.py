@@ -175,18 +175,38 @@ class TestBooleanMatching:
                 assert set(rep.critical) == set(f1)
 
 
+def unmatched(key, fiber):
+    """A per-fiber matcher that pairs nothing."""
+    return []
+
+
+def by_key(table):
+    """A per-fiber matcher that looks the fiber's pairs up by its key."""
+    return lambda key, fiber: table[key]
+
+
 class TestClusterUnion:
     def test_single_part_identity(self):
         fam = SQUARE
         pairs = [(0, 1), (2, 3)]
-        out = cluster_union(fam, lambda m: 0, lambda a, b: True, {0: pairs})
+        out = cluster_union(fam, lambda m: 0, lambda a, b: True, by_key({0: pairs}))
         assert sorted(out) == sorted(pairs)
 
     def test_size_key(self):
         fam = [0, 1, 2, 3]
-        out = cluster_union(fam, lambda m: m.bit_count(), lambda a, b: a <= b,
-                            {0: [], 1: [], 2: []})
+        out = cluster_union(fam, lambda m: m.bit_count(), lambda a, b: a <= b, unmatched)
         assert out == []
+
+    def test_each_fiber_matched_once_in_ascending_order(self):
+        # every subset of three bits, shuffled and with a repeat, keyed by size
+        calls = []
+
+        def record(key, fiber):
+            calls.append((key, list(fiber)))
+            return []
+
+        cluster_union([7, 3, 5, 0, 6, 1, 2, 4, 3], lambda m: m.bit_count(), lambda a, b: a <= b, record)
+        assert calls == [(0, [0]), (1, [1, 2, 4]), (2, [3, 5, 6]), (3, [7])]
 
     def test_fixed_nu_gallai_edmonds_cells(self):
         # all subgraphs of the complete graph on 4 vertices with matching
@@ -212,41 +232,33 @@ class TestClusterUnion:
                 return True
             return k1[0] <= k2[0] and k1[1] <= k2[1] and (k1[0], k1[1]) != (k2[0], k2[1])
 
-        fibers = {}
-        for m in fam:
-            fibers.setdefault(key(m), []).append(m)
-        part_pairs = {}
-        for kk, members in fibers.items():
+        def toggle(kk, members):
             # toggle on the least bit that pairs anything inside the fiber
             pairs = []
             for b in range(6):
                 pairs, _, _ = boolean_matching(members, b)
                 if pairs:
                     break
-            part_pairs[kk] = pairs
-        out = cluster_union(fam, key, leq, part_pairs)
+            return pairs
+
+        out = cluster_union(fam, key, leq, toggle)
         ok, _ = is_acyclic(fam, out)
         assert ok
 
     def test_non_monotone_rejected(self):
         fam = [0, 1]
         with pytest.raises(MonotonicityError):
-            cluster_union(fam, lambda m: -m.bit_count(), lambda a, b: a <= b, {0: [], -1: []})
+            cluster_union(fam, lambda m: -m.bit_count(), lambda a, b: a <= b, unmatched)
 
     def test_cross_fiber_pair_rejected(self):
         fam = [0, 1]
         with pytest.raises(ValueError):
-            cluster_union(fam, lambda m: m, lambda a, b: a <= b, {0: [(0, 1)]})
+            cluster_union(fam, lambda m: m, lambda a, b: a <= b, by_key({0: [(0, 1)], 1: []}))
 
     def test_gallai_edmonds_style_union(self):
         # per-fiber toggle matchings over a fixed-size-key family stay acyclic
         fam = [m for m in range(16) if m.bit_count() in (1, 2)]
-        key = lambda m: m.bit_count()
-        fibers = {}
-        for m in fam:
-            fibers.setdefault(key(m), []).append(m)
-        part_pairs = {k: [] for k in fibers}
-        out = cluster_union(fam, key, lambda a, b: a <= b, part_pairs)
+        out = cluster_union(fam, lambda m: m.bit_count(), lambda a, b: a <= b, unmatched)
         assert out == []
 
     @settings(max_examples=300, deadline=None)
@@ -285,13 +297,13 @@ class TestClusterUnion:
         # a monotonicity check that passes everything lets the union through
         fam = [1, 2, 3, 4, 5, 6]
         key = {1: 0, 3: 0, 2: 1, 6: 1, 4: 2, 5: 2}.get
-        part_pairs = {0: [(1, 3)], 1: [(2, 6)], 2: [(4, 5)]}
+        fiber_pairs = by_key({0: [(1, 3)], 1: [(2, 6)], 2: [(4, 5)]})
         leq = lambda a, b: a <= b
         with pytest.raises(MonotonicityError):
-            cluster_union(fam, key, leq, part_pairs)
+            cluster_union(fam, key, leq, fiber_pairs)
         monkeypatch.setattr(morse, "_verify_monotone", lambda family, key_of, leq: None)
         with pytest.raises(InternalCheckError, match="cluster union came out cyclic"):
-            cluster_union(fam, key, leq, part_pairs)
+            cluster_union(fam, key, leq, fiber_pairs)
 
 
 class TestJoin:
@@ -340,10 +352,6 @@ class TestJoin:
         assert set(res.criticals) == expect
         rep = check_matching(res.family, res.pairs)
         assert rep.valid and rep.acyclic
-
-    def test_parts_given_as_lists(self):
-        res = join_matching([(0b11, SQUARE, [[0, 1], [2, 3]]), [0b100, [0, 4], []]])
-        assert len(res.family) == 8 and res.criticals == ()
 
     def test_bad_part_raises_on_every_call(self):
         # part checks are kept per part value; a failing one is not kept
@@ -566,7 +574,7 @@ class TestBigMaskFallback:
         pairs, f0, f1 = boolean_matching(fam, 0)
         key = lambda m: 1 if m & big else 0
         out = cluster_union(fam, key, lambda a, b: a <= b,
-                            {0: [(0, 1)], 1: [(big, big | 1)]})
+                            by_key({0: [(0, 1)], 1: [(big, big | 1)]}))
         ok, _ = is_acyclic(fam, out)
         assert ok
 
@@ -574,8 +582,7 @@ class TestBigMaskFallback:
         big = 1 << 80
         fam = [0, big]
         with pytest.raises(MonotonicityError):
-            cluster_union(fam, lambda m: 1 if m == 0 else 0, lambda a, b: a <= b,
-                          {0: [], 1: []})
+            cluster_union(fam, lambda m: 1 if m == 0 else 0, lambda a, b: a <= b, unmatched)
 
     # every subset of bits 60..67, so the family straddles the 64-bit word;
     # the key counts the bits at 64 and above
@@ -583,21 +590,21 @@ class TestBigMaskFallback:
 
     def test_cluster_union_across_bit_64(self):
         key = lambda m: (m >> 64).bit_count()
-        out = cluster_union(self.STRADDLE, key, lambda a, b: a <= b, {k: [] for k in range(5)})
+        out = cluster_union(self.STRADDLE, key, lambda a, b: a <= b, unmatched)
         assert out == []
 
     def test_cluster_union_across_bit_64_violation(self):
         # reversed key: the first face pair caught is 0 below 1 << 64
         key = lambda m: -(m >> 64).bit_count()
         with pytest.raises(MonotonicityError, match=f"0 subset of {1 << 64:x} "):
-            cluster_union(self.STRADDLE, key, lambda a, b: a <= b, {})
+            cluster_union(self.STRADDLE, key, lambda a, b: a <= b, unmatched)
 
     @pytest.mark.parametrize("top", [63, 64])
     def test_violation_at_the_word_edge(self, top):
         # either side of the 64-bit word
         fam = [1 << top, (1 << top) | 1]
         with pytest.raises(MonotonicityError):
-            cluster_union(fam, lambda m: -m.bit_count(), lambda a, b: a <= b, {})
+            cluster_union(fam, lambda m: -m.bit_count(), lambda a, b: a <= b, unmatched)
 
 
 class TestAgainstOracles:

@@ -388,6 +388,33 @@ class TestInstanceFormat:
         with pytest.raises(FormatError):
             parse_instance("4 = 2 2\n0 2\nk = 2\nSET 0:\n")
 
+    # each malformed line must raise a FormatError that names it
+    C4 = "4 = 2 2\n0 2\n0 3\n1 2\n1 3\n"
+
+    def test_sets_out_of_order_refused(self):
+        with pytest.raises(FormatError, match="'SET 1: 0 2'"):
+            parse_instance(self.C4 + "k = 2\nSET 1: 0 2\nSET 0: 0 3\n")
+
+    def test_repeated_set_index_refused(self):
+        with pytest.raises(FormatError, match="'SET 0: 0 3'"):
+            parse_instance(self.C4 + "k = 2\nSET 0: 0 2\nSET 0: 0 3\n")
+
+    def test_line_that_only_starts_like_a_set_refused(self):
+        with pytest.raises(FormatError, match="'SETTINGS: 0 2'"):
+            parse_instance(self.C4 + "k = 2\nSET 0: 0 2\nSETTINGS: 0 2\n")
+
+    def test_line_that_only_starts_like_k_refused(self):
+        with pytest.raises(FormatError, match="'kappa = 2'"):
+            parse_instance(self.C4 + "k = 2\nkappa = 2\nSET 0: 0 2\n")
+
+    def test_second_k_line_refused(self):
+        with pytest.raises(FormatError, match="'k = 1'"):
+            parse_instance(self.C4 + "k = 2\nk = 1\nSET 0: 0 2\n")
+
+    def test_non_integer_edge_names_its_line(self):
+        with pytest.raises(FormatError, match="'SET 0: 0 x'"):
+            parse_instance(self.C4 + "k = 2\nSET 0: 0 x\n")
+
 
 class TestCertificates:
     def test_disjointness_enforced(self):
