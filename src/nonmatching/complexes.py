@@ -214,8 +214,8 @@ def edge_host(ground: GroundSet) -> EdgeHost:
 # ---------------------------------------------------------------------------
 # The special families on a host: the members containing ``h_mask``,
 # ascending.  The builders and :func:`enumerate_family` share them.  PM, FC
-# and BFC are filters over the submasks above h, one numpy pass each: nu
-# from the host's table, Hall's condition from :func:`hall_holds`.
+# and BFC are filters over the submasks above h, one numpy pass each through
+# :func:`_nu_kept`, which reads the host's nu table alone.
 # ---------------------------------------------------------------------------
 
 
@@ -225,38 +225,19 @@ def _above(h_mask: int, free: int) -> np.ndarray:
     return np.array(submasks(free & ~h_mask), np.int64) | h_mask
 
 
-def hall_holds(host: EdgeHost, masks: np.ndarray, cover: int, other: int, surplus: int) -> np.ndarray:
-    """Hall's condition in each graph of ``masks`` from the vertex mask
-    ``cover`` into the vertex mask ``other``: whether every non-empty S
-    within cover has at least |S| + surplus neighbours there, as a bool
-    array.
+def _nu_kept(host: EdgeHost, masks: np.ndarray, deleted: int, need: int) -> np.ndarray:
+    """Whether each graph of ``masks`` has matching number ``need``, and
+    keeps it after deleting any one vertex of the vertex mask ``deleted``,
+    as a bool array read from the host's nu table.
 
-    surplus=1 is ``cover``-factor criticality of a bipartite graph;
-    surplus=0 with |cover| = |other| is a perfect matching.  Per graph, each
-    cover vertex gets its neighbours as a mask over the positions of
-    ``other``.  The union for S is the union for S minus its last vertex,
-    plus that vertex's neighbours, so each subset costs one OR and a bit
-    count.  Once |S| + surplus exceeds |other| every graph has failed, so at
-    most 2^(|other| + 1) unions are kept, for each block of masks.
+    On the edges between a cover side and another side, need = |cover| with
+    the other side deleted is Hall's condition with surplus one from the
+    cover (cover-factor criticality); with nothing deleted it is a matching
+    that covers the cover side.
     """
-    if len(masks) > _WALK_BLOCK:
-        return np.concatenate([hall_holds(host, masks[lo:lo + _WALK_BLOCK], cover, other, surplus)
-                               for lo in range(0, len(masks), _WALK_BLOCK)])
-    slot = {u: j for j, u in enumerate(mask_bits(other))}
-    ok = np.ones(len(masks), bool)
-    unions = [0]  # unions[s]: per graph, the neighbours of the subset s of the vertices seen
-    for v in mask_bits(cover):
-        if not ok.any():
-            break
-        nb = np.zeros(len(masks), np.int64)
-        for edge, vbit in host.star.get(v, ()):
-            j = slot.get(vbit.bit_length() - 1)
-            if j is not None:
-                nb |= ((masks & edge) != 0).astype(np.int64) << j
-        for s in range(len(unions)):
-            u = unions[s] | nb
-            ok &= np.bitwise_count(u) >= s.bit_count() + 1 + surplus
-            unions.append(u)
+    ok = host.nu_array[masks] == need
+    for v in mask_bits(deleted):
+        ok &= host.nu_array[masks & ~host.bits_at.get(v, 0)] == need
     return ok
 
 
@@ -266,7 +247,7 @@ def _pm_masks(host: EdgeHost, vs: int, h_mask: int) -> list[int]:
     if vs.bit_count() % 2:
         return []
     members = _above(h_mask, host.bits_within(vs))
-    return members[host.nu_array[members] == vs.bit_count() // 2].tolist()
+    return members[_nu_kept(host, members, 0, vs.bit_count() // 2)].tolist()
 
 
 def _fc_masks(host: EdgeHost, vs: int, h_mask: int) -> list[int]:
@@ -274,20 +255,18 @@ def _fc_masks(host: EdgeHost, vs: int, h_mask: int) -> list[int]:
     vertex leaves a perfect matching on the rest (so none when |vs| is even
     and positive)."""
     members = _above(h_mask, host.bits_within(vs))
-    for v in mask_bits(vs):
-        members = members[host.nu_array[members & ~host.bits_at.get(v, 0)] == vs.bit_count() // 2]
-    return members.tolist()
+    return members[_nu_kept(host, members, vs, vs.bit_count() // 2)].tolist()
 
 
 def _bfc_masks(host: EdgeHost, x: int, y: int, z: int, h_mask: int) -> list[int]:
     """(y, z)-factor critical subgraphs between the vertex masks ``x`` and
-    ``y``, by Hall's condition with surplus one; an empty side gives the
-    empty graph alone."""
+    ``y``: y-factor critical, and z-factor critical on the edges between z
+    and y; an empty side gives the empty graph alone."""
     if not (x and y):
         return [0]
     members = _above(h_mask, host.bits_between(x, y))
-    members = members[hall_holds(host, members, y, x, 1)]
-    return members[hall_holds(host, members, z, y, 1)].tolist()
+    members = members[_nu_kept(host, members, x, y.bit_count())]
+    return members[_nu_kept(host, members & host.bits_between(z, y), y, z.bit_count())].tolist()
 
 
 def _nmlink_masks(host: EdgeHost, within: int, h_mask: int, k: int) -> list[int]:

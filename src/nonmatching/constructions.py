@@ -21,11 +21,12 @@ are re-verified along the way (join structures are checked for exact
 equality with the definitional member lists; cluster maps are checked
 monotone on the covering pairs of each clustered family, which suffices
 because every such family is convex and every key order transitive; lifts
-must reproduce the unmatched members).  The bipartite
-factor-criticality and perfect-matching filters are one Hall check,
-:func:`nonmatching.complexes.hall_holds`, over every candidate at once.  The
-guaranteed critical-size bounds, with their strictness clauses, are recorded
-on the result for the caller to assert:
+must reproduce the unmatched members).  Every family filter, the
+bipartite factor-criticality and perfect-matching ones included, is one read
+of the host's nu table over every candidate at once,
+:func:`nonmatching.complexes._nu_kept`.  The guaranteed critical-size
+bounds, with their strictness clauses, are recorded on the result for the
+caller to assert:
 
     PM:   |sigma| <= (3/2)|V| + |H|        (strict when V is non-empty)
     FC:   |sigma| <= (3/2)(|V|-1) + |H|    (strict when H has an edge)
@@ -64,9 +65,9 @@ from .complexes import (
     _bfc_masks,
     _fc_masks,
     _nmlink_masks,
+    _nu_kept,
     _pm_masks,
     edge_host,
-    hall_holds,
     mask_bits,
     submasks,
     vertex_bits,
@@ -191,7 +192,7 @@ def _result(kind, host, family, pairs, bound, strict) -> ConstructionResult:
 
 def _complete_toggle(family, free: int, what: str):
     """Toggle on the least bit of ``free``; it must match the whole family."""
-    pairs, _, rest = boolean_matching(family, (free & -free).bit_length() - 1)
+    pairs, rest = boolean_matching(family, (free & -free).bit_length() - 1)
     if rest:
         raise ConstructionError(f"{what} was not complete")
     return pairs
@@ -231,7 +232,7 @@ def _peel_cluster_lift(host: EdgeHost, peel, face: int, vs: int, fiber_pairs) ->
 
 def _toggle_peel(family, e0_bit: int):
     """Toggle on one edge; every member it leaves unmatched must contain it."""
-    pairs0, _, unmatched = boolean_matching(family, e0_bit)
+    pairs0, unmatched = boolean_matching(family, e0_bit)
     if any(not m >> e0_bit & 1 for m in unmatched):
         raise ConstructionError("unmatched member without the toggle edge")
     return pairs0, unmatched
@@ -351,8 +352,10 @@ def _fyc_matching(host, y, h_mask, v0, a, c_x, c_y, z_c):
     members = []
     if c_x.bit_count() == c_y.bit_count():
         cand = _above(h_mask & ground, ground)
-        for cover, other, surplus in ((c_x, c_y, 0), (z_c, y, 1), (c_y & ~(1 << v0), c_x, 1)):
-            cand = cand[hall_holds(host, cand, cover, other, surplus)]
+        # a perfect matching across c_x and c_y, then Hall with surplus one
+        # from z_c into y and from c_y - v0 into c_x
+        for cover, other, deleted in ((c_x, c_y, 0), (z_c, y, y), (c_y & ~(1 << v0), c_x, c_x)):
+            cand = cand[_nu_kept(host, cand & host.bits_between(cover, other), deleted, cover.bit_count())]
         members = cand.tolist()
 
     def type_key(m):
@@ -369,7 +372,7 @@ def _fyc_matching(host, y, h_mask, v0, a, c_x, c_y, z_c):
         s, st = key
         return _fyc_type_pairs(host, h_mask, v0, a, c_x, c_y, z_c, s, st & ~s, group)
 
-    # convex: each Hall filter is up-closed within the interval; type_leq is
+    # convex: each filter is up-closed within the interval; type_leq is
     # the subset order on both halves, so transitive
     return tuple(members), tuple(cluster_union(members, type_key, type_leq, type_pairs))
 
@@ -404,7 +407,7 @@ def _fyc_type_pairs(host, h_mask, v0, a, c_x, c_y, z_c, s, t, members):
         fam = [sub for sub in submasks(free_q) if sub]
         if not fam:
             raise ConstructionError("neighbourless block in a non-empty type")
-        pv_pairs, _, _ = boolean_matching(fam, min(mask_bits(free_q)))
+        pv_pairs, _ = boolean_matching(fam, min(mask_bits(free_q)))
         pv_family = tuple(sorted(fam))
 
     # block between the z-part and the attachment set
@@ -428,7 +431,7 @@ def _fyc_type_pairs(host, h_mask, v0, a, c_x, c_y, z_c, s, t, members):
         freebits = host.bits_between(n2 | s, a) & ~h2
         if freebits:
             e = min(mask_bits(freebits))
-            pa_pairs, _, pa_rest = boolean_matching(pa_members, e)
+            pa_pairs, pa_rest = boolean_matching(pa_members, e)
             if pa_rest and pa_rest != [1 << e]:
                 raise ConstructionError("attachment toggle left unexpected criticals")
             pa_family = tuple(pa_members)

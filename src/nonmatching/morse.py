@@ -184,21 +184,18 @@ def _checked(family, pairs, what: str) -> MatchingReport:
 # ---------------------------------------------------------------------------
 
 
-def boolean_matching(family, e0_bit: int) -> tuple[list[Pair], list[int], list[int]]:
+def boolean_matching(family, e0_bit: int) -> tuple[list[Pair], list[int]]:
     """Toggle matching on one ground element.
 
-    Splits the family into F0 = faces whose e0-toggle partner is also in the
-    family (matched completely by toggling) and F1 = the rest.  The union of
+    Pairs every face whose e0-toggle partner is also in the family (F0,
+    matched completely by toggling) and leaves F1 = the rest.  The union of
     this matching with any acyclic matching on F1 stays acyclic.
-    Returns (pairs on F0, F0, F1).
+    Returns (pairs on F0, F1 ascending).
     """
     fam = set(family)
     bit = 1 << e0_bit
-    f0 = [m for m in fam if (m | bit) in fam and (m & ~bit) in fam]
-    pairs = [(m, m | bit) for m in f0 if not m & bit]
-    f0set = set(f0)
-    f1 = sorted(fam - f0set)
-    return pairs, sorted(f0), f1
+    pairs = [(m, m | bit) for m in fam if not m & bit and (m | bit) in fam]
+    return pairs, sorted(m for m in fam if (m ^ bit) not in fam)
 
 
 def _verify_monotone(family, key_of, leq):
@@ -428,13 +425,13 @@ def projection_matching(part_masks, tau: int, q_family, q_pairs) -> FamilyMatchi
                 # non-empty subsets of the part: toggle leaves one singleton
                 choices = [s for s in submasks(free) if s]
                 e = min(mask_bits(parts[i]))
-                p, _, f1 = boolean_matching(choices, e)
+                p, f1 = boolean_matching(choices, e)
                 join_parts.append(JoinPart.make(parts[i], choices, p))
             elif free:
                 # all subsets of the free bits: the toggle matching is complete
                 choices = submasks(free)
                 e = min(mask_bits(free))
-                p, _, f1 = boolean_matching(choices, e)
+                p, f1 = boolean_matching(choices, e)
                 if f1:
                     raise InternalCheckError("expected a complete toggle matching")
                 complete = True

@@ -556,7 +556,7 @@ def _random_acyclic_part(rng, ground_bits: list[int]):
     if rng.random() < 0.3 or not ground_bits:
         return fam, []
     e0 = rng.choice(ground_bits)
-    pairs, _, _ = boolean_matching(fam, e0)
+    pairs, _ = boolean_matching(fam, e0)
     return fam, pairs
 
 
@@ -620,7 +620,7 @@ def run_projection_law(params: dict) -> dict:
         q_family = sorted(rng.sample(sup, rng.randint(1, len(sup))))
         q_pairs = []
         if rng.random() < 0.7 and nparts:
-            q_pairs, _, _ = boolean_matching(q_family, rng.randrange(nparts))
+            q_pairs, _ = boolean_matching(q_family, rng.randrange(nparts))
         res = projection_matching(parts, tau, q_family, q_pairs)
         # independent re-check of the size formula and injectivity
         matched_q = {f for p in q_pairs for f in p}

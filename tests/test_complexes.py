@@ -453,9 +453,9 @@ class TestFamilies:
         assert len(fam) == 1 and fam[0].edge_count == 0
 
     def test_bfc_against_predicates(self):
-        # definitional double-check for |X| <= 3, |Y| <= 2, all Z sizes
-        for a in range(0, 4):
-            for b in range(0, 3):
+        # definitional double-check for |X| <= 4, |Y| <= 3, all Z sizes
+        for a in range(0, 5):
+            for b in range(0, 4):
                 xs, ys = tuple(range(a)), tuple(range(a, a + b))
                 for zs_size in range(0, a + 1):
                     zs = tuple(range(zs_size))
@@ -508,6 +508,15 @@ class TestFamilies:
                 assert complexes_module._nmlink_masks(host, within, h, k) == want, (h, within)
 
 
+def hall_by_nu(host, masks, cover, other, surplus):
+    """Hall's condition from the vertex mask ``cover`` into ``other`` with
+    surplus 0 or 1, through the one nu-table filter on each graph's edges
+    between the two: surplus one is nu = |cover| after deleting any one
+    vertex of ``other``, surplus zero is nu = |cover|."""
+    cross = masks & host.bits_between(cover, other)
+    return complexes_module._nu_kept(host, cross, other if surplus else 0, cover.bit_count())
+
+
 class TestEdgeHost:
     def test_decompose_matches_definition_on_k33(self):
         # every subgraph of K3,3: the builders' decomposer against the
@@ -536,8 +545,48 @@ class TestEdgeHost:
         for cover, other in ((ys, xs), (xs, ys)):
             fc = [is_y_factor_critical(g, other, cover) for g in graphs]
             cm, om = vertex_bits(cover), vertex_bits(other)
-            assert complexes_module.hall_holds(host, masks, cm, om, 1).tolist() == fc, cover
-            assert complexes_module.hall_holds(host, masks, cm, om, 0).tolist() == perfect, cover
+            assert hall_by_nu(host, masks, cm, om, 1).tolist() == fc, cover
+            assert hall_by_nu(host, masks, cm, om, 0).tolist() == perfect, cover
+
+    @pytest.mark.parametrize("host_edges, sides", [
+        (bipartite_edge_list((0, 1), (2, 3, 4, 5)), ((0, 1), (2, 3, 4, 5))),
+        (bipartite_edge_list((0, 1, 2), (3, 4, 5, 6)), ((0, 1, 2), (3, 4, 5, 6))),
+        # edges outside cover x other (inside either side, or at vertex 5)
+        # must be ignored
+        (complete_edge_list(6), ((0, 1), (2, 3, 4))),
+        (complete_edge_list(6), ((0, 1, 2), (3, 4))),
+    ], ids=["K2,4", "K3,4", "K6-2,3", "K6-3,2"])
+    def test_hall_against_oracles(self, host_edges, sides):
+        # every subgraph of the host, either side as the cover: surplus one
+        # against cover-side factor criticality, surplus zero against a
+        # matching that covers the cover side, both on the graph's edges
+        # between the two sides
+        host = edge_host(GroundSet(tuple(host_edges)))
+        masks = np.arange(1 << len(host_edges), dtype=np.int64)
+        n = max(max(e) for e in host_edges) + 1
+        for cover, other in (sides, sides[::-1]):
+            cm, om = vertex_bits(cover), vertex_bits(other)
+            verdicts = {}
+            fc, covered = [], []
+            for mask in range(len(masks)):
+                cross = Graph.from_edges(n, host.ground.decode(mask)).induced_bipartite(cover, other)
+                if cross.edges not in verdicts:
+                    verdicts[cross.edges] = (is_y_factor_critical(cross, other, cover),
+                                             matching_number(cross) == len(cover))
+                fc.append(verdicts[cross.edges][0])
+                covered.append(verdicts[cross.edges][1])
+            assert hall_by_nu(host, masks, cm, om, 1).tolist() == fc, cover
+            assert hall_by_nu(host, masks, cm, om, 0).tolist() == covered, cover
+
+    def test_hall_with_an_empty_side(self):
+        # into an empty side every graph fails; from an empty cover every
+        # graph passes
+        for edges in (bipartite_edge_list((0, 1, 2), (3, 4, 5)), complete_edge_list(5)):
+            host = edge_host(GroundSet(tuple(edges)))
+            masks = np.arange(1 << len(edges), dtype=np.int64)
+            for surplus in (0, 1):
+                assert not hall_by_nu(host, masks, 0b111, 0, surplus).any()
+                assert hall_by_nu(host, masks, 0, 0b11000, surplus).all()
 
     def test_memo_shares_one_host_per_ground(self):
         edges = tuple(bipartite_edge_list((0, 1), (2, 3)))

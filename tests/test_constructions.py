@@ -1,11 +1,12 @@
 """The five family constructions: validity, acyclicity, and size bounds."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
 
-from nonmatching.complexes import EdgeHost, FamilySpec, GroundSet, edge_host, enumerate_family
+from nonmatching.complexes import EdgeHost, FamilySpec, GroundSet, edge_host, enumerate_family, vertex_bits
 from nonmatching.constructions import (
     build_bfc_matching,
     build_fc_matching,
@@ -19,6 +20,7 @@ from nonmatching.graphs import (
     Graph,
     has_perfect_matching,
     is_factor_critical,
+    is_y_factor_critical,
     is_yz_factor_critical,
     matching_number,
 )
@@ -37,6 +39,10 @@ def assert_good(res):
     return res
 
 
+def _subsets(items):
+    return [c for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
 def family_edge_sets(res):
     return {frozenset(res.ground.decode(m)) for m in res.family}
 
@@ -44,7 +50,7 @@ def family_edge_sets(res):
 def oracle_family(spec: FamilySpec, member) -> set:
     """Every subgraph of the family's host that contains h and passes the
     Graph-level predicate ``member``, as edge sets: the independent side of
-    the family tests (no nu table, no Hall bitmasks)."""
+    the family tests (no nu table, no vertex masks)."""
     host = spec.host_edges()
     vs = spec.vertices + spec.x_side + spec.y_side
     n = max(vs) + 1
@@ -208,6 +214,40 @@ class TestBFC:
     def test_z_constrains(self):
         with pytest.raises(ValueError):
             build_bfc_matching([0, 1], [2], [2], [])
+
+    def test_fyc_members_are_definitional(self, monkeypatch):
+        # the matched-side family of the BFC decomposition on K3,3, over
+        # every matched part c_x, c_y (v0 its least y vertex, the rest of y
+        # attached) and z_c, without and with one forced edge: the subgraphs
+        # between c_x and y that contain the forced edges there, have a
+        # perfect matching across c_x and c_y, and are z_c-factor critical
+        # into y and (c_y - v0)-factor critical into c_x.  Only the member
+        # list is pinned, so the fibers are left unmatched.
+        monkeypatch.setattr(cons, "cluster_union", lambda *args: [])
+        xs, ys = (0, 1, 2), (3, 4, 5)
+        host = edge_host(cons._bipartite_ground(vertex_bits(xs), vertex_bits(ys)))
+        nonempty = 0
+        for c_x, c_y in itertools.product(map(set, _subsets(xs)), map(set, _subsets(ys))):
+            if not c_y:
+                continue
+            v0 = min(c_y)
+            ground = [(u, v) for u in sorted(c_x) for v in ys]
+            for z_c, h in itertools.product(map(set, _subsets(sorted(c_x))), ((), ((2, v0),))):
+                members, pairs = cons._fyc_matching(
+                    host, vertex_bits(ys), host.mask_of(h), v0, vertex_bits(set(ys) - c_y),
+                    vertex_bits(c_x), vertex_bits(c_y), vertex_bits(z_c))
+                expect = []
+                for edges in map(set, _subsets(ground)):
+                    g = Graph.from_edges(6, edges)
+                    if (set(h) & set(ground) <= edges
+                            and len(c_x) == len(c_y)
+                            and matching_number(g.induced_bipartite(c_x, c_y)) == len(c_x)
+                            and is_y_factor_critical(g.induced_bipartite(z_c, ys), ys, z_c)
+                            and is_y_factor_critical(g.induced_bipartite(c_y - {v0}, c_x), c_x, c_y - {v0})):
+                        expect.append(host.mask_of(edges))
+                assert list(members) == sorted(expect) and pairs == (), (c_x, c_y, z_c, h)
+                nonempty += bool(expect)
+        assert nonempty == 122
 
 
 class TestLinkComplete:

@@ -117,11 +117,12 @@ class TestAcyclic:
         masks = data.draw(st.sets(st.integers(0, 15), min_size=1))
         fam = sorted(masks)
         e0 = data.draw(st.integers(0, universe - 1))
-        pairs, f0, f1 = boolean_matching(fam, e0)
+        pairs, f1 = boolean_matching(fam, e0)
         rep = check_matching(fam, pairs)
         assert rep.valid and rep.acyclic
         assert sorted(rep.critical) == f1
-        # complete on f0 by definition
+        # complete on f0, the faces whose toggle partner is a member
+        f0 = [m for m in fam if m ^ (1 << e0) in masks]
         matched = {f for p in pairs for f in p}
         assert matched == set(f0)
 
@@ -156,12 +157,14 @@ class TestAcyclic:
 
 class TestBooleanMatching:
     def test_full_square(self):
-        pairs, f0, f1 = boolean_matching(SQUARE, 0)
+        pairs, f1 = boolean_matching(SQUARE, 0)
+        f0 = sorted(f for p in pairs for f in p)
         assert f0 == SQUARE and f1 == [] and len(pairs) == 2
 
     def test_partial(self):
         fam = [0, 1, 2]  # empty, {e}, {f}
-        pairs, f0, f1 = boolean_matching(fam, 0)
+        pairs, f1 = boolean_matching(fam, 0)
+        f0 = sorted(f for p in pairs for f in p)
         assert f0 == [0, 1] and f1 == [2] and pairs == [(0, 1)]
 
     def test_all_families_three_elements(self):
@@ -169,7 +172,7 @@ class TestBooleanMatching:
         for fam_mask in range(1, 1 << 8):
             fam = [m for m in range(8) if fam_mask >> m & 1]
             for e0 in range(3):
-                pairs, f0, f1 = boolean_matching(fam, e0)
+                pairs, f1 = boolean_matching(fam, e0)
                 rep = check_matching(fam, pairs)
                 assert rep.valid and rep.acyclic
                 assert set(rep.critical) == set(f1)
@@ -236,7 +239,7 @@ class TestClusterUnion:
             # toggle on the least bit that pairs anything inside the fiber
             pairs = []
             for b in range(6):
-                pairs, _, _ = boolean_matching(members, b)
+                pairs, _ = boolean_matching(members, b)
                 if pairs:
                     break
             return pairs
@@ -489,7 +492,7 @@ class TestProjection:
         parts = [0b11, 0b1100, 0b10000]
         tau = 0b100
         qfam = [q for q in range(8) if q & 0b10]
-        qpairs, _, _ = boolean_matching(qfam, 0)
+        qpairs, _ = boolean_matching(qfam, 0)
         res = projection_matching(parts, tau, qfam, qpairs)
         matched_q = {f for p in qpairs for f in p}
         qcrit = set(qfam) - matched_q
@@ -512,7 +515,7 @@ class TestMorseInequality:
         ground = GroundSet(tuple("abc"))
         cx = SimplicialComplex.full_simplex(ground)
         fam = [m for m in cx.faces if m]
-        pairs, f0, f1 = boolean_matching(fam, 0)
+        pairs, f1 = boolean_matching(fam, 0)
         assert f1 == [1]
         details = morse_inequality_details(cx, pairs, GF2)
         assert details["holds"]
@@ -571,7 +574,7 @@ class TestBigMaskFallback:
     def test_cluster_union_beyond_word_size(self):
         big = 1 << 80
         fam = [0, big, big | 1, 1]
-        pairs, f0, f1 = boolean_matching(fam, 0)
+        pairs, f1 = boolean_matching(fam, 0)
         key = lambda m: 1 if m & big else 0
         out = cluster_union(fam, key, lambda a, b: a <= b,
                             by_key({0: [(0, 1)], 1: [(big, big | 1)]}))
